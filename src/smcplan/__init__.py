@@ -10,7 +10,6 @@ from .backups import (
     accumulate_ancestor_q,
     message_passing_policy,
     mix_value_target,
-    retrace_root_value,
 )
 from .errors import (
     BudgetError,
@@ -76,7 +75,6 @@ from .trust_region import (
     adaptive_epsilon,
     greedy_row,
     solve_trust_region,
-    solve_trust_region_sampled,
 )
 
 __version__ = "0.1.0"

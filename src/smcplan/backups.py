@@ -3,9 +3,9 @@
 Resampling discards most particle ancestries, so naive point-mass policy
 inference at the root degenerates with depth. These helpers keep one
 running log-value per root atom, fed by each step's weight ratios, and
-turn those into a root policy that never loses atoms. They also carry
-the truncated-importance-weighted return estimator used to build value
-targets from planner rollouts.
+turn those into a root policy that never loses atoms.
+``mix_value_target`` blends the model value with the search value, the
+retrace trace that ``planner.advance`` keeps per particle.
 """
 
 from __future__ import annotations
@@ -77,48 +77,6 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
         raise NumericalError("all root atoms carry zero mass")
     policy = np.exp(log_mass - norm)
     return policy / policy.sum()
-
-
-def retrace_root_value(
-    rewards,
-    is_ratios,
-    v_next,
-    v_cur,
-    lam: float,
-    gamma: float,
-    weights=None,
-) -> float:
-    """Off-policy corrected return estimate at the rollout root.
-
-    Arguments are ``(steps, particles)`` arrays from one planner run
-    (1-d input is treated as a single particle); ``is_ratios`` holds the
-    prior-over-proposal probability ratio of each sampled action. Each
-    particle's temporal-difference errors are summed with the trace
-    coefficient ``lam * min(1, ratio)`` and discounting, on top of its
-    first-step value; the result is the weighted average over particles.
-    """
-    rewards = np.atleast_2d(np.asarray(rewards, dtype=float).T).T
-    is_ratios = np.atleast_2d(np.asarray(is_ratios, dtype=float).T).T
-    v_next = np.atleast_2d(np.asarray(v_next, dtype=float).T).T
-    v_cur = np.atleast_2d(np.asarray(v_cur, dtype=float).T).T
-    if not (rewards.shape == is_ratios.shape == v_next.shape == v_cur.shape):
-        raise ContractError("per-step arrays must share one (steps, particles) shape")
-    n_steps, n_particles = rewards.shape
-    if n_steps == 0:
-        raise ContractError("need at least one step")
-    if weights is None:
-        w = np.full(n_particles, 1.0 / n_particles)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_particles,):
-            raise ContractError("weights must have one entry per particle")
-    trace = lam * np.minimum(1.0, is_ratios)
-    coeff = np.ones_like(rewards)
-    if n_steps > 1:
-        coeff[1:] = np.cumprod(gamma * trace[1:], axis=0)
-    delta = rewards + gamma * v_next - v_cur
-    per_particle = v_cur[0] + (coeff * delta).sum(axis=0)
-    return float(w @ per_particle)
 
 
 def mix_value_target(v_model: float, v_smc: float, sigma: float) -> float:

@@ -24,6 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from . import rng as rng_mod
 from .errors import ConfigError, ContractError
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
-from .planner import PlannerConfig, run_planner
-from .training import LossConfig, Model, TrainConfig, train
+from .planner import run_planner
+from .training import Model, TrainConfig, train
 
 EXPERIMENTS = ("path_degeneracy", "oracle_convergence", "train", "ablation")
 POLICY_FLOOR = 1e-6
@@ -76,17 +77,13 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Its JSON form is flat: every ``TrainConfig`` field
+    is a top-level key next to the keys declared here."""
+
     experiment: str
     env: dict
-    planner: PlannerConfig
-    loss: LossConfig = field(default_factory=LossConfig)
+    train: TrainConfig
     iterations: int = 100
-    horizon: int = 16
-    s0: int = 0
-    buffer_capacity: int = 2048
-    batch_size: int = 64
-    updates_per_iteration: int = 16
-    eval_horizon: int = 0
     seeds: tuple = (0,)
     sweep: dict = field(default_factory=dict)
     output_dir: str = "out"
@@ -96,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
+        if self.iterations < 1:
+            raise ConfigError(f"iterations: must be at least 1, got {self.iterations}")
         if not self.seeds:
             raise ConfigError("seeds: must list at least one seed")
         for key, values in self.sweep.items():
@@ -105,34 +104,21 @@ class ExperimentConfig:
 
     def _resolve_sweep_key(self, key: str):
         head, _, tail = key.partition(".")
-        if head in ("planner", "loss") and tail:
-            target = self.planner if head == "planner" else self.loss
-            if tail in {f.name for f in dataclasses.fields(target)}:
+        if head in _SECTIONS and tail:
+            if tail in {f.name for f in dataclasses.fields(_SECTIONS[head])}:
                 return
         elif not tail and head in _SWEEPABLE_TOP:
             return
         raise ConfigError(f"sweep.{key}: does not name a configurable field")
 
 
-_SWEEPABLE_TOP = {
-    "iterations",
-    "horizon",
-    "s0",
-    "buffer_capacity",
-    "batch_size",
-    "updates_per_iteration",
-    "eval_horizon",
-}
-
-_TOP_KEYS = {
-    "experiment",
-    "env",
-    "planner",
-    "loss",
-    "seeds",
-    "sweep",
-    "output_dir",
-} | _SWEEPABLE_TOP
+# TrainConfig fields: nested config sections, and scalars coerced to
+# their declared type on load
+_TRAIN_FIELDS = get_type_hints(TrainConfig)
+_SECTIONS = {name: kind for name, kind in _TRAIN_FIELDS.items() if dataclasses.is_dataclass(kind)}
+_SCALARS = {name: kind for name, kind in _TRAIN_FIELDS.items() if name not in _SECTIONS}
+_SWEEPABLE_TOP = {"iterations"} | set(_SCALARS)
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"train"} | set(_TRAIN_FIELDS)
 
 
 def _dataclass_from_dict(cls, data: dict, path: str):
@@ -157,8 +143,10 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     for key in ("experiment", "env", "planner"):
         if key not in data:
             raise ConfigError(f"{source}: missing key {key!r}")
-    planner = _dataclass_from_dict(PlannerConfig, data["planner"], f"{source}: planner")
-    loss = _dataclass_from_dict(LossConfig, data.get("loss", {}), f"{source}: loss")
+    sections = {
+        name: _dataclass_from_dict(kind, data.get(name, {}), f"{source}: {name}")
+        for name, kind in _SECTIONS.items()
+    }
     seeds = data.get("seeds", [0])
     if isinstance(seeds, int):
         seeds = list(range(seeds))
@@ -168,26 +156,28 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(env, dict):
         raise ConfigError(f"{source}: env: must be an object")
     try:
-        return ExperimentConfig(
+        scalars = {name: kind(data[name]) for name, kind in _SCALARS.items() if name in data}
+        config = ExperimentConfig(
             experiment=data["experiment"],
             env=env,
-            planner=planner,
-            loss=loss,
+            train=TrainConfig(**sections, **scalars),
             iterations=int(data.get("iterations", 100)),
-            horizon=int(data.get("horizon", 16)),
-            s0=int(data.get("s0", 0)),
-            buffer_capacity=int(data.get("buffer_capacity", 2048)),
-            batch_size=int(data.get("batch_size", 64)),
-            updates_per_iteration=int(data.get("updates_per_iteration", 16)),
-            eval_horizon=int(data.get("eval_horizon", 0)),
             seeds=tuple(seeds),
             sweep=dict(data.get("sweep", {})),
             output_dir=str(data.get("output_dir", "out")),
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (ContractError, TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    # every cell's config is checked now, so a bad sweep value fails
+    # before any cell runs
+    for point in _sweep_points(config):
+        try:
+            _apply_sweep_point(config, point)
+        except (ConfigError, ContractError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: sweep point {point}: {exc}") from exc
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -203,15 +193,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "experiment": config.experiment,
         "env": config.env,
-        "planner": dataclasses.asdict(config.planner),
-        "loss": dataclasses.asdict(config.loss),
+        **dataclasses.asdict(config.train),
         "iterations": config.iterations,
-        "horizon": config.horizon,
-        "s0": config.s0,
-        "buffer_capacity": config.buffer_capacity,
-        "batch_size": config.batch_size,
-        "updates_per_iteration": config.updates_per_iteration,
-        "eval_horizon": config.eval_horizon,
         "seeds": list(config.seeds),
         "sweep": config.sweep,
         "output_dir": config.output_dir,
@@ -244,56 +227,44 @@ def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> Non
 
 
 def _apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
-    planner_updates = {}
-    loss_updates = {}
-    top_updates = {}
+    section_updates, train_updates, top_updates = {}, {}, {}
     for key, value in point.items():
         head, _, tail = key.partition(".")
-        if head == "planner":
-            planner_updates[tail] = value
-        elif head == "loss":
-            loss_updates[tail] = value
+        if tail:
+            section_updates.setdefault(head, {})[tail] = value
+        elif head in _SCALARS:
+            train_updates[head] = value
         else:
             top_updates[head] = value
-    out = config
-    if planner_updates:
-        out = replace(out, planner=replace(out.planner, **planner_updates))
-    if loss_updates:
-        out = replace(out, loss=replace(out.loss, **loss_updates))
-    if top_updates:
-        out = replace(out, **top_updates)
-    return out
+    for head, updates in section_updates.items():
+        train_updates[head] = replace(getattr(config.train, head), **updates)
+    return replace(config, train=replace(config.train, **train_updates), **top_updates)
+
+
+def _tv_to_reference(reference, policy) -> float:
+    return 0.5 * float(np.abs(policy - reference).sum())
+
+
+# planning-only experiments: metric name and its divergence from the exact
+# root posterior
+_PLAN_METRICS = {
+    "path_degeneracy": ("kl_root", kl_to_reference),
+    "oracle_convergence": ("tv_root", _tv_to_reference),
+}
 
 
 def _drive(config: ExperimentConfig, mdp: TabularMdp, seed: int):
     """Run one (sweep point, seed) cell; yields (step, metric, value)."""
-    planner = config.planner
-    if config.experiment == "path_degeneracy":
+    if config.experiment in _PLAN_METRICS:
+        name, divergence = _PLAN_METRICS[config.experiment]
+        planner, s0 = config.train.planner, config.train.s0
         model = Model.zeros(mdp.n_states, mdp.n_actions)
         reference = soft_value_iteration(
             mdp, model.policy(), planner.depth, planner.temperature
-        ).posterior_policy[config.s0]
-        out = run_planner(mdp, config.s0, model, planner, seed)
-        return [(0, "kl_root", kl_to_reference(reference, out.root_policy))]
-    if config.experiment == "oracle_convergence":
-        model = Model.zeros(mdp.n_states, mdp.n_actions)
-        reference = soft_value_iteration(
-            mdp, model.policy(), planner.depth, planner.temperature
-        ).posterior_policy[config.s0]
-        out = run_planner(mdp, config.s0, model, planner, seed)
-        tv = 0.5 * float(np.abs(out.root_policy - reference).sum())
-        return [(0, "tv_root", tv)]
-    train_config = TrainConfig(
-        planner=planner,
-        loss=config.loss,
-        horizon=config.horizon,
-        s0=config.s0,
-        buffer_capacity=config.buffer_capacity,
-        batch_size=config.batch_size,
-        updates_per_iteration=config.updates_per_iteration,
-        eval_horizon=config.eval_horizon,
-    )
-    result = train(mdp, train_config, config.iterations, seed)
+        ).posterior_policy[s0]
+        out = run_planner(mdp, s0, model, planner, seed)
+        return [(0, name, divergence(reference, out.root_policy))]
+    result = train(mdp, config.train, config.iterations, seed)
     if config.experiment == "ablation":
         window = min(10, config.iterations)
         return [

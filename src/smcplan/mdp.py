@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, ConfigError, ContractError
+from .rng import categorical
 
 _ROW_SUM_TOL = 1e-12
 
@@ -112,9 +113,7 @@ def step(mdp: TabularMdp, state: int, action: int, rng: np.random.Generator):
         raise ContractError(f"state {state} out of range [0, {mdp.n_states})")
     if not 0 <= action < mdp.n_actions:
         raise ContractError(f"action {action} out of range [0, {mdp.n_actions})")
-    row = mdp.transition[state, action]
-    nxt = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-    nxt = min(nxt, mdp.n_states - 1)
+    nxt = int(categorical(mdp.transition[state, action], rng.random()))
     return nxt, float(mdp.reward[state, action]), bool(mdp.terminal[nxt])
 
 

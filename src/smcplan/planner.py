@@ -167,13 +167,6 @@ def normalized_weights(log_weights) -> np.ndarray:
     return w / w.sum()
 
 
-def _rows_categorical(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row; row i is sampled at ``uniforms[i]``."""
-    cum = np.cumsum(rows, axis=1)
-    idx = (uniforms[:, None] >= cum).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1).astype(np.intp)
-
-
 def advance(
     particles: ParticleSet,
     mdp: TabularMdp,
@@ -200,8 +193,8 @@ def advance(
     u_actions = rng.random(k)
     u_states = rng.random(k)
     states = particles.states
-    actions = _rows_categorical(proposal, u_actions)
-    next_states = _rows_categorical(mdp.transition[states, actions], u_states)
+    actions = rng_mod.categorical_rows(proposal, u_actions)
+    next_states = rng_mod.categorical_rows(mdp.transition[states, actions], u_states)
     rewards = mdp.reward[states, actions]
 
     log_pi = model.log_policy()
@@ -286,9 +279,7 @@ def multinomial_resample(
         raise ContractError(f"mode must be one of {RESAMPLE_MODES}, got {mode!r}")
     w = normalized_weights(particles.log_weights)
     k = particles.k
-    idx = np.minimum(
-        np.searchsorted(np.cumsum(w), rng.random(k), side="right"), k - 1
-    ).astype(np.intp)
+    idx = rng_mod.categorical(w, rng.random(k))
     if mode == "revived":
         states = particles.ref_states[idx].copy()
         ref_states = states.copy()

@@ -105,10 +105,13 @@ class LossConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        for name in ("c_v", "c_pi", "c_ent", "lambda_outer", "gamma_outer", "lr",
-                     "clip_abs", "clip_norm"):
+        for name in ("c_v", "c_pi", "c_ent", "lr", "clip_abs", "clip_norm"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be non-negative")
+        for name in ("lambda_outer", "gamma_outer"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ContractError(f"{name} must lie in [0, 1], got {value}")
 
 
 class ReplayBuffer:
@@ -164,10 +167,7 @@ def collect_segment(
     for t in range(horizon):
         out = run_planner(mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN))
         gen = rng_mod.stream(seed, t, _ACT)
-        action = int(
-            np.searchsorted(np.cumsum(out.root_policy), gen.random(), side="right")
-        )
-        action = min(action, mdp.n_actions - 1)
+        action = int(rng_mod.categorical(out.root_policy, gen.random()))
         nxt, reward, terminal = step(mdp, state, action, gen)
         records.append(
             TransitionRecord(state, action, reward, out.root_policy, out.root_value, terminal)

@@ -63,20 +63,6 @@ class TrustRegionSolution:
     saturated: bool = False
 
 
-def _check_prior_row(prior_row) -> np.ndarray:
-    prior = np.asarray(prior_row, dtype=float)
-    if prior.ndim != 1 or prior.size == 0:
-        raise ContractError("prior_row must be a non-empty vector")
-    if (prior < 0).any() or abs(prior.sum() - 1.0) > 1e-9:
-        raise ContractError("prior_row must be a probability vector")
-    return prior
-
-
-def _tilted(log_prior, q_values, beta):
-    z = log_prior + beta * q_values
-    return np.exp(z - logsumexp(z))
-
-
 def solve_trust_region(
     prior_row,
     q_values,
@@ -94,7 +80,11 @@ def solve_trust_region(
     ``beta_cap``) and bisected until the achieved divergence is within
     ``tol`` of ``epsilon`` or ``max_iterations`` is exhausted.
     """
-    prior = _check_prior_row(prior_row)
+    prior = np.asarray(prior_row, dtype=float)
+    if prior.ndim != 1 or prior.size == 0:
+        raise ContractError("prior_row must be a non-empty vector")
+    if (prior < 0).any() or abs(prior.sum() - 1.0) > 1e-9:
+        raise ContractError("prior_row must be a probability vector")
     q = np.asarray(q_values, dtype=float)
     if q.shape != prior.shape:
         raise ContractError("prior_row and q_values must have the same length")
@@ -112,7 +102,8 @@ def solve_trust_region(
         log_prior = np.log(prior)
 
     def evaluate(beta):
-        tilted = _tilted(log_prior, q, beta)
+        z = log_prior + beta * q
+        tilted = np.exp(z - logsumexp(z))
         return kl_to_prior(tilted, prior), tilted
 
     hi = 1.0
@@ -125,65 +116,6 @@ def solve_trust_region(
         # as the tilt can go while still satisfying the constraint.
         return TrustRegionSolution(q_hi, hi, kl_hi, epsilon, saturated=True)
 
-    lo = 0.0
-    beta, kl_beta, q_beta = hi, kl_hi, q_hi
-    for _ in range(max_iterations):
-        if abs(kl_beta - epsilon) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        kl_mid, q_mid = evaluate(mid)
-        beta, kl_beta, q_beta = mid, kl_mid, q_mid
-        if kl_mid < epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return TrustRegionSolution(q_beta, beta, kl_beta, epsilon)
-
-
-def solve_trust_region_sampled(
-    prior_row,
-    q_values,
-    epsilon: float,
-    n_atoms: int,
-    rng: np.random.Generator,
-    tol: float = 1e-4,
-    max_iterations: int = 100,
-    beta_cap: float = 1e6,
-) -> TrustRegionSolution:
-    """Atom-bootstrapped variant of :func:`solve_trust_region`.
-
-    Draws ``n_atoms`` actions from the prior and solves the same
-    bisection over the empirical action distribution, measuring the
-    divergence against the true prior. Converges to the exact solver as
-    the number of atoms grows; discrete problems should prefer the exact
-    solver.
-    """
-    prior = _check_prior_row(prior_row)
-    q = np.asarray(q_values, dtype=float)
-    if n_atoms < 1:
-        raise ContractError("need at least one atom")
-    if epsilon < 0:
-        raise ContractError(f"epsilon must be non-negative, got {epsilon}")
-    counts = np.bincount(
-        rng.choice(prior.size, size=n_atoms, p=prior), minlength=prior.size
-    )
-    empirical = counts / n_atoms
-    if epsilon == 0.0:
-        return TrustRegionSolution(empirical, 0.0, kl_to_prior(empirical, prior), 0.0)
-    with np.errstate(divide="ignore"):
-        log_empirical = np.log(empirical)
-
-    def evaluate(beta):
-        tilted = _tilted(log_empirical, q, beta)
-        return kl_to_prior(tilted, prior), tilted
-
-    hi = 1.0
-    kl_hi, q_hi = evaluate(hi)
-    while kl_hi < epsilon and hi < beta_cap:
-        hi = min(hi * 2.0, beta_cap)
-        kl_hi, q_hi = evaluate(hi)
-    if kl_hi < epsilon:
-        return TrustRegionSolution(q_hi, hi, kl_hi, epsilon, saturated=True)
     lo = 0.0
     beta, kl_beta, q_beta = hi, kl_hi, q_hi
     for _ in range(max_iterations):

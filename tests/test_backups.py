@@ -5,13 +5,66 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_random_mdp
 from smcplan import (
     ContractError,
+    Model,
+    PlannerConfig,
     accumulate_ancestor_q,
+    advance,
+    init_particles,
     message_passing_policy,
     mix_value_target,
-    retrace_root_value,
+    run_planner,
 )
+from smcplan import rng as rng_mod
+from smcplan.planner import _proposal_rows, normalized_weights
+
+
+# Reference implementation of the retrace return estimate, written in
+# closed form over a whole rollout. The planner keeps the same estimate
+# incrementally, step by step, inside ``advance``; the tests below pin
+# the reference and then check the planner against it.
+def retrace_root_value(
+    rewards,
+    is_ratios,
+    v_next,
+    v_cur,
+    lam: float,
+    gamma: float,
+    weights=None,
+) -> float:
+    """Off-policy corrected return estimate at the rollout root.
+
+    Arguments are ``(steps, particles)`` arrays from one planner run
+    (1-d input is treated as a single particle); ``is_ratios`` holds the
+    prior-over-proposal probability ratio of each sampled action. Each
+    particle's temporal-difference errors are summed with the trace
+    coefficient ``lam * min(1, ratio)`` and discounting, on top of its
+    first-step value; the result is the weighted average over particles.
+    """
+    rewards = np.atleast_2d(np.asarray(rewards, dtype=float).T).T
+    is_ratios = np.atleast_2d(np.asarray(is_ratios, dtype=float).T).T
+    v_next = np.atleast_2d(np.asarray(v_next, dtype=float).T).T
+    v_cur = np.atleast_2d(np.asarray(v_cur, dtype=float).T).T
+    if not (rewards.shape == is_ratios.shape == v_next.shape == v_cur.shape):
+        raise ContractError("per-step arrays must share one (steps, particles) shape")
+    n_steps, n_particles = rewards.shape
+    if n_steps == 0:
+        raise ContractError("need at least one step")
+    if weights is None:
+        w = np.full(n_particles, 1.0 / n_particles)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n_particles,):
+            raise ContractError("weights must have one entry per particle")
+    trace = lam * np.minimum(1.0, is_ratios)
+    coeff = np.ones_like(rewards)
+    if n_steps > 1:
+        coeff[1:] = np.cumprod(gamma * trace[1:], axis=0)
+    delta = rewards + gamma * v_next - v_cur
+    per_particle = v_cur[0] + (coeff * delta).sum(axis=0)
+    return float(w @ per_particle)
 
 
 def test_accumulate_identical_ratios_add_exactly():
@@ -142,6 +195,43 @@ def test_retrace_weighted_average_over_particles():
 def test_retrace_shape_validation():
     with pytest.raises(ContractError):
         retrace_root_value([[1.0]], [[1.0], [1.0]], [[0.0]], [[0.0]], 1.0, 1.0)
+
+
+def test_planner_retrace_matches_reference():
+    # trust-region proposals make the trace off-policy; a resample period
+    # equal to the depth means no resampling, so every lineage is whole
+    gamma, lam, depth, seed = 0.9, 0.8, 6, 13
+    mdp = make_random_mdp(5, 3, seed=41, discount=0.9)
+    gen = np.random.default_rng(42)
+    model = Model(gen.normal(size=(5, 3)), gen.normal(size=5), gen.normal(size=(5, 3)))
+    config = PlannerConfig(
+        k=8, depth=depth, resample_period=depth, alpha=0.5, gamma=gamma,
+        lambda_smc=lam, proposal_mode="trust_region",
+    )
+    pi = model.policy()
+    rows = np.arange(config.k)
+    particles = init_particles(0, config)
+    rewards, ratios, v_next, v_cur = [], [], [], []
+    for t in range(1, depth + 1):
+        proposal = _proposal_rows(particles, mdp, model, config, pi)
+        # advance draws its action uniforms first from the step's stream
+        uniforms = rng_mod.stream(seed, t).random(config.k)
+        actions = rng_mod.categorical_rows(proposal, uniforms)
+        states = particles.states
+        particles = advance(particles, mdp, proposal, model, config, rng_mod.stream(seed, t))
+        rewards.append(mdp.reward[states, actions])
+        ratios.append(pi[states, actions] / proposal[rows, actions])
+        v_next.append(model.v_table[particles.states])
+        v_cur.append(model.v_table[states])
+        if t == 1:
+            assert np.array_equal(actions, particles.root_actions)
+    assert min(r.min() for r in ratios[1:]) < 1.0
+    w = normalized_weights(particles.log_weights)
+    reference = retrace_root_value(rewards, ratios, v_next, v_cur, lam, gamma, weights=w)
+    incremental = model.v_table[0] + w @ particles.retrace_acc
+    assert abs(reference - incremental) <= 1e-12
+    out = run_planner(mdp, 0, model, config, seed)
+    assert abs(reference - out.diagnostics.value_smc) <= 1e-12
 
 
 def test_mix_value_target_endpoints_and_midpoint():

@@ -233,6 +233,41 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main([str(tmp_path / "missing.json")]) == 2
 
 
+TRAIN_CONFIG = {
+    "experiment": "train",
+    "env": {"name": "chain", "n": 2},
+    "planner": {"k": 4, "depth": 2},
+    "iterations": 2,
+    "horizon": 4,
+    "buffer_capacity": 16,
+    "batch_size": 4,
+    "updates_per_iteration": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(TRAIN_CONFIG, horizon=0),
+        dict(TRAIN_CONFIG, batch_size=0),
+        dict(TRAIN_CONFIG, iterations=0),
+        dict(TRAIN_CONFIG, sweep={"planner.k": [4, 0]}),
+        dict(TRAIN_CONFIG, sweep={"iterations": [2, 0]}),
+        dict(TRAIN_CONFIG, sweep={"loss.gamma_outer": [0.9, 1.5]}),
+        {"experiment": "path_degeneracy", "env": {"name": "two_arm"},
+         "planner": {"k": 4, "depth": 2}, "horizon": 0},
+    ],
+    ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
+         "sweep_gamma_outer", "path_degeneracy_horizon"],
+)
+def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(out, **overrides)))
+    assert main([str(config_path)]) == 2
+    assert not (out / "metrics.csv").exists()
+
+
 def test_cli_set_seed_and_output_overrides(tmp_path):
     out = tmp_path / "cli_out"
     config_path = tmp_path / "config.json"

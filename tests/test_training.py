@@ -404,3 +404,15 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 def test_transition_record_validates_policy():
     with pytest.raises(ContractError):
         TransitionRecord(0, 0, 0.0, np.array([0.5, 0.4]), 0.0, False)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"lambda_outer": 1.5}, {"gamma_outer": 2.0}, {"lambda_outer": 1.5, "gamma_outer": 2.0},
+     {"lambda_outer": -0.1}, {"gamma_outer": -0.5}],
+)
+def test_loss_config_bounds_outer_trace_and_discount(fields):
+    with pytest.raises(ContractError, match="must lie in"):
+        LossConfig(**fields)
+    LossConfig(lambda_outer=0.0, gamma_outer=1.0)
+    LossConfig(lambda_outer=1.0, gamma_outer=0.0)

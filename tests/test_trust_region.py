@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_policy
 from smcplan import (
     ContractError,
     adaptive_epsilon,
     greedy_row,
     solve_trust_region,
-    solve_trust_region_sampled,
 )
-from smcplan import rng as rng_mod
 from smcplan.trust_region import kl_to_prior
 
 
@@ -130,15 +127,3 @@ def test_rejects_bad_inputs():
         solve_trust_region([0.5, 0.5], [0.0, 1.0], -0.1)
     with pytest.raises(ContractError):
         adaptive_epsilon([0.5, 0.5], [0.0, 1.0], 1.5)
-
-
-def test_sampled_solver_approaches_exact():
-    prior = make_random_policy(1, 4, seed=77)[0]
-    q_values = np.array([0.2, 1.0, -0.3, 0.5])
-    eps = adaptive_epsilon(prior, q_values, 0.3)
-    exact = solve_trust_region(prior, q_values, eps)
-    sampled = solve_trust_region_sampled(
-        prior, q_values, eps, n_atoms=200_000, rng=rng_mod.stream(9)
-    )
-    assert np.abs(sampled.q - exact.q).max() <= 0.01
-    assert abs(sampled.achieved_kl - eps) <= 1e-3
