@@ -52,6 +52,7 @@ from .planner import (
     dirac_policy,
     init_particles,
     multinomial_resample,
+    proposal_table,
     run_planner,
     weight_update,
 )
@@ -75,6 +76,7 @@ from .trust_region import (
     adaptive_epsilon,
     greedy_row,
     solve_trust_region,
+    trust_region_rows,
 )
 
 __version__ = "0.1.0"

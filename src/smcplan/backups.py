@@ -11,9 +11,9 @@ retrace trace that ``planner.advance`` keeps per particle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, NumericalError
+from .numerics import logsumexp
 
 
 def accumulate_ancestor_q(ancestor_logq, ancestors, log_ratio) -> np.ndarray:

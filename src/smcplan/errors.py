@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+the config classes raise them from."""
+
+import numbers
 
 
 class ContractError(ValueError):
@@ -24,3 +27,11 @@ class SupportError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment or environment description failed validation."""
+
+
+def require_integers(**fields):
+    """Raise :class:`ContractError` naming the first field whose value is
+    not an integer; ``2.0`` and ``True`` are not integers here."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ContractError(f"{name} must be an integer, got {value!r}")

@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_integers
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import run_planner
@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
+        require_integers(iterations=self.iterations)
         if self.iterations < 1:
             raise ConfigError(f"iterations: must be at least 1, got {self.iterations}")
         if not self.seeds:
@@ -112,12 +113,11 @@ class ExperimentConfig:
         raise ConfigError(f"sweep.{key}: does not name a configurable field")
 
 
-# TrainConfig fields: nested config sections, and scalars coerced to
-# their declared type on load
+# TrainConfig fields: nested config sections, and top-level scalars
 _TRAIN_FIELDS = get_type_hints(TrainConfig)
 _SECTIONS = {name: kind for name, kind in _TRAIN_FIELDS.items() if dataclasses.is_dataclass(kind)}
-_SCALARS = {name: kind for name, kind in _TRAIN_FIELDS.items() if name not in _SECTIONS}
-_SWEEPABLE_TOP = {"iterations"} | set(_SCALARS)
+_SCALARS = set(_TRAIN_FIELDS) - set(_SECTIONS)
+_SWEEPABLE_TOP = {"iterations"} | _SCALARS
 _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"train"} | set(_TRAIN_FIELDS)
 
 
@@ -148,20 +148,20 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         for name, kind in _SECTIONS.items()
     }
     seeds = data.get("seeds", [0])
-    if isinstance(seeds, int):
+    if type(seeds) is int:
         seeds = list(range(seeds))
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError(f"{source}: seeds: must be an integer count or list of integers")
     env = data["env"]
     if not isinstance(env, dict):
         raise ConfigError(f"{source}: env: must be an object")
     try:
-        scalars = {name: kind(data[name]) for name, kind in _SCALARS.items() if name in data}
+        scalars = {name: data[name] for name in _SCALARS if name in data}
         config = ExperimentConfig(
             experiment=data["experiment"],
             env=env,
             train=TrainConfig(**sections, **scalars),
-            iterations=int(data.get("iterations", 100)),
+            iterations=data.get("iterations", 100),
             seeds=tuple(seeds),
             sweep=dict(data.get("sweep", {})),
             output_dir=str(data.get("output_dir", "out")),
@@ -213,9 +213,11 @@ def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> Non
     """Assign ``value`` at a dotted key path inside a nested config dict.
 
     Missing intermediate sections are created; the final key is still
-    validated by the config loader.
+    validated by the config loader. Sweep keys are dotted themselves, so
+    under ``sweep.`` the rest of the path is one key.
     """
-    parts = dotted.split(".")
+    head, _, rest = dotted.partition(".")
+    parts = [head, rest] if head == "sweep" and rest else dotted.split(".")
     node = data
     for part in parts[:-1]:
         if part not in node:

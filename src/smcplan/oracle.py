@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, NumericalError, SupportError
 from .mdp import (
@@ -26,6 +25,7 @@ from .mdp import (
     enumerate_trajectories,
     stage_policy_tables,
 )
+from .numerics import logsumexp
 
 
 @dataclass(frozen=True)

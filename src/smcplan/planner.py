@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as rng_mod
 from .backups import accumulate_ancestor_q, message_passing_policy, mix_value_target
-from .errors import ContractError, DegenerateWeightsError, NumericalError
+from .errors import ContractError, DegenerateWeightsError, NumericalError, require_integers
 from .mdp import TabularMdp
-from .trust_region import adaptive_epsilon, solve_trust_region
+from .numerics import logsumexp
+from .trust_region import adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
@@ -58,6 +58,7 @@ class PlannerConfig:
     value_mode: str = "sampled"
 
     def __post_init__(self):
+        require_integers(k=self.k, depth=self.depth, resample_period=self.resample_period)
         if self.k < 1:
             raise ContractError("need at least one particle")
         if self.depth < 1:
@@ -345,24 +346,28 @@ class PlannerOutput:
         }
 
 
-def _proposal_rows(particles, mdp, model, config, pi) -> np.ndarray:
+def proposal_table(mdp: TabularMdp, model, config: PlannerConfig) -> np.ndarray:
+    """Proposal row of every state, ``(S, A)``.
+
+    A proposal row depends only on the model's policy and action values
+    at its state, never on the particles, so one table serves every step
+    of every planning call against the same model. ``prior`` mode is the
+    model policy itself; ``trust_region`` mode tilts each non-terminal
+    row toward its action values by the adaptive radius, and terminal
+    rows keep the prior.
+    """
+    pi = model.policy()
     if config.proposal_mode == "prior":
-        return pi[particles.states]
-    rows = np.empty((particles.k, mdp.n_actions))
-    uniq, inverse = np.unique(particles.states, return_inverse=True)
-    solved = np.empty((uniq.size, mdp.n_actions))
-    for i, s in enumerate(uniq):
-        if mdp.terminal[s]:
-            solved[i] = pi[s]
-            continue
-        eps = adaptive_epsilon(pi[s], model.q_table[s], config.alpha)
-        solved[i] = solve_trust_region(pi[s], model.q_table[s], eps).q
-    rows[:] = solved[inverse]
-    return rows
+        return pi
+    live = ~mdp.terminal
+    prior, q_values = pi[live], model.q_table[live]
+    eps = adaptive_epsilon(prior, q_values, config.alpha)
+    pi[live] = trust_region_rows(prior, q_values, eps)[0]
+    return pi
 
 
 def run_planner(
-    mdp: TabularMdp, s0: int, model, config: PlannerConfig, seed: int
+    mdp: TabularMdp, s0: int, model, config: PlannerConfig, seed: int, table=None
 ) -> PlannerOutput:
     """Plan at ``s0`` and return the root policy, value, and diagnostics.
 
@@ -371,13 +376,17 @@ def run_planner(
     inference always reads the final-step weights before any reset. The
     root value mixes the model value with the retrace estimate by
     ``sigma``. Identical ``(config, seed)`` gives bit-identical output.
+    ``table`` is ``proposal_table(mdp, model, config)``, computed here
+    when not given; callers planning repeatedly against one model pass
+    it in to solve it once.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
     if mdp.terminal[s0]:
         raise ContractError("cannot plan from a terminal state")
 
-    pi = model.policy()
+    if table is None:
+        table = proposal_table(mdp, model, config)
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.empty(config.depth, dtype=np.intp)
@@ -386,8 +395,7 @@ def run_planner(
 
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t)
-        proposal = _proposal_rows(particles, mdp, model, config, pi)
-        particles = advance(particles, mdp, proposal, model, config, gen)
+        particles = advance(particles, mdp, table[particles.states], model, config, gen)
         ess[t - 1] = 1.0 / np.square(normalized_weights(particles.log_weights)).sum()
         if t % config.resample_period == 0 and t < config.depth:
             particles = multinomial_resample(particles, gen, config.resample_mode)
@@ -400,7 +408,7 @@ def run_planner(
         root_policy = dirac_policy(particles, mdp.n_actions)
     else:
         root_policy = message_passing_policy(
-            pi[s0], particles.root_actions, particles.ancestor_logq
+            model.policy()[s0], particles.root_actions, particles.ancestor_logq
         )
     value_model = float(model.v_table[s0])
     value_smc = value_model + float(final_weights @ particles.retrace_acc)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ContractError
+from .errors import ContractError, require_integers
 from .mdp import TabularMdp, step
 from .oracle import policy_value
-from .planner import PlannerConfig, run_planner
+from .planner import PlannerConfig, proposal_table, run_planner
 from .trust_region import greedy_row
 
 _SEGMENT, _UPDATES = 0, 1
@@ -158,14 +158,18 @@ def collect_segment(
     estimate; the environment action is sampled from the search policy.
     Returns ``(records, tail_value)`` where ``tail_value`` bootstraps the
     segment end: zero after termination, otherwise the planner's value
-    estimate at the final state (one extra planning call).
+    estimate at the final state (one extra planning call). The model is
+    fixed within a segment, so its proposal table is built once.
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
+    table = proposal_table(mdp, model, planner_config)
     records = []
     state = int(s0)
     for t in range(horizon):
-        out = run_planner(mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN))
+        out = run_planner(
+            mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), table
+        )
         gen = rng_mod.stream(seed, t, _ACT)
         action = int(rng_mod.categorical(out.root_policy, gen.random()))
         nxt, reward, terminal = step(mdp, state, action, gen)
@@ -175,7 +179,9 @@ def collect_segment(
         if terminal:
             return records, 0.0
         state = nxt
-    tail = run_planner(mdp, state, model, planner_config, rng_mod.fold(seed, horizon, _PLAN))
+    tail = run_planner(
+        mdp, state, model, planner_config, rng_mod.fold(seed, horizon, _PLAN), table
+    )
     return records, float(tail.root_value)
 
 
@@ -298,11 +304,21 @@ class TrainConfig:
     eval_horizon: int = 0  # 0 means "use horizon"
 
     def __post_init__(self):
+        require_integers(
+            horizon=self.horizon,
+            s0=self.s0,
+            buffer_capacity=self.buffer_capacity,
+            batch_size=self.batch_size,
+            updates_per_iteration=self.updates_per_iteration,
+            eval_horizon=self.eval_horizon,
+        )
         if self.horizon < 1:
             raise ContractError("horizon must be at least 1")
         for name in ("buffer_capacity", "batch_size", "updates_per_iteration"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1")
+        if self.eval_horizon < 0:
+            raise ContractError("eval_horizon must be non-negative (0 means horizon)")
 
 
 @dataclass
@@ -311,11 +327,6 @@ class TrainResult:
     policy_returns: np.ndarray
     losses: np.ndarray
     model: Model
-
-
-def greedy_policy_table(model: Model) -> np.ndarray:
-    """Row-wise argmax policy of the model's logits, ties split evenly."""
-    return np.stack([greedy_row(row) for row in model.policy_logits])
 
 
 def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> TrainResult:
@@ -343,16 +354,15 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
         )
         buffer.add_segment(records, targets)
         gen = rng_mod.stream(seed, n, _UPDATES)
-        last_loss = np.nan
         for _ in range(config.updates_per_iteration):
             batch = buffer.sample(config.batch_size, gen)
             model = sgd_step(model, grad(model, batch, config.loss), config.loss)
-            last_loss = loss(model, batch, config.loss)
-        greedy_returns[n] = policy_value(mdp, greedy_policy_table(model), eval_horizon)[
+        losses[n] = loss(model, batch, config.loss)
+        # greedy policy: argmax of the logits, ties split evenly
+        greedy_returns[n] = policy_value(mdp, greedy_row(model.policy_logits), eval_horizon)[
             config.s0
         ]
         policy_returns[n] = policy_value(mdp, model.policy(), eval_horizon)[config.s0]
-        losses[n] = last_loss
     return TrainResult(greedy_returns, policy_returns, losses, model)
 
 

@@ -18,7 +18,7 @@ from smcplan import (
     run_planner,
 )
 from smcplan import rng as rng_mod
-from smcplan.planner import _proposal_rows, normalized_weights
+from smcplan.planner import normalized_weights, proposal_table
 
 
 # Reference implementation of the retrace return estimate, written in
@@ -209,11 +209,12 @@ def test_planner_retrace_matches_reference():
         lambda_smc=lam, proposal_mode="trust_region",
     )
     pi = model.policy()
+    table = proposal_table(mdp, model, config)
     rows = np.arange(config.k)
     particles = init_particles(0, config)
     rewards, ratios, v_next, v_cur = [], [], [], []
     for t in range(1, depth + 1):
-        proposal = _proposal_rows(particles, mdp, model, config, pi)
+        proposal = table[particles.states]
         # advance draws its action uniforms first from the step's stream
         uniforms = rng_mod.stream(seed, t).random(config.k)
         actions = rng_mod.categorical_rows(proposal, uniforms)

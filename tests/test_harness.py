@@ -256,16 +256,22 @@ TRAIN_CONFIG = {
         dict(TRAIN_CONFIG, sweep={"loss.gamma_outer": [0.9, 1.5]}),
         {"experiment": "path_degeneracy", "env": {"name": "two_arm"},
          "planner": {"k": 4, "depth": 2}, "horizon": 0},
+        dict(TRAIN_CONFIG, planner={"k": 2.5, "depth": 2}),
+        dict(TRAIN_CONFIG, horizon=2.7),
+        dict(TRAIN_CONFIG, sweep={"planner.depth": [2, 2.5]}),
+        dict(TRAIN_CONFIG, seeds=[0, True]),
+        dict(TRAIN_CONFIG, eval_horizon=-1),
     ],
     ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
-         "sweep_gamma_outer", "path_degeneracy_horizon"],
+         "sweep_gamma_outer", "path_degeneracy_horizon", "planner_k_float",
+         "horizon_float", "sweep_planner_depth_float", "seeds_bool", "eval_horizon"],
 )
 def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     out = tmp_path / "out"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(base_config(out, **overrides)))
     assert main([str(config_path)]) == 2
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def test_cli_set_seed_and_output_overrides(tmp_path):
@@ -290,6 +296,18 @@ def test_cli_set_seed_and_output_overrides(tmp_path):
     assert resolved["seeds"] == [7]
     assert resolved["planner"]["depth"] == 3
     assert resolved["loss"]["lr"] == 0.05
+
+
+def test_cli_set_overrides_a_sweep_entry(tmp_path):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(out, sweep={"planner.k": [4, 8]})))
+    assert main([str(config_path), "--set", "sweep.planner.k=[16]"]) == 0
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["sweep"] == {"planner.k": [16]}
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0].startswith("sweep_planner.k,seed,")
+    assert {line.split(",")[0] for line in lines[1:]} == {"16"}
 
 
 def test_cli_force_required_for_rerun(tmp_path):

@@ -1,6 +1,7 @@
 """Particle propagation, weighting, resampling, and root inference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from smcplan import (
     Model,
     NumericalError,
     PlannerConfig,
+    adaptive_epsilon,
     advance,
     dirac_policy,
     exact_posterior_trajectories,
@@ -20,9 +22,11 @@ from smcplan import (
     make_chain,
     make_two_arm,
     multinomial_resample,
+    proposal_table,
     root_action_marginal,
     run_planner,
     soft_value_iteration,
+    solve_trust_region,
     weight_update,
 )
 from smcplan import rng as rng_mod
@@ -261,6 +265,44 @@ def test_run_planner_bit_deterministic():
     assert a.diagnostics.ess.tolist() == b.diagnostics.ess.tolist()
     c = run_planner(mdp, 0, model, cfg, seed=43)
     assert a.root_policy.tolist() != c.root_policy.tolist()
+
+
+def random_model(n_states, n_actions, seed):
+    gen = np.random.default_rng(seed)
+    return Model(
+        gen.normal(size=(n_states, n_actions)),
+        gen.normal(size=n_states),
+        gen.normal(size=(n_states, n_actions)),
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_proposal_table_solves_each_state_alone(alpha):
+    mdp = make_random_mdp(6, 4, seed=21, terminal_states=(5,))
+    model = random_model(6, 4, seed=22)
+    pi = model.policy()
+    prior_cfg = PlannerConfig(k=4, depth=2, alpha=alpha)
+    assert proposal_table(mdp, model, prior_cfg).tolist() == pi.tolist()
+    table = proposal_table(mdp, model, replace(prior_cfg, proposal_mode="trust_region"))
+    assert table[5].tolist() == pi[5].tolist()
+    for s in range(5):
+        eps = adaptive_epsilon(pi[s], model.q_table[s], alpha)
+        assert table[s].tolist() == solve_trust_region(pi[s], model.q_table[s], eps).q.tolist()
+
+
+@pytest.mark.parametrize("proposal_mode", ["prior", "trust_region"])
+@pytest.mark.parametrize("inference_mode", ["dirac", "message_passing"])
+def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference_mode):
+    mdp = make_random_mdp(6, 3, seed=31, terminal_states=(4,), discount=0.9)
+    model = random_model(6, 3, seed=32)
+    cfg = PlannerConfig(
+        k=16, depth=5, resample_period=2, alpha=0.4, gamma=0.9, sigma=0.5,
+        proposal_mode=proposal_mode, inference_mode=inference_mode,
+    )
+    table = proposal_table(mdp, model, cfg)
+    for seed in range(3):
+        fresh = run_planner(mdp, 0, model, cfg, seed).to_dict()
+        assert run_planner(mdp, 0, model, cfg, seed, table).to_dict() == fresh
 
 
 def test_run_planner_normalizes_weights_every_step():

@@ -4,14 +4,124 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from smcplan import (
     ContractError,
     adaptive_epsilon,
     greedy_row,
     solve_trust_region,
+    trust_region_rows,
 )
-from smcplan.trust_region import kl_to_prior
+from smcplan.trust_region import PRIOR_FLOOR, kl_to_prior
+
+
+# Reference implementation: the scalar solver, one row at a time, with
+# scipy's log-sum-exp and the divergence summed over the support only.
+# The package solves whole tables in one row-vectorised bisection; the
+# tests below require it to match this bit for bit.
+def reference_kl(dist, prior_row) -> float:
+    ref = np.maximum(prior_row, PRIOR_FLOOR)
+    support = dist > 0
+    return float(np.sum(dist[support] * (np.log(dist[support]) - np.log(ref[support]))))
+
+
+def reference_solve(prior, q, epsilon, tol=1e-4, max_iterations=100, beta_cap=1e6):
+    """``(row, beta, achieved_kl, saturated)`` for one prior row."""
+    if epsilon == 0.0:
+        return prior.copy(), 0.0, 0.0, False
+    mask = q == q.max()
+    greedy = mask / mask.sum()
+    kl_greedy = reference_kl(greedy, prior)
+    if epsilon >= kl_greedy:
+        return greedy, math.inf, kl_greedy, True
+
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+
+    def evaluate(beta):
+        z = log_prior + beta * q
+        tilted = np.exp(z - logsumexp(z))
+        return reference_kl(tilted, prior), tilted
+
+    hi = 1.0
+    kl_hi, q_hi = evaluate(hi)
+    while kl_hi < epsilon and hi < beta_cap:
+        hi = min(hi * 2.0, beta_cap)
+        kl_hi, q_hi = evaluate(hi)
+    if kl_hi < epsilon:
+        return q_hi, hi, kl_hi, True
+
+    lo = 0.0
+    beta, kl_beta, q_beta = hi, kl_hi, q_hi
+    for _ in range(max_iterations):
+        if abs(kl_beta - epsilon) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        kl_mid, q_mid = evaluate(mid)
+        beta, kl_beta, q_beta = mid, kl_mid, q_mid
+        if kl_mid < epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return q_beta, beta, kl_beta, False
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def random_tables(gen, n_rows, n_actions, kind):
+    """Prior and value tables of one kind: full-support Dirichlet priors,
+    one-hot priors, priors with a zero entry (a partial support, which
+    changes how numpy groups the divergence sum), or tied values."""
+    prior = gen.dirichlet(np.full(n_actions, gen.choice([0.2, 1.0, 5.0])), size=n_rows)
+    q = gen.normal(size=(n_rows, n_actions)) * 10.0 ** gen.uniform(-2, 2)
+    if kind == "one_hot":
+        prior = np.eye(n_actions)[gen.integers(0, n_actions, n_rows)]
+    elif kind == "zero_entry":
+        prior[:, gen.integers(0, n_actions)] = 0.0
+        prior /= prior.sum(axis=1, keepdims=True)
+    elif kind == "tied":
+        q = np.round(q / q.std()) if q.std() > 0 else q
+    return prior, q
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "one_hot", "zero_entry", "tied"])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+def test_kernel_matches_scalar_reference_bitwise(kind, alpha):
+    gen = np.random.default_rng([ord(c) for c in kind] + [int(alpha * 10)])
+    for n_actions in range(2, 12):
+        for _ in range(6):
+            prior, q = random_tables(gen, 5, n_actions, kind)
+            eps = adaptive_epsilon(prior, q, alpha)
+            assert bits(eps) == bits([alpha * reference_kl(greedy_row(r), p)
+                                      for p, r in zip(prior, q)])
+            rows, beta, kl, saturated = trust_region_rows(prior, q, eps)
+            for i in range(len(prior)):
+                row, b, k, sat = reference_solve(prior[i], q[i], eps[i])
+                assert bits(rows[i]) == bits(row)
+                assert bits([beta[i], kl[i]]) == bits([b, k])
+                assert saturated[i] == sat
+                one = solve_trust_region(prior[i], q[i], eps[i])
+                assert bits(one.q) == bits(row)
+                assert bits([one.beta, one.achieved_kl]) == bits([b, k])
+                assert one.saturated == sat and isinstance(one.beta, float)
+
+
+def test_kernel_matches_reference_at_intermediate_radii():
+    # radii strictly inside (0, greedy divergence) exercise the bracketing
+    # and the bisection on every row, with rows finishing at different
+    # iterations
+    gen = np.random.default_rng(7)
+    for n_actions in range(2, 12):
+        prior, q = random_tables(gen, 40, n_actions, "dirichlet")
+        eps = adaptive_epsilon(prior, q, 1.0) * gen.uniform(0.01, 0.99, 40)
+        rows, beta, kl, saturated = trust_region_rows(prior, q, eps)
+        for i in range(40):
+            row, b, k, sat = reference_solve(prior[i], q[i], eps[i])
+            assert bits(rows[i]) == bits(row)
+            assert bits([beta[i], kl[i]]) == bits([b, k]) and saturated[i] == sat
 
 
 def test_greedy_row_unique_argmax():
