@@ -46,6 +46,7 @@ from .oracle import (
 )
 from .planner import (
     ParticleSet,
+    PlanTables,
     PlannerConfig,
     PlannerOutput,
     advance,

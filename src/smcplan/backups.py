@@ -35,7 +35,10 @@ def accumulate_ancestor_q(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
     order = np.argsort(anc, kind="stable")
     anc_sorted = anc[order]
     ratio_sorted = ratios[order]
-    uniq, starts, counts = np.unique(anc_sorted, return_index=True, return_counts=True)
+    # each run of equal ids in the sorted order is one atom's segment
+    starts = np.flatnonzero(np.concatenate(([anc.size > 0], anc_sorted[1:] != anc_sorted[:-1])))
+    counts = np.diff(np.append(starts, anc.size))
+    uniq = anc_sorted[starts]
     seg_max = np.maximum.reduceat(ratio_sorted, starts)
     sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, counts)), starts)
     out = logq.copy()

@@ -155,6 +155,8 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     env = data["env"]
     if not isinstance(env, dict):
         raise ConfigError(f"{source}: env: must be an object")
+    # built now so that a bad environment fails before any file is written
+    make_env(env, source)
     try:
         scalars = {name: data[name] for name in _SCALARS if name in data}
         config = ExperimentConfig(
@@ -291,6 +293,7 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     """Execute the experiment and write metrics, summary, and resolved
     config into ``config.output_dir``. Refuses to overwrite existing
     results unless ``force``."""
+    mdp = make_env(config.env)  # no sweep key reaches the environment
     os.makedirs(config.output_dir, exist_ok=True)
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
     summary_path = os.path.join(config.output_dir, "summary.json")
@@ -306,7 +309,6 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     finals = {}  # (point key, metric) -> per-seed final values
     for point in _sweep_points(config):
         cell_config = _apply_sweep_point(config, point)
-        mdp = make_env(cell_config.env)
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
         for seed in config.seeds:
             last = {}

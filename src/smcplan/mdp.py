@@ -13,12 +13,12 @@ and the test-suite use as ground truth for sampled estimators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError
+from .errors import BudgetError, ConfigError, ContractError, require_integers
 from .rng import categorical
 
 _ROW_SUM_TOL = 1e-12
@@ -29,13 +29,16 @@ class TabularMdp:
     """Explicit-tensor MDP: ``transition[s, a, s']`` and ``reward[s, a]``.
 
     Immutable after construction; the arrays are marked read-only so an
-    instance can be shared freely across threads.
+    instance can be shared freely across threads. ``transition_cdf`` is
+    derived: the cumulative sum of every transition row, built once here
+    so that sampling a next state never re-sums a row.
     """
 
     transition: np.ndarray
     reward: np.ndarray
     terminal: np.ndarray
     discount: float = 1.0
+    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         transition = np.ascontiguousarray(self.transition, dtype=float)
@@ -57,6 +60,9 @@ class TabularMdp:
         discount = float(self.discount)
         if not 0.0 <= discount <= 1.0:
             raise ContractError(f"discount must lie in [0, 1], got {discount}")
+        for name, arr in (("transition", transition), ("reward", reward)):
+            if not np.isfinite(arr).all():
+                raise ContractError(f"{name} has non-finite entries")
         if (transition < 0).any():
             raise ContractError("transition probabilities must be non-negative")
         row_gap = np.abs(transition.sum(axis=2) - 1.0)
@@ -70,9 +76,11 @@ class TabularMdp:
                 raise ContractError(f"terminal state {s} must self-loop for all actions")
             if not (reward[s] == 0.0).all():
                 raise ContractError(f"terminal state {s} must have zero reward")
-        for arr in (transition, reward, terminal):
+        transition_cdf = np.cumsum(transition, axis=2)
+        for arr in (transition, reward, terminal, transition_cdf):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "transition_cdf", transition_cdf)
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "terminal", terminal)
         object.__setattr__(self, "discount", discount)
@@ -113,7 +121,7 @@ def step(mdp: TabularMdp, state: int, action: int, rng: np.random.Generator):
         raise ContractError(f"state {state} out of range [0, {mdp.n_states})")
     if not 0 <= action < mdp.n_actions:
         raise ContractError(f"action {action} out of range [0, {mdp.n_actions})")
-    nxt = int(categorical(mdp.transition[state, action], rng.random()))
+    nxt = int(categorical(mdp.transition_cdf[state, action], rng.random()))
     return nxt, float(mdp.reward[state, action]), bool(mdp.terminal[nxt])
 
 
@@ -222,7 +230,7 @@ def builtin_mdp(name: str, **params) -> TabularMdp:
         )
     try:
         return _BUILTINS[name](**params)
-    except TypeError as exc:
+    except (ContractError, TypeError) as exc:
         raise ConfigError(f"environment {name!r}: {exc}") from exc
 
 
@@ -332,11 +340,11 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
     missing = _ENV_KEYS - {"discount"} - set(data)
     if missing:
         raise ConfigError(f"{source}: missing key {sorted(missing)[0]!r}")
+    n_states, n_actions = data["n_states"], data["n_actions"]
     try:
-        n_states = int(data["n_states"])
-        n_actions = int(data["n_actions"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: n_states/n_actions must be integers") from exc
+        require_integers(n_states=n_states, n_actions=n_actions)
+    except ContractError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     try:
         transition = np.asarray(data["transition"], dtype=float)
         reward = np.asarray(data["reward"], dtype=float)

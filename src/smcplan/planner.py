@@ -12,11 +12,18 @@ Randomness is addressed as (seed, step, lane): each planner step draws
 vectors from its own counter-based stream, with vector position i
 belonging to particle i, so runs are reproducible under any internal
 parallelism.
+
+The model is fixed for a whole planning call, so everything a step reads
+from it is built once per call as :class:`PlanTables` (proposal rows and
+their cumulative sums, the log-policy, the value table); transition
+draws read the MDP's own ``transition_cdf``. Each step normalizes its
+weights once, and that one vector feeds the ESS, resampling and the
+final readout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,11 +175,42 @@ def normalized_weights(log_weights) -> np.ndarray:
     return w / w.sum()
 
 
+@dataclass(frozen=True)
+class PlanTables:
+    """Per-state tables that every step of one planning call reads.
+
+    ``proposal`` is the ``(S, A)`` proposal table, ``log_prior`` the
+    model's log-policy (the prior in the weight update) and ``v_table``
+    its state values. ``proposal_cdf`` is derived: the row-wise
+    cumulative sum the action draws read. Construction checks that every
+    proposal row is a distribution, which covers every row a step can
+    gather.
+    """
+
+    proposal: np.ndarray
+    log_prior: np.ndarray
+    v_table: np.ndarray
+    proposal_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        proposal = np.asarray(self.proposal, dtype=float)
+        if proposal.ndim != 2 or proposal.shape != np.shape(self.log_prior):
+            raise ContractError("proposal and log_prior must be (S, A) tables of one shape")
+        if not ((proposal >= 0).all() and np.abs(proposal.sum(axis=1) - 1.0).max() <= 1e-6):
+            raise ContractError("proposal rows must be probability distributions")
+        object.__setattr__(self, "proposal", proposal)
+        object.__setattr__(self, "proposal_cdf", np.cumsum(proposal, axis=1))
+
+    @classmethod
+    def of(cls, model, proposal) -> "PlanTables":
+        """Tables of ``model`` with ``proposal`` as its proposal table."""
+        return cls(proposal, model.log_policy(), model.v_table)
+
+
 def advance(
     particles: ParticleSet,
     mdp: TabularMdp,
-    proposal: np.ndarray,
-    model,
+    tables: PlanTables,
     config: PlannerConfig,
     rng: np.random.Generator,
 ) -> ParticleSet:
@@ -185,29 +223,26 @@ def advance(
     accumulators and retrace traces.
     """
     k = particles.k
-    proposal = np.asarray(proposal, dtype=float)
-    if proposal.shape != (k, mdp.n_actions):
-        raise ContractError(f"proposal must have shape ({k}, {mdp.n_actions})")
-    if (proposal < 0).any() or np.abs(proposal.sum(axis=1) - 1.0).max() > 1e-6:
-        raise ContractError("proposal rows must be probability distributions")
+    if tables.proposal.shape != (mdp.n_states, mdp.n_actions):
+        raise ContractError(f"proposal must have shape ({mdp.n_states}, {mdp.n_actions})")
 
-    u_actions = rng.random(k)
-    u_states = rng.random(k)
+    # one draw split in two: the action uniforms, then the state uniforms
+    uniforms = rng.random(2 * k)
     states = particles.states
-    actions = rng_mod.categorical_rows(proposal, u_actions)
-    next_states = rng_mod.categorical_rows(mdp.transition[states, actions], u_states)
+    actions = rng_mod.categorical_rows(tables.proposal_cdf[states], uniforms[:k])
+    next_states = rng_mod.categorical_rows(mdp.transition_cdf[states, actions], uniforms[k:])
     rewards = mdp.reward[states, actions]
 
-    log_pi = model.log_policy()
-    prior_logp = log_pi[states, actions]
-    proposal_logp = np.log(proposal[np.arange(k), actions])
-    v_cur = model.v_table[states]
+    prior_logp = tables.log_prior[states, actions]
+    proposal_logp = np.log(tables.proposal[states, actions])
+    v_table = tables.v_table
+    v_cur = v_table[states]
     if config.value_mode == "exact":
         with np.errstate(divide="ignore"):
             log_p = np.log(mdp.transition[states, actions])
-        v_next = logsumexp(log_p + model.v_table[None, :], axis=1)
+        v_next = logsumexp(log_p + v_table[None, :], axis=1)
     else:
-        v_next = model.v_table[next_states]
+        v_next = v_table[next_states]
     increments = weight_update(
         0.0,
         prior_logp,
@@ -237,7 +272,7 @@ def advance(
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
-    delta = rewards + config.gamma * model.v_table[next_states] - v_cur
+    delta = rewards + config.gamma * v_table[next_states] - v_cur
     if particles.step == 0:
         retrace_decay = np.ones(k)
         retrace_acc = delta.astype(float)
@@ -265,10 +300,11 @@ def advance(
 
 
 def multinomial_resample(
-    particles: ParticleSet, rng: np.random.Generator, mode: str = "baseline"
+    particles: ParticleSet, weights: np.ndarray, rng: np.random.Generator, mode: str = "baseline"
 ) -> ParticleSet:
-    """Draw K particles by weight and reset the weights to uniform.
+    """Draw K particles by ``weights`` and reset the weights to uniform.
 
+    ``weights`` is ``normalized_weights(particles.log_weights)``.
     Per-lineage data (ancestors, reference states, retrace traces) is
     copied from the drawn indices; the atom-indexed records
     (``root_actions``, ``ancestor_logq``) are left in place. In
@@ -278,9 +314,10 @@ def multinomial_resample(
     """
     if mode not in RESAMPLE_MODES:
         raise ContractError(f"mode must be one of {RESAMPLE_MODES}, got {mode!r}")
-    w = normalized_weights(particles.log_weights)
     k = particles.k
-    idx = rng_mod.categorical(w, rng.random(k))
+    if np.shape(weights) != (k,):
+        raise ContractError(f"weights must have shape ({k},)")
+    idx = rng_mod.categorical(np.cumsum(weights), rng.random(k))
     if mode == "revived":
         states = particles.ref_states[idx].copy()
         ref_states = states.copy()
@@ -300,13 +337,15 @@ def multinomial_resample(
     )
 
 
-def dirac_policy(particles: ParticleSet, n_root_actions: int) -> np.ndarray:
-    """Root policy as weighted point masses on surviving root-atom actions."""
+def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: int) -> np.ndarray:
+    """Root policy as point masses on surviving root-atom actions, weighted
+    by ``weights`` (``normalized_weights(particles.log_weights)``)."""
     if (particles.root_actions < 0).any():
         raise ContractError("root actions are recorded by the first advance")
-    w = normalized_weights(particles.log_weights)
+    if np.shape(weights) != (particles.k,):
+        raise ContractError(f"weights must have shape ({particles.k},)")
     mass = np.zeros(n_root_actions)
-    np.add.at(mass, particles.root_actions[particles.ancestors], w)
+    np.add.at(mass, particles.root_actions[particles.ancestors], weights)
     return mass / mass.sum()
 
 
@@ -387,6 +426,7 @@ def run_planner(
 
     if table is None:
         table = proposal_table(mdp, model, config)
+    tables = PlanTables.of(model, table)
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.empty(config.depth, dtype=np.intp)
@@ -395,23 +435,24 @@ def run_planner(
 
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t)
-        particles = advance(particles, mdp, table[particles.states], model, config, gen)
-        ess[t - 1] = 1.0 / np.square(normalized_weights(particles.log_weights)).sum()
+        particles = advance(particles, mdp, tables, config, gen)
+        # the final step never resamples, so its weights are the final ones
+        weights = normalized_weights(particles.log_weights)
+        ess[t - 1] = 1.0 / np.square(weights).sum()
         if t % config.resample_period == 0 and t < config.depth:
-            particles = multinomial_resample(particles, gen, config.resample_mode)
+            particles = multinomial_resample(particles, weights, gen, config.resample_mode)
             resample_steps.append(t)
-        distinct[t - 1] = np.unique(particles.ancestors).size
+        distinct[t - 1] = np.count_nonzero(np.bincount(particles.ancestors, minlength=config.k))
         terminal_counts[t - 1] = int(mdp.terminal[particles.states].sum())
 
-    final_weights = normalized_weights(particles.log_weights)
     if config.inference_mode == "dirac":
-        root_policy = dirac_policy(particles, mdp.n_actions)
+        root_policy = dirac_policy(particles, weights, mdp.n_actions)
     else:
         root_policy = message_passing_policy(
-            model.policy()[s0], particles.root_actions, particles.ancestor_logq
+            np.exp(tables.log_prior[s0]), particles.root_actions, particles.ancestor_logq
         )
     value_model = float(model.v_table[s0])
-    value_smc = value_model + float(final_weights @ particles.retrace_acc)
+    value_smc = value_model + float(weights @ particles.retrace_acc)
     root_value = mix_value_target(value_model, value_smc, config.sigma)
     diagnostics = PlannerDiagnostics(
         ess=ess,

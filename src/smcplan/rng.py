@@ -7,9 +7,12 @@ other computations made before it. This keeps planner and training
 output bit-reproducible under any execution order.
 
 Every draw from a categorical distribution goes through the inverse-CDF
-helpers below: the index of a uniform is the number of cumulative masses
-at or below it, clamped to the last entry so rounding in the cumulative
-sum can never push a draw past the end.
+helpers below. They take cumulative masses, not probabilities, so a
+table that is sampled many times (the MDP's transition rows, a planning
+call's proposal rows) is summed once by its owner: the index of a
+uniform is the number of cumulative masses at or below it, clamped to
+the last entry so rounding in the cumulative sum can never push a draw
+past the end.
 """
 
 from __future__ import annotations
@@ -41,14 +44,14 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def categorical(probs, uniforms):
-    """Inverse-CDF draw from one distribution at each of ``uniforms``
-    (a scalar or an array)."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), uniforms, side="right"), len(probs) - 1)
+def categorical(cdf, uniforms):
+    """Inverse-CDF draw from one distribution, given as its cumulative
+    masses, at each of ``uniforms`` (a scalar or an array)."""
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
 
 
-def categorical_rows(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row; row i is sampled at ``uniforms[i]``."""
-    cum = np.cumsum(rows, axis=1)
-    idx = (uniforms[:, None] >= cum).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1).astype(np.intp)
+def categorical_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of cumulative masses; row i is sampled at
+    ``uniforms[i]``."""
+    idx = np.count_nonzero(uniforms[:, None] >= cdf_rows, axis=1)
+    return np.minimum(idx, cdf_rows.shape[1] - 1)

@@ -171,7 +171,7 @@ def collect_segment(
             mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), table
         )
         gen = rng_mod.stream(seed, t, _ACT)
-        action = int(rng_mod.categorical(out.root_policy, gen.random()))
+        action = int(rng_mod.categorical(np.cumsum(out.root_policy), gen.random()))
         nxt, reward, terminal = step(mdp, state, action, gen)
         records.append(
             TransitionRecord(state, action, reward, out.root_policy, out.root_value, terminal)

@@ -10,6 +10,7 @@ from smcplan import (
     ContractError,
     Model,
     PlannerConfig,
+    PlanTables,
     accumulate_ancestor_q,
     advance,
     init_particles,
@@ -210,6 +211,7 @@ def test_planner_retrace_matches_reference():
     )
     pi = model.policy()
     table = proposal_table(mdp, model, config)
+    tables = PlanTables.of(model, table)
     rows = np.arange(config.k)
     particles = init_particles(0, config)
     rewards, ratios, v_next, v_cur = [], [], [], []
@@ -217,9 +219,9 @@ def test_planner_retrace_matches_reference():
         proposal = table[particles.states]
         # advance draws its action uniforms first from the step's stream
         uniforms = rng_mod.stream(seed, t).random(config.k)
-        actions = rng_mod.categorical_rows(proposal, uniforms)
+        actions = rng_mod.categorical_rows(np.cumsum(proposal, axis=1), uniforms)
         states = particles.states
-        particles = advance(particles, mdp, proposal, model, config, rng_mod.stream(seed, t))
+        particles = advance(particles, mdp, tables, config, rng_mod.stream(seed, t))
         rewards.append(mdp.reward[states, actions])
         ratios.append(pi[states, actions] / proposal[rows, actions])
         v_next.append(model.v_table[particles.states])

@@ -90,9 +90,10 @@ def test_config_env_inline_validation(tmp_out):
     data = base_config(tmp_out)
     data["env"] = {"n_states": 1, "n_actions": 1, "transition": [[[0.5]]],
                    "reward": [[0.0]], "terminal": [False]}
-    config = config_from_dict(data, source="cfg.json")
     with pytest.raises(ConfigError, match="transition"):
-        make_env(config.env, source="cfg.json")
+        config_from_dict(data, source="cfg.json")
+    with pytest.raises(ConfigError, match="transition"):
+        make_env(data["env"], source="cfg.json")
 
 
 def test_config_round_trip(tmp_out):
@@ -233,6 +234,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main([str(tmp_path / "missing.json")]) == 2
 
 
+# one decision state with a single action into an absorbing terminal
+INLINE_ENV = {
+    "n_states": 2,
+    "n_actions": 1,
+    "transition": [[[0.0, 1.0]], [[0.0, 1.0]]],
+    "reward": [[1.0], [0.0]],
+    "terminal": [False, True],
+}
+
 TRAIN_CONFIG = {
     "experiment": "train",
     "env": {"name": "chain", "n": 2},
@@ -261,10 +271,17 @@ TRAIN_CONFIG = {
         dict(TRAIN_CONFIG, sweep={"planner.depth": [2, 2.5]}),
         dict(TRAIN_CONFIG, seeds=[0, True]),
         dict(TRAIN_CONFIG, eval_horizon=-1),
+        dict(TRAIN_CONFIG, env={"name": "chain", "n": 0}),
+        dict(TRAIN_CONFIG, env={"name": "gridworld", "width": 2}),
+        dict(TRAIN_CONFIG, env=dict(INLINE_ENV, n_states=2.7)),
+        dict(TRAIN_CONFIG, env=dict(INLINE_ENV, reward=[[None], [0.0]])),
+        dict(TRAIN_CONFIG, env=dict(INLINE_ENV, transition=[[[float("nan"), 1.0]], [[0.0, 1.0]]])),
     ],
     ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
          "sweep_gamma_outer", "path_degeneracy_horizon", "planner_k_float",
-         "horizon_float", "sweep_planner_depth_float", "seeds_bool", "eval_horizon"],
+         "horizon_float", "sweep_planner_depth_float", "seeds_bool", "eval_horizon",
+         "env_chain_zero", "env_gridworld_no_height", "env_n_states_float",
+         "env_reward_null", "env_transition_nan"],
 )
 def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     out = tmp_path / "out"

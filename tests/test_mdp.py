@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import make_random_mdp
 from smcplan import (
     BudgetError,
     ConfigError,
@@ -156,6 +159,28 @@ def test_builtin_registry():
         builtin_mdp("no_such_env")
     with pytest.raises(ConfigError):
         builtin_mdp("chain", bogus=1)
+    with pytest.raises(ConfigError, match="chain length"):
+        builtin_mdp("chain", n=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_tensors_rejected(bad):
+    good = make_two_arm()
+    transition = good.transition.copy()
+    transition[0, 0] = [bad, 1.0]
+    reward = good.reward.copy()
+    reward[0, 1] = bad
+    with pytest.raises(ContractError, match="transition has non-finite"):
+        TabularMdp(transition, good.reward, good.terminal)
+    with pytest.raises(ContractError, match="reward has non-finite"):
+        TabularMdp(good.transition, reward, good.terminal)
+    data = dict(mdp_to_dict(good), reward=reward.tolist())
+    with pytest.raises(ConfigError, match="env.json: reward has non-finite"):
+        mdp_from_dict(data, source="env.json")
+    # JSON null loads as nan
+    data = dict(mdp_to_dict(good), reward=[[0.0, None], [0.0, 0.0]])
+    with pytest.raises(ConfigError, match="reward has non-finite"):
+        mdp_from_dict(data)
 
 
 def test_json_round_trip(tmp_path):
@@ -192,6 +217,10 @@ def test_json_loader_rejections(tmp_path):
     with pytest.raises(ConfigError, match="shape"):
         mdp_from_dict(bad)
 
+    for count in (2.7, 2.0, True, "2"):
+        with pytest.raises(ConfigError, match="n_states must be an integer"):
+            mdp_from_dict(dict(good, n_states=count))
+
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="broken.json:1"):
@@ -202,3 +231,21 @@ def test_mdp_is_immutable():
     mdp = make_two_arm()
     with pytest.raises(ValueError):
         mdp.transition[0, 0, 0] = 0.5
+
+
+@given(
+    n_states=st.integers(1, 9),
+    n_actions=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transition_cdf_is_the_read_only_row_cumsum(n_states, n_actions, seed):
+    mdp = make_random_mdp(n_states, n_actions, seed, terminal_states=range(1, n_states, 3))
+    assert mdp.transition_cdf.tobytes() == np.cumsum(mdp.transition, axis=2).tobytes()
+    assert mdp.transition_cdf.shape == mdp.transition.shape
+    assert not mdp.transition_cdf.flags.writeable
+    with pytest.raises(ValueError):
+        mdp.transition_cdf[0, 0, 0] = 0.5
+    # derived data: neither a constructor argument nor part of the JSON form
+    assert "transition_cdf" not in mdp_to_dict(mdp)
+    with pytest.raises(TypeError):
+        TabularMdp(mdp.transition, mdp.reward, mdp.terminal, transition_cdf=mdp.transition_cdf)

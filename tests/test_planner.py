@@ -13,6 +13,7 @@ from smcplan import (
     Model,
     NumericalError,
     PlannerConfig,
+    PlanTables,
     adaptive_epsilon,
     advance,
     dirac_policy,
@@ -70,7 +71,7 @@ def test_advance_zero_reward_keeps_weights_flat():
     cfg = PlannerConfig(k=64, depth=3)
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, model.policy()[p.states], model, cfg, rng_mod.stream(0, 1))
+    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(0, 1))
     assert np.abs(p.log_weights).max() == 0.0
     assert np.abs(p.ancestor_logq).max() == 0.0
 
@@ -82,7 +83,7 @@ def test_advance_weight_equals_sampled_reward():
     cfg = PlannerConfig(k=256, depth=1)
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, model.policy()[p.states], model, cfg, rng_mod.stream(1, 1))
+    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(1, 1))
     rewards = mdp.reward[0, p.root_actions]
     assert np.abs(p.log_weights - rewards).max() <= 1e-12
     # per-atom accumulators hold exactly the temperature-scaled rewards
@@ -95,7 +96,7 @@ def test_advance_tracks_last_nonterminal_reference():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, model.policy()[p.states], model, cfg, rng_mod.stream(2, 1))
+    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(2, 1))
     assert (p.states == 1).all()  # everyone hit the terminal arm end
     assert (p.ref_states == 0).all()  # reference stays at the decision state
 
@@ -104,9 +105,9 @@ def test_advance_validates_proposal_rows():
     mdp = make_two_arm()
     cfg = PlannerConfig(k=4, depth=1)
     p = init_particles(0, cfg)
-    bad = np.full((4, 2), 0.4)
+    bad = np.full((2, 2), 0.4)
     with pytest.raises(ContractError):
-        advance(p, mdp, bad, uniform_model(mdp), cfg, rng_mod.stream(0, 1))
+        advance(p, mdp, PlanTables.of(uniform_model(mdp), bad), cfg, rng_mod.stream(0, 1))
 
 
 def _advanced_particle_set(seed=3, k=16):
@@ -115,7 +116,7 @@ def _advanced_particle_set(seed=3, k=16):
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
     return (
-        advance(p, mdp, model.policy()[p.states], model, cfg, rng_mod.stream(seed, 1)),
+        advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(seed, 1)),
         mdp,
         cfg,
     )
@@ -136,7 +137,7 @@ def test_resample_point_mass_copies_winner():
         retrace_decay=p.retrace_decay,
         step=p.step,
     )
-    out = multinomial_resample(p, rng_mod.stream(5), "baseline")
+    out = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(5), "baseline")
     assert (out.states == p.states[0]).all()
     assert (out.ancestors == p.ancestors[0]).all()
     assert (out.log_weights == 0.0).all()
@@ -144,15 +145,15 @@ def test_resample_point_mass_copies_winner():
 
 def test_resample_is_seed_deterministic():
     p, _, _ = _advanced_particle_set()
-    a = multinomial_resample(p, rng_mod.stream(9), "baseline")
-    b = multinomial_resample(p, rng_mod.stream(9), "baseline")
+    a = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(9), "baseline")
+    b = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(9), "baseline")
     assert (a.states == b.states).all()
     assert (a.ancestors == b.ancestors).all()
 
 
 def test_resample_preserves_ancestor_multiset():
     p, _, _ = _advanced_particle_set(seed=11, k=32)
-    out = multinomial_resample(p, rng_mod.stream(13), "baseline")
+    out = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(13), "baseline")
     before = set(p.ancestors.tolist())
     after = set(out.ancestors.tolist())
     assert after <= before
@@ -172,7 +173,7 @@ def test_resample_rejects_degenerate_weights():
         step=p.step,
     )
     with pytest.raises(DegenerateWeightsError):
-        multinomial_resample(bad, rng_mod.stream(1), "baseline")
+        multinomial_resample(bad, normalized_weights(bad.log_weights), rng_mod.stream(1), "baseline")
 
 
 def test_revived_resample_restores_reference_states():
@@ -180,12 +181,12 @@ def test_revived_resample_restores_reference_states():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, model.policy()[p.states], model, cfg, rng_mod.stream(4, 1))
+    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(4, 1))
     assert (p.states == 1).all()
-    out = multinomial_resample(p, rng_mod.stream(6), "revived")
+    out = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(6), "revived")
     assert (out.states == 0).all()  # moved back to the last non-terminal state
     assert (out.ref_states == 0).all()
-    baseline = multinomial_resample(p, rng_mod.stream(6), "baseline")
+    baseline = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(6), "baseline")
     assert (baseline.states == 1).all()  # stays trapped without revival
 
 
@@ -203,7 +204,7 @@ def test_dirac_policy_groups_by_ancestor_action():
         retrace_decay=p.retrace_decay,
         step=1,
     )
-    policy = dirac_policy(p, 3)
+    policy = dirac_policy(p, normalized_weights(p.log_weights), 3)
     assert np.abs(policy - np.array([0.5, 0.3, 0.2])).max() <= 1e-12
 
 
@@ -221,14 +222,14 @@ def test_dirac_policy_collapsed_ancestry_is_point_mass():
         retrace_decay=p.retrace_decay,
         step=1,
     )
-    policy = dirac_policy(p, 3)
+    policy = dirac_policy(p, normalized_weights(p.log_weights), 3)
     assert policy.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_dirac_policy_requires_recorded_roots():
     p = init_particles(0, PlannerConfig(k=2, depth=1))
     with pytest.raises(ContractError):
-        dirac_policy(p, 2)
+        dirac_policy(p, normalized_weights(p.log_weights), 2)
 
 
 def test_run_planner_rejects_terminal_root():
@@ -303,6 +304,26 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
     for seed in range(3):
         fresh = run_planner(mdp, 0, model, cfg, seed).to_dict()
         assert run_planner(mdp, 0, model, cfg, seed, table).to_dict() == fresh
+
+
+def test_run_planner_reads_the_model_once_per_call():
+    # the log-policy is a whole-table softmax; a step must not redo it
+    class CountingModel(Model):
+        calls = 0
+
+        def log_policy(self):
+            CountingModel.calls += 1
+            return super().log_policy()
+
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    model = CountingModel(**vars(random_model(5, 3, seed=9)))
+    for depth in (1, 6):
+        for mode in ("dirac", "message_passing"):
+            cfg = PlannerConfig(k=8, depth=depth, inference_mode=mode)
+            table = proposal_table(mdp, model, cfg)
+            CountingModel.calls = 0
+            run_planner(mdp, 0, model, cfg, seed=1, table=table)
+            assert CountingModel.calls == 1
 
 
 def test_run_planner_normalizes_weights_every_step():

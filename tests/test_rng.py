@@ -28,13 +28,13 @@ def test_categorical_equals_clamped_count(weights, data):
                  min_size=1, max_size=6)
     ) + boundaries
     expected = [count_draw(probs, u) for u in uniforms]
-    assert [int(categorical(probs, u)) for u in uniforms] == expected
-    assert categorical(probs, np.asarray(uniforms)).tolist() == expected
-    rows = np.tile(probs, (len(uniforms), 1))
+    assert [int(categorical(cdf, u)) for u in uniforms] == expected
+    assert categorical(cdf, np.asarray(uniforms)).tolist() == expected
+    rows = np.tile(cdf, (len(uniforms), 1))
     assert categorical_rows(rows, np.asarray(uniforms)).tolist() == expected
 
 
 def test_categorical_skips_zero_mass_entries():
     probs = np.array([0.0, 0.5, 0.0, 0.5])
-    draws = categorical(probs, np.array([0.0, 0.25, 0.5, 0.75, 0.999]))
+    draws = categorical(np.cumsum(probs), np.array([0.0, 0.25, 0.5, 0.75, 0.999]))
     assert draws.tolist() == [1, 1, 3, 3, 3]
