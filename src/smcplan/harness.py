@@ -78,10 +78,12 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. Its JSON form is flat: every ``TrainConfig`` field
-    is a top-level key next to the keys declared here."""
+    is a top-level key next to the keys declared here, except ``mdp``,
+    which is ``make_env(env)``: the environment, built once at load."""
 
     experiment: str
     env: dict
+    mdp: TabularMdp = field(repr=False, compare=False)
     train: TrainConfig
     iterations: int = 100
     seeds: tuple = (0,)
@@ -118,7 +120,8 @@ _TRAIN_FIELDS = get_type_hints(TrainConfig)
 _SECTIONS = {name: kind for name, kind in _TRAIN_FIELDS.items() if dataclasses.is_dataclass(kind)}
 _SCALARS = set(_TRAIN_FIELDS) - set(_SECTIONS)
 _SWEEPABLE_TOP = {"iterations"} | _SCALARS
-_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"train"} | set(_TRAIN_FIELDS)
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"mdp", "train"}
+_TOP_KEYS |= set(_TRAIN_FIELDS)
 
 
 def _dataclass_from_dict(cls, data: dict, path: str):
@@ -156,12 +159,13 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(env, dict):
         raise ConfigError(f"{source}: env: must be an object")
     # built now so that a bad environment fails before any file is written
-    make_env(env, source)
+    mdp = make_env(env, source)
     try:
         scalars = {name: data[name] for name in _SCALARS if name in data}
         config = ExperimentConfig(
             experiment=data["experiment"],
             env=env,
+            mdp=mdp,
             train=TrainConfig(**sections, **scalars),
             iterations=data.get("iterations", 100),
             seeds=tuple(seeds),
@@ -293,7 +297,7 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     """Execute the experiment and write metrics, summary, and resolved
     config into ``config.output_dir``. Refuses to overwrite existing
     results unless ``force``."""
-    mdp = make_env(config.env)  # no sweep key reaches the environment
+    mdp = config.mdp  # no sweep key reaches the environment
     os.makedirs(config.output_dir, exist_ok=True)
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
     summary_path = os.path.join(config.output_dir, "summary.json")

@@ -14,8 +14,9 @@ belonging to particle i, so runs are reproducible under any internal
 parallelism.
 
 The model is fixed for a whole planning call, so everything a step reads
-from it is built once per call as :class:`PlanTables` (proposal rows and
-their cumulative sums, the log-policy, the value table); transition
+from it is built once as :class:`PlanTables` (proposal rows and their
+cumulative sums, the log-policy, the value table), per call or, by a
+caller planning repeatedly against one model, per model; transition
 draws read the MDP's own ``transition_cdf``. Each step normalizes its
 weights once, and that one vector feeds the ESS, resampling and the
 final readout.
@@ -175,6 +176,19 @@ def normalized_weights(log_weights) -> np.ndarray:
     return w / w.sum()
 
 
+def _require_weights(weights, k: int) -> np.ndarray:
+    """``weights`` as K normalized particle weights. The check is O(K):
+    a wrong shape is a :class:`ContractError`; negative, non-finite,
+    all-zero or unnormalized weights raise :class:`DegenerateWeightsError`
+    (``nan >= 0`` is false and an infinite entry breaks the sum)."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (k,):
+        raise ContractError(f"weights must have shape ({k},)")
+    if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
+        raise DegenerateWeightsError("weights must be non-negative, finite and sum to 1")
+    return weights
+
+
 @dataclass(frozen=True)
 class PlanTables:
     """Per-state tables that every step of one planning call reads.
@@ -315,8 +329,7 @@ def multinomial_resample(
     if mode not in RESAMPLE_MODES:
         raise ContractError(f"mode must be one of {RESAMPLE_MODES}, got {mode!r}")
     k = particles.k
-    if np.shape(weights) != (k,):
-        raise ContractError(f"weights must have shape ({k},)")
+    weights = _require_weights(weights, k)
     idx = rng_mod.categorical(np.cumsum(weights), rng.random(k))
     if mode == "revived":
         states = particles.ref_states[idx].copy()
@@ -342,8 +355,7 @@ def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: in
     by ``weights`` (``normalized_weights(particles.log_weights)``)."""
     if (particles.root_actions < 0).any():
         raise ContractError("root actions are recorded by the first advance")
-    if np.shape(weights) != (particles.k,):
-        raise ContractError(f"weights must have shape ({particles.k},)")
+    weights = _require_weights(weights, particles.k)
     mass = np.zeros(n_root_actions)
     np.add.at(mass, particles.root_actions[particles.ancestors], weights)
     return mass / mass.sum()
@@ -406,7 +418,7 @@ def proposal_table(mdp: TabularMdp, model, config: PlannerConfig) -> np.ndarray:
 
 
 def run_planner(
-    mdp: TabularMdp, s0: int, model, config: PlannerConfig, seed: int, table=None
+    mdp: TabularMdp, s0: int, model, config: PlannerConfig, seed: int, tables=None
 ) -> PlannerOutput:
     """Plan at ``s0`` and return the root policy, value, and diagnostics.
 
@@ -415,18 +427,17 @@ def run_planner(
     inference always reads the final-step weights before any reset. The
     root value mixes the model value with the retrace estimate by
     ``sigma``. Identical ``(config, seed)`` gives bit-identical output.
-    ``table`` is ``proposal_table(mdp, model, config)``, computed here
-    when not given; callers planning repeatedly against one model pass
-    it in to solve it once.
+    ``tables`` is ``PlanTables.of(model, proposal_table(mdp, model,
+    config))``, built here when not given; callers planning repeatedly
+    against one model pass it in to build it once.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
     if mdp.terminal[s0]:
         raise ContractError("cannot plan from a terminal state")
 
-    if table is None:
-        table = proposal_table(mdp, model, config)
-    tables = PlanTables.of(model, table)
+    if tables is None:
+        tables = PlanTables.of(model, proposal_table(mdp, model, config))
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.empty(config.depth, dtype=np.intp)
@@ -451,7 +462,7 @@ def run_planner(
         root_policy = message_passing_policy(
             np.exp(tables.log_prior[s0]), particles.root_actions, particles.ancestor_logq
         )
-    value_model = float(model.v_table[s0])
+    value_model = float(tables.v_table[s0])
     value_smc = value_model + float(weights @ particles.retrace_acc)
     root_value = mix_value_target(value_model, value_smc, config.sigma)
     diagnostics = PlannerDiagnostics(

@@ -23,7 +23,7 @@ from . import rng as rng_mod
 from .errors import ContractError, require_integers
 from .mdp import TabularMdp, step
 from .oracle import policy_value
-from .planner import PlannerConfig, proposal_table, run_planner
+from .planner import PlannerConfig, PlanTables, proposal_table, run_planner
 from .trust_region import greedy_row
 
 _SEGMENT, _UPDATES = 0, 1
@@ -159,16 +159,16 @@ def collect_segment(
     Returns ``(records, tail_value)`` where ``tail_value`` bootstraps the
     segment end: zero after termination, otherwise the planner's value
     estimate at the final state (one extra planning call). The model is
-    fixed within a segment, so its proposal table is built once.
+    fixed within a segment, so its planning tables are built once.
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
-    table = proposal_table(mdp, model, planner_config)
+    tables = PlanTables.of(model, proposal_table(mdp, model, planner_config))
     records = []
     state = int(s0)
     for t in range(horizon):
         out = run_planner(
-            mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), table
+            mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), tables
         )
         gen = rng_mod.stream(seed, t, _ACT)
         action = int(rng_mod.categorical(np.cumsum(out.root_policy), gen.random()))
@@ -180,7 +180,7 @@ def collect_segment(
             return records, 0.0
         state = nxt
     tail = run_planner(
-        mdp, state, model, planner_config, rng_mod.fold(seed, horizon, _PLAN), table
+        mdp, state, model, planner_config, rng_mod.fold(seed, horizon, _PLAN), tables
     )
     return records, float(tail.root_value)
 

@@ -174,6 +174,27 @@ def test_resample_rejects_degenerate_weights():
     )
     with pytest.raises(DegenerateWeightsError):
         multinomial_resample(bad, normalized_weights(bad.log_weights), rng_mod.stream(1), "baseline")
+    # the resampler checks the weights it is handed, not only their shape
+    for weights in _degenerate_weights(p.k):
+        with pytest.raises(DegenerateWeightsError):
+            multinomial_resample(p, weights, rng_mod.stream(1), "baseline")
+    with pytest.raises(ContractError):
+        multinomial_resample(p, np.full(p.k + 1, 1.0 / (p.k + 1)), rng_mod.stream(1), "baseline")
+
+
+def _degenerate_weights(k):
+    """Weight vectors no normalization can produce: all zero, nan, +inf,
+    a negative entry, and uniform weights that sum to 2."""
+    uniform = np.full(k, 1.0 / k)
+    negative = uniform.copy()
+    negative[:2] = [-uniform[0], 3 * uniform[0]]
+    return [
+        np.zeros(k),
+        np.full(k, np.nan),
+        np.where(np.arange(k) == 0, np.inf, 0.0),
+        negative,
+        2 * uniform,
+    ]
 
 
 def test_revived_resample_restores_reference_states():
@@ -230,6 +251,15 @@ def test_dirac_policy_requires_recorded_roots():
     p = init_particles(0, PlannerConfig(k=2, depth=1))
     with pytest.raises(ContractError):
         dirac_policy(p, normalized_weights(p.log_weights), 2)
+
+
+def test_dirac_policy_rejects_degenerate_weights():
+    p, _, _ = _advanced_particle_set()
+    for weights in _degenerate_weights(p.k):
+        with pytest.raises(DegenerateWeightsError):
+            dirac_policy(p, weights, 2)
+    with pytest.raises(ContractError):
+        dirac_policy(p, np.ones(1), 2)
 
 
 def test_run_planner_rejects_terminal_root():
@@ -300,10 +330,10 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
         k=16, depth=5, resample_period=2, alpha=0.4, gamma=0.9, sigma=0.5,
         proposal_mode=proposal_mode, inference_mode=inference_mode,
     )
-    table = proposal_table(mdp, model, cfg)
+    tables = PlanTables.of(model, proposal_table(mdp, model, cfg))
     for seed in range(3):
         fresh = run_planner(mdp, 0, model, cfg, seed).to_dict()
-        assert run_planner(mdp, 0, model, cfg, seed, table).to_dict() == fresh
+        assert run_planner(mdp, 0, model, cfg, seed, tables).to_dict() == fresh
 
 
 def test_run_planner_reads_the_model_once_per_call():
@@ -320,10 +350,13 @@ def test_run_planner_reads_the_model_once_per_call():
     for depth in (1, 6):
         for mode in ("dirac", "message_passing"):
             cfg = PlannerConfig(k=8, depth=depth, inference_mode=mode)
-            table = proposal_table(mdp, model, cfg)
+            tables = PlanTables.of(model, proposal_table(mdp, model, cfg))
             CountingModel.calls = 0
-            run_planner(mdp, 0, model, cfg, seed=1, table=table)
-            assert CountingModel.calls == 1
+            run_planner(mdp, 0, model, cfg, seed=1, tables=tables)
+            assert CountingModel.calls == 0
+            # built in the call: the proposal's policy() and the tables' log_policy()
+            run_planner(mdp, 0, model, cfg, seed=1)
+            assert CountingModel.calls == 2
 
 
 def test_run_planner_normalizes_weights_every_step():

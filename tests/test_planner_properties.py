@@ -1,5 +1,7 @@
 """Property tests of the planner's step invariants on random MDPs."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from smcplan import (
     message_passing_policy,
     multinomial_resample,
     proposal_table,
+    run_planner,
 )
 from smcplan import rng as rng_mod
 from smcplan.planner import RESAMPLE_MODES, VALUE_MODES, normalized_weights
@@ -51,7 +54,10 @@ def planning_problems(draw):
 
 def _plan(mdp, model, config, seed, on_step=None):
     """The step loop of ``run_planner``; ``on_step(t, before, after)`` sees
-    the particles on both sides of every advance."""
+    the particles on both sides of every advance. It must mirror
+    ``run_planner``'s loop: ``test_readout_policies_live_on_sampled_root_actions``
+    checks that its final weights and particles give ``run_planner``'s
+    root policies and value for the same seed."""
     tables = PlanTables.of(model, proposal_table(mdp, model, config))
     particles = init_particles(0, config)
     for t in range(1, config.depth + 1):
@@ -129,3 +135,9 @@ def test_readout_policies_live_on_sampled_root_actions(problem):
     surviving = np.zeros(mdp.n_actions, dtype=bool)
     surviving[particles.root_actions[particles.ancestors]] = True
     assert (dirac[~surviving] == 0.0).all()
+    # the same readouts come out of run_planner itself
+    for mode, policy in (("dirac", dirac), ("message_passing", backed_up)):
+        out = run_planner(mdp, 0, model, replace(config, inference_mode=mode), seed)
+        assert out.root_policy.tolist() == policy.tolist()
+        value_smc = float(model.v_table[0]) + float(weights @ particles.retrace_acc)
+        assert out.diagnostics.value_smc == value_smc
