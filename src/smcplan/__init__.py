@@ -53,7 +53,7 @@ from .planner import (
     dirac_policy,
     init_particles,
     multinomial_resample,
-    proposal_table,
+    plan_tables,
     run_planner,
     weight_update,
 )
@@ -65,10 +65,8 @@ from .training import (
     TransitionRecord,
     collect_segment,
     grad,
-    load_checkpoint,
     loss,
     outer_targets,
-    save_checkpoint,
     sgd_step,
     train,
 )

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .harness import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
@@ -48,11 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}") from exc
+        data = read_json(args.config)
         for raw in args.overrides:
             key, value = _parse_override(raw)
             set_by_path(data, key, value, source=args.config)

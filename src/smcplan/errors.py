@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer check
-the config classes raise them from."""
+"""Exception types shared across the package, the integer check the
+config classes raise them from, and the JSON file reader the loaders
+share."""
 
+import json
 import numbers
 
 
@@ -35,3 +37,13 @@ def require_integers(**fields):
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``; a syntax error is a
+    :class:`ConfigError` reading ``<path>:<line>: <message>``."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc

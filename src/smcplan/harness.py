@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError, require_integers
+from .errors import ConfigError, ContractError, read_json, require_integers
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import run_planner
@@ -43,10 +43,10 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def kl_to_reference(reference, policy, floor: float = POLICY_FLOOR) -> float:
+def kl_to_reference(reference, policy) -> float:
     """``KL(reference || policy)`` with the policy floored and renormalized."""
     reference = np.asarray(reference, dtype=float)
-    smoothed = np.maximum(np.asarray(policy, dtype=float), floor)
+    smoothed = np.maximum(np.asarray(policy, dtype=float), POLICY_FLOOR)
     smoothed = smoothed / smoothed.sum()
     support = reference > 0
     return float(
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError(f"iterations: must be at least 1, got {self.iterations}")
         if not self.seeds:
             raise ConfigError("seeds: must list at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: must not repeat a seed, got {list(self.seeds)}")
         for key, values in self.sweep.items():
             self._resolve_sweep_key(key)
             if not isinstance(values, (list, tuple)) or not values:
@@ -179,20 +181,20 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     # every cell's config is checked now, so a bad sweep value fails
     # before any cell runs
     for point in _sweep_points(config):
+        where = f"{source}: sweep point {point}" if point else source
         try:
-            _apply_sweep_point(config, point)
+            s0 = _apply_sweep_point(config, point).train.s0
         except (ConfigError, ContractError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: sweep point {point}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
+        if not 0 <= s0 < mdp.n_states:
+            raise ConfigError(f"{where}: s0: state {s0} out of range [0, {mdp.n_states})")
+        if mdp.terminal[s0]:
+            raise ConfigError(f"{where}: s0: state {s0} is terminal")
     return config
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(data, source=str(path))
+    return config_from_dict(read_json(path), source=str(path))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -261,8 +263,9 @@ _PLAN_METRICS = {
 }
 
 
-def _drive(config: ExperimentConfig, mdp: TabularMdp, seed: int):
+def _drive(config: ExperimentConfig, seed: int):
     """Run one (sweep point, seed) cell; yields (step, metric, value)."""
+    mdp = config.mdp  # no sweep key reaches the environment
     if config.experiment in _PLAN_METRICS:
         name, divergence = _PLAN_METRICS[config.experiment]
         planner, s0 = config.train.planner, config.train.s0
@@ -297,7 +300,6 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     """Execute the experiment and write metrics, summary, and resolved
     config into ``config.output_dir``. Refuses to overwrite existing
     results unless ``force``."""
-    mdp = config.mdp  # no sweep key reaches the environment
     os.makedirs(config.output_dir, exist_ok=True)
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
     summary_path = os.path.join(config.output_dir, "summary.json")
@@ -316,7 +318,7 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
         for seed in config.seeds:
             last = {}
-            for step_idx, metric, value in _drive(cell_config, mdp, seed):
+            for step_idx, metric, value in _drive(cell_config, seed):
                 rows.append(
                     tuple(point.get(k) for k in sweep_keys)
                     + (seed, step_idx, metric, value)

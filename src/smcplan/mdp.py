@@ -12,13 +12,12 @@ and the test-suite use as ground truth for sampled estimators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError, require_integers
+from .errors import BudgetError, ConfigError, ContractError, read_json, require_integers
 from .rng import categorical
 
 _ROW_SUM_TOL = 1e-12
@@ -356,15 +355,6 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
             f"{source}: transition: expected shape "
             f"({n_states}, {n_actions}, {n_states}), got {transition.shape}"
         )
-    if reward.shape != (n_states, n_actions):
-        raise ConfigError(
-            f"{source}: reward: expected shape ({n_states}, {n_actions}), "
-            f"got {reward.shape}"
-        )
-    if terminal.shape != (n_states,):
-        raise ConfigError(
-            f"{source}: terminal: expected shape ({n_states},), got {terminal.shape}"
-        )
     try:
         return TabularMdp(transition, reward, terminal, float(data.get("discount", 1.0)))
     except ContractError as exc:
@@ -384,9 +374,4 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
 
 def load_mdp(path) -> TabularMdp:
     """Load and validate an MDP from a JSON file."""
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return mdp_from_dict(data, source=str(path))
+    return mdp_from_dict(read_json(path), source=str(path))

@@ -215,11 +215,6 @@ class PlanTables:
         object.__setattr__(self, "proposal", proposal)
         object.__setattr__(self, "proposal_cdf", np.cumsum(proposal, axis=1))
 
-    @classmethod
-    def of(cls, model, proposal) -> "PlanTables":
-        """Tables of ``model`` with ``proposal`` as its proposal table."""
-        return cls(proposal, model.log_policy(), model.v_table)
-
 
 def advance(
     particles: ParticleSet,
@@ -331,21 +326,23 @@ def multinomial_resample(
     k = particles.k
     weights = _require_weights(weights, k)
     idx = rng_mod.categorical(np.cumsum(weights), rng.random(k))
+    # indexing by ``idx`` copies; revived references get their own copy
+    # so the two fields never alias
     if mode == "revived":
-        states = particles.ref_states[idx].copy()
+        states = particles.ref_states[idx]
         ref_states = states.copy()
     else:
-        states = particles.states[idx].copy()
-        ref_states = particles.ref_states[idx].copy()
+        states = particles.states[idx]
+        ref_states = particles.ref_states[idx]
     return ParticleSet(
         states=states,
         log_weights=np.zeros(k),
-        ancestors=particles.ancestors[idx].copy(),
+        ancestors=particles.ancestors[idx],
         root_actions=particles.root_actions,
         ref_states=ref_states,
         ancestor_logq=particles.ancestor_logq,
-        retrace_acc=particles.retrace_acc[idx].copy(),
-        retrace_decay=particles.retrace_decay[idx].copy(),
+        retrace_acc=particles.retrace_acc[idx],
+        retrace_decay=particles.retrace_decay[idx],
         step=particles.step,
     )
 
@@ -397,24 +394,24 @@ class PlannerOutput:
         }
 
 
-def proposal_table(mdp: TabularMdp, model, config: PlannerConfig) -> np.ndarray:
-    """Proposal row of every state, ``(S, A)``.
+def plan_tables(mdp: TabularMdp, model, config: PlannerConfig) -> PlanTables:
+    """The :class:`PlanTables` of ``model`` under ``config``.
 
     A proposal row depends only on the model's policy and action values
     at its state, never on the particles, so one table serves every step
     of every planning call against the same model. ``prior`` mode is the
     model policy itself; ``trust_region`` mode tilts each non-terminal
     row toward its action values by the adaptive radius, and terminal
-    rows keep the prior.
+    rows keep the prior. The model's log-policy is read once.
     """
-    pi = model.policy()
-    if config.proposal_mode == "prior":
-        return pi
-    live = ~mdp.terminal
-    prior, q_values = pi[live], model.q_table[live]
-    eps = adaptive_epsilon(prior, q_values, config.alpha)
-    pi[live] = trust_region_rows(prior, q_values, eps)[0]
-    return pi
+    log_prior = model.log_policy()
+    proposal = np.exp(log_prior)
+    if config.proposal_mode == "trust_region":
+        live = ~mdp.terminal
+        prior, q_values = proposal[live], model.q_table[live]
+        eps = adaptive_epsilon(prior, q_values, config.alpha)
+        proposal[live] = trust_region_rows(prior, q_values, eps)[0]
+    return PlanTables(proposal, log_prior, model.v_table)
 
 
 def run_planner(
@@ -427,9 +424,9 @@ def run_planner(
     inference always reads the final-step weights before any reset. The
     root value mixes the model value with the retrace estimate by
     ``sigma``. Identical ``(config, seed)`` gives bit-identical output.
-    ``tables`` is ``PlanTables.of(model, proposal_table(mdp, model,
-    config))``, built here when not given; callers planning repeatedly
-    against one model pass it in to build it once.
+    ``tables`` is ``plan_tables(mdp, model, config)``, built here when
+    not given; callers planning repeatedly against one model pass it in
+    to build it once.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
@@ -437,7 +434,7 @@ def run_planner(
         raise ContractError("cannot plan from a terminal state")
 
     if tables is None:
-        tables = PlanTables.of(model, proposal_table(mdp, model, config))
+        tables = plan_tables(mdp, model, config)
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.empty(config.depth, dtype=np.intp)

@@ -14,7 +14,6 @@ instead of sampled episodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import rng as rng_mod
 from .errors import ContractError, require_integers
 from .mdp import TabularMdp, step
 from .oracle import policy_value
-from .planner import PlannerConfig, PlanTables, proposal_table, run_planner
+from .planner import PlannerConfig, plan_tables, run_planner
 from .trust_region import greedy_row
 
 _SEGMENT, _UPDATES = 0, 1
@@ -57,21 +56,6 @@ class Model:
     def copy(self) -> "Model":
         return Model(
             self.policy_logits.copy(), self.v_table.copy(), self.q_table.copy()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "policy_logits": self.policy_logits.tolist(),
-            "v_table": self.v_table.tolist(),
-            "q_table": self.q_table.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Model":
-        return cls(
-            policy_logits=np.asarray(data["policy_logits"], dtype=float),
-            v_table=np.asarray(data["v_table"], dtype=float),
-            q_table=np.asarray(data["q_table"], dtype=float),
         )
 
 
@@ -163,7 +147,7 @@ def collect_segment(
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
-    tables = PlanTables.of(model, proposal_table(mdp, model, planner_config))
+    tables = plan_tables(mdp, model, planner_config)
     records = []
     state = int(s0)
     for t in range(horizon):
@@ -365,16 +349,3 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
         policy_returns[n] = policy_value(mdp, model.policy(), eval_horizon)[config.s0]
     return TrainResult(greedy_returns, policy_returns, losses, model)
 
-
-def save_checkpoint(path, model: Model, iteration: int, seed: int):
-    """Write model tensors plus loop counters as JSON; floats round-trip
-    bit-exactly."""
-    payload = dict(model.to_dict(), iteration=int(iteration), seed=int(seed))
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-
-
-def load_checkpoint(path):
-    with open(path) as handle:
-        payload = json.load(handle)
-    return Model.from_dict(payload), int(payload["iteration"]), int(payload["seed"])

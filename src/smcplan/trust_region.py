@@ -25,6 +25,9 @@ from .errors import ContractError
 from .numerics import logsumexp
 
 PRIOR_FLOOR = 1e-12
+TOL = 1e-4
+MAX_ITERATIONS = 100
+BETA_CAP = 1e6
 
 
 def greedy_row(q_values) -> np.ndarray:
@@ -84,14 +87,7 @@ class TrustRegionSolution:
     saturated: bool = False
 
 
-def trust_region_rows(
-    prior,
-    q_values,
-    epsilon,
-    tol: float = 1e-4,
-    max_iterations: int = 100,
-    beta_cap: float = 1e6,
-):
+def trust_region_rows(prior, q_values, epsilon):
     """Largest tilt of each row of ``prior`` toward the same row of
     ``q_values`` within that row's radius ``epsilon[i]``.
 
@@ -100,8 +96,8 @@ def trust_region_rows(
     Radius 0 returns the prior row bit-exactly. A radius at or beyond
     the greedy-to-prior divergence returns the greedy-tie row. In
     between, beta is bracketed by doubling from 1 (capped at
-    ``beta_cap``) and bisected until the achieved divergence is within
-    ``tol`` of the radius or ``max_iterations`` is exhausted; a row is
+    ``BETA_CAP``) and bisected until the achieved divergence is within
+    ``TOL`` of the radius or ``MAX_ITERATIONS`` is exhausted; a row is
     evaluated only while its own search is still running.
     """
     prior = np.asarray(prior, dtype=float)
@@ -132,11 +128,11 @@ def trust_region_rows(
     eps = epsilon[idx]
     hi = np.ones(idx.size)
     evaluate(idx, hi)
-    grow = (kl[idx] < eps) & (hi < beta_cap)
+    grow = (kl[idx] < eps) & (hi < BETA_CAP)
     while grow.any():
-        hi[grow] = np.minimum(hi[grow] * 2.0, beta_cap)
+        hi[grow] = np.minimum(hi[grow] * 2.0, BETA_CAP)
         evaluate(idx[grow], hi[grow])
-        grow = (kl[idx] < eps) & (hi < beta_cap)
+        grow = (kl[idx] < eps) & (hi < BETA_CAP)
     # a row whose family cannot reach the radius (e.g. ties) keeps the
     # cap, as far as the tilt can go while satisfying the constraint
     capped = kl[idx] < eps
@@ -144,8 +140,8 @@ def trust_region_rows(
 
     idx, eps, hi = idx[~capped], eps[~capped], hi[~capped]
     lo = np.zeros(idx.size)
-    for _ in range(max_iterations):
-        live = ~(np.abs(kl[idx] - eps) <= tol)
+    for _ in range(MAX_ITERATIONS):
+        live = ~(np.abs(kl[idx] - eps) <= TOL)
         if not live.any():
             break
         mid = 0.5 * (lo[live] + hi[live])
@@ -156,14 +152,7 @@ def trust_region_rows(
     return rows, beta, kl, saturated
 
 
-def solve_trust_region(
-    prior_row,
-    q_values,
-    epsilon: float,
-    tol: float = 1e-4,
-    max_iterations: int = 100,
-    beta_cap: float = 1e6,
-) -> TrustRegionSolution:
+def solve_trust_region(prior_row, q_values, epsilon: float) -> TrustRegionSolution:
     """Largest tilt of ``prior_row`` toward ``q_values`` within radius
     ``epsilon``: the one-row case of :func:`trust_region_rows`."""
     prior = np.asarray(prior_row, dtype=float)
@@ -176,7 +165,5 @@ def solve_trust_region(
         raise ContractError("prior_row and q_values must have the same length")
     if epsilon < 0:
         raise ContractError(f"epsilon must be non-negative, got {epsilon}")
-    rows, beta, kl, saturated = trust_region_rows(
-        prior[None], q[None], [epsilon], tol, max_iterations, beta_cap
-    )
+    rows, beta, kl, saturated = trust_region_rows(prior[None], q[None], [epsilon])
     return TrustRegionSolution(rows[0], float(beta[0]), float(kl[0]), epsilon, bool(saturated[0]))

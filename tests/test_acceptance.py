@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the report lines.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import make_random_mdp
 from smcplan import (
@@ -208,6 +209,7 @@ def test_criterion_7_gradient_correctness():
     _report(7, "analytic gradients match finite differences", worst <= 1e-6, f"max rel err {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_training():
     start = time.time()
     mdp = make_chain(5)

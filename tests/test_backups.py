@@ -10,16 +10,16 @@ from smcplan import (
     ContractError,
     Model,
     PlannerConfig,
-    PlanTables,
     accumulate_ancestor_q,
     advance,
     init_particles,
     message_passing_policy,
     mix_value_target,
+    plan_tables,
     run_planner,
 )
 from smcplan import rng as rng_mod
-from smcplan.planner import normalized_weights, proposal_table
+from smcplan.planner import normalized_weights
 
 
 # Reference implementation of the retrace return estimate, written in
@@ -210,8 +210,8 @@ def test_planner_retrace_matches_reference():
         lambda_smc=lam, proposal_mode="trust_region",
     )
     pi = model.policy()
-    table = proposal_table(mdp, model, config)
-    tables = PlanTables.of(model, table)
+    tables = plan_tables(mdp, model, config)
+    table = tables.proposal
     rows = np.arange(config.k)
     particles = init_particles(0, config)
     rewards, ratios, v_next, v_cur = [], [], [], []

@@ -16,6 +16,7 @@ from smcplan.harness import (
     make_env,
     run,
 )
+from smcplan.mdp import load_mdp
 
 
 def base_config(output_dir, **overrides):
@@ -276,12 +277,17 @@ TRAIN_CONFIG = {
         dict(TRAIN_CONFIG, env=dict(INLINE_ENV, n_states=2.7)),
         dict(TRAIN_CONFIG, env=dict(INLINE_ENV, reward=[[None], [0.0]])),
         dict(TRAIN_CONFIG, env=dict(INLINE_ENV, transition=[[[float("nan"), 1.0]], [[0.0, 1.0]]])),
+        dict(TRAIN_CONFIG, env={"name": "chain", "n": 3}, s0=99),
+        dict(TRAIN_CONFIG, env={"name": "chain", "n": 3}, s0=3),
+        dict(TRAIN_CONFIG, env={"name": "chain", "n": 3}, sweep={"s0": [0, 7]}),
+        dict(TRAIN_CONFIG, seeds=[0, 0]),
     ],
     ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
          "sweep_gamma_outer", "path_degeneracy_horizon", "planner_k_float",
          "horizon_float", "sweep_planner_depth_float", "seeds_bool", "eval_horizon",
          "env_chain_zero", "env_gridworld_no_height", "env_n_states_float",
-         "env_reward_null", "env_transition_nan"],
+         "env_reward_null", "env_transition_nan", "s0_out_of_range", "s0_terminal",
+         "sweep_s0_out_of_range", "seeds_duplicate"],
 )
 def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     out = tmp_path / "out"
@@ -289,6 +295,18 @@ def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     config_path.write_text(json.dumps(base_config(out, **overrides)))
     assert main([str(config_path)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", [load_config, load_mdp, main])
+def test_malformed_json_names_file_and_line(tmp_path, capsys, reader):
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "experiment": "train",\n  oops\n}\n')
+    if reader is main:
+        assert main([str(path)]) == 2
+        assert "broken.json:3: " in capsys.readouterr().err
+    else:
+        with pytest.raises(ConfigError, match=r"broken\.json:3: "):
+            reader(path)
 
 
 def test_cli_set_seed_and_output_overrides(tmp_path):

@@ -23,7 +23,7 @@ from smcplan import (
     make_chain,
     make_two_arm,
     multinomial_resample,
-    proposal_table,
+    plan_tables,
     root_action_marginal,
     run_planner,
     soft_value_iteration,
@@ -71,7 +71,7 @@ def test_advance_zero_reward_keeps_weights_flat():
     cfg = PlannerConfig(k=64, depth=3)
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(0, 1))
+    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(0, 1))
     assert np.abs(p.log_weights).max() == 0.0
     assert np.abs(p.ancestor_logq).max() == 0.0
 
@@ -83,7 +83,7 @@ def test_advance_weight_equals_sampled_reward():
     cfg = PlannerConfig(k=256, depth=1)
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(1, 1))
+    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(1, 1))
     rewards = mdp.reward[0, p.root_actions]
     assert np.abs(p.log_weights - rewards).max() <= 1e-12
     # per-atom accumulators hold exactly the temperature-scaled rewards
@@ -96,7 +96,7 @@ def test_advance_tracks_last_nonterminal_reference():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(2, 1))
+    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(2, 1))
     assert (p.states == 1).all()  # everyone hit the terminal arm end
     assert (p.ref_states == 0).all()  # reference stays at the decision state
 
@@ -105,9 +105,11 @@ def test_advance_validates_proposal_rows():
     mdp = make_two_arm()
     cfg = PlannerConfig(k=4, depth=1)
     p = init_particles(0, cfg)
+    model = uniform_model(mdp)
     bad = np.full((2, 2), 0.4)
     with pytest.raises(ContractError):
-        advance(p, mdp, PlanTables.of(uniform_model(mdp), bad), cfg, rng_mod.stream(0, 1))
+        tables = PlanTables(bad, model.log_policy(), model.v_table)
+        advance(p, mdp, tables, cfg, rng_mod.stream(0, 1))
 
 
 def _advanced_particle_set(seed=3, k=16):
@@ -116,7 +118,7 @@ def _advanced_particle_set(seed=3, k=16):
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
     return (
-        advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(seed, 1)),
+        advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(seed, 1)),
         mdp,
         cfg,
     )
@@ -202,7 +204,7 @@ def test_revived_resample_restores_reference_states():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, PlanTables.of(model, model.policy()), cfg, rng_mod.stream(4, 1))
+    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(4, 1))
     assert (p.states == 1).all()
     out = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(6), "revived")
     assert (out.states == 0).all()  # moved back to the last non-terminal state
@@ -313,8 +315,8 @@ def test_proposal_table_solves_each_state_alone(alpha):
     model = random_model(6, 4, seed=22)
     pi = model.policy()
     prior_cfg = PlannerConfig(k=4, depth=2, alpha=alpha)
-    assert proposal_table(mdp, model, prior_cfg).tolist() == pi.tolist()
-    table = proposal_table(mdp, model, replace(prior_cfg, proposal_mode="trust_region"))
+    assert plan_tables(mdp, model, prior_cfg).proposal.tolist() == pi.tolist()
+    table = plan_tables(mdp, model, replace(prior_cfg, proposal_mode="trust_region")).proposal
     assert table[5].tolist() == pi[5].tolist()
     for s in range(5):
         eps = adaptive_epsilon(pi[s], model.q_table[s], alpha)
@@ -330,7 +332,7 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
         k=16, depth=5, resample_period=2, alpha=0.4, gamma=0.9, sigma=0.5,
         proposal_mode=proposal_mode, inference_mode=inference_mode,
     )
-    tables = PlanTables.of(model, proposal_table(mdp, model, cfg))
+    tables = plan_tables(mdp, model, cfg)
     for seed in range(3):
         fresh = run_planner(mdp, 0, model, cfg, seed).to_dict()
         assert run_planner(mdp, 0, model, cfg, seed, tables).to_dict() == fresh
@@ -350,13 +352,13 @@ def test_run_planner_reads_the_model_once_per_call():
     for depth in (1, 6):
         for mode in ("dirac", "message_passing"):
             cfg = PlannerConfig(k=8, depth=depth, inference_mode=mode)
-            tables = PlanTables.of(model, proposal_table(mdp, model, cfg))
+            tables = plan_tables(mdp, model, cfg)
             CountingModel.calls = 0
             run_planner(mdp, 0, model, cfg, seed=1, tables=tables)
             assert CountingModel.calls == 0
-            # built in the call: the proposal's policy() and the tables' log_policy()
+            # built in the call: one log_policy() gives the prior and the proposal
             run_planner(mdp, 0, model, cfg, seed=1)
-            assert CountingModel.calls == 2
+            assert CountingModel.calls == 1
 
 
 def test_run_planner_normalizes_weights_every_step():

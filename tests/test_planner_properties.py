@@ -10,13 +10,12 @@ from conftest import make_random_mdp
 from smcplan import (
     Model,
     PlannerConfig,
-    PlanTables,
     advance,
     dirac_policy,
     init_particles,
     message_passing_policy,
     multinomial_resample,
-    proposal_table,
+    plan_tables,
     run_planner,
 )
 from smcplan import rng as rng_mod
@@ -58,7 +57,7 @@ def _plan(mdp, model, config, seed, on_step=None):
     ``run_planner``'s loop: ``test_readout_policies_live_on_sampled_root_actions``
     checks that its final weights and particles give ``run_planner``'s
     root policies and value for the same seed."""
-    tables = PlanTables.of(model, proposal_table(mdp, model, config))
+    tables = plan_tables(mdp, model, config)
     particles = init_particles(0, config)
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t)

@@ -13,14 +13,12 @@ from smcplan import (
     TransitionRecord,
     collect_segment,
     grad,
-    load_checkpoint,
     loss,
     make_absorbing_zero,
     make_chain,
     make_gridworld,
     make_two_arm,
     outer_targets,
-    save_checkpoint,
     sgd_step,
     train,
 )
@@ -388,17 +386,6 @@ def test_policy_return_trend_on_chain():
     slack = 0.05 * 1.0  # optimal return on this chain is 1
     assert (np.diff(smoothed) >= -slack).all()
     assert smoothed[-1] > smoothed[0]
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    model = random_model(4, 3, seed=99)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, model, iteration=17, seed=123)
-    loaded, iteration, seed = load_checkpoint(path)
-    assert (loaded.policy_logits == model.policy_logits).all()
-    assert (loaded.v_table == model.v_table).all()
-    assert (loaded.q_table == model.q_table).all()
-    assert (iteration, seed) == (17, 123)
 
 
 def test_transition_record_validates_policy():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from smcplan import (
@@ -13,7 +15,7 @@ from smcplan import (
     solve_trust_region,
     trust_region_rows,
 )
-from smcplan.trust_region import PRIOR_FLOOR, kl_to_prior
+from smcplan.trust_region import BETA_CAP, PRIOR_FLOOR, TOL, kl_to_prior
 
 
 # Reference implementation: the scalar solver, one row at a time, with
@@ -221,6 +223,42 @@ def test_beta_monotone_in_radius():
     for eps in np.linspace(0.0, kl_to_prior(greedy_row(q_values), prior) * 1.2, 25):
         betas.append(solve_trust_region(prior, q_values, float(eps)).beta)
     assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
+
+
+@st.composite
+def tilt_problems(draw):
+    """A prior row (some entries may be 0), its action values, and radii:
+    0 first, then fractions of the greedy-to-prior divergence, some past
+    it."""
+    n_actions = draw(st.integers(1, 6))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(mass, min_size=n_actions, max_size=n_actions)))
+    assume(weights.sum() > 0)
+    prior = weights / weights.sum()
+    q = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n_actions, max_size=n_actions)))
+    fractions = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6))
+    eps = np.array([0.0] + fractions) * kl_to_prior(greedy_row(q), prior)
+    return prior, q, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=tilt_problems())
+def test_kernel_radius_properties(problem):
+    prior, q, eps = problem
+    n = eps.size
+    rows, _, kl, saturated = trust_region_rows(np.tile(prior, (n, 1)), np.tile(q, (n, 1)), eps)
+    assert bits(rows[0]) == bits(prior)
+    # a row that neither reached the greedy row nor hit the beta cap
+    # stopped its bisection on the tolerance
+    assert (np.abs(kl - eps)[~saturated] <= TOL).all()
+    # tied values tilt to the prior itself, but a row capped at BETA_CAP
+    # rounds log-values as large as BETA_CAP * |q|, so its divergence can
+    # read slightly below the exact 0 of radius 0
+    slack = 16 * np.finfo(float).eps * BETA_CAP * max(np.abs(q).max(), 1.0)
+    for i in range(n):
+        for j in range(n):
+            if eps[j] - eps[i] > 2 * TOL:
+                assert kl[i] <= kl[j] + slack
 
 
 def test_constant_values_saturate_at_prior():
