@@ -25,13 +25,11 @@ from .mdp import (
     Trajectory,
     builtin_mdp,
     enumerate_trajectories,
-    load_mdp,
     make_absorbing_zero,
     make_chain,
     make_gridworld,
     make_two_arm,
     mdp_from_dict,
-    mdp_to_dict,
     step,
 )
 from .oracle import (
@@ -61,8 +59,8 @@ from .training import (
     LossConfig,
     Model,
     ReplayBuffer,
+    Segment,
     TrainConfig,
-    TransitionRecord,
     collect_segment,
     grad,
     loss,

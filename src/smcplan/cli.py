@@ -58,7 +58,7 @@ def main(argv=None) -> int:
             data["output_dir"] = args.output
         config = config_from_dict(data, source=args.config)
         return run(config, force=args.force)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"plan-run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

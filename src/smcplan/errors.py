@@ -40,10 +40,13 @@ def require_integers(**fields):
 
 
 def read_json(path):
-    """Parse the JSON file at ``path``; a syntax error is a
-    :class:`ConfigError` reading ``<path>:<line>: <message>``."""
-    with open(path) as handle:
-        try:
+    """Parse the JSON file at ``path``; a file that cannot be opened or
+    parsed is a :class:`ConfigError` naming ``path`` (and the line of a
+    syntax error)."""
+    try:
+        with open(path) as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc

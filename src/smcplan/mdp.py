@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError, read_json, require_integers
+from .errors import BudgetError, ConfigError, ContractError, require_integers
 from .rng import categorical
 
 _ROW_SUM_TOL = 1e-12
@@ -359,19 +359,3 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
         return TabularMdp(transition, reward, terminal, float(data.get("discount", 1.0)))
     except ContractError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-
-def mdp_to_dict(mdp: TabularMdp) -> dict:
-    return {
-        "n_states": mdp.n_states,
-        "n_actions": mdp.n_actions,
-        "transition": mdp.transition.tolist(),
-        "reward": mdp.reward.tolist(),
-        "terminal": mdp.terminal.tolist(),
-        "discount": mdp.discount,
-    }
-
-
-def load_mdp(path) -> TabularMdp:
-    """Load and validate an MDP from a JSON file."""
-    return mdp_from_dict(read_json(path), source=str(path))

@@ -42,15 +42,6 @@ class SoftSolution:
     posterior_policy: np.ndarray
     temperature: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready dump, handy when debugging planner mismatches."""
-        return {
-            "v_soft": self.v_soft.tolist(),
-            "q_soft": self.q_soft.tolist(),
-            "posterior_policy": self.posterior_policy.tolist(),
-            "temperature": self.temperature,
-        }
-
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
     """Yield ``(v, q, posterior)`` per backward sweep, boundary values zero."""

@@ -1,11 +1,13 @@
 """Outer training loop: plan, act, store, and fit the tabular model.
 
 One iteration collects a segment by model-predictive control (plan at
-every visited state, act from the search policy), converts the segment
-into lambda-return targets bootstrapped from the planner's own value
-estimates, pushes the pairs into a FIFO replay buffer, and takes clipped
-SGD steps on the joint value/policy loss. The planner always reads the
-live model, so each iteration plans against the freshly updated prior.
+every visited state, act from the search policy) as per-step arrays,
+converts it into lambda-return targets bootstrapped from the planner's
+own value estimates, writes the (state, action, target, search policy)
+columns into a fixed-capacity ring buffer, and takes clipped SGD steps
+on the joint value/policy loss over batches gathered from those
+columns. The planner always reads the live model, so each iteration
+plans against the freshly updated prior.
 
 The model is tabular (logit, value and action-value tables), which keeps
 gradients exact and lets evaluation use exact dynamic programming
@@ -53,28 +55,19 @@ class Model:
     def policy(self) -> np.ndarray:
         return np.exp(self.log_policy())
 
-    def copy(self) -> "Model":
-        return Model(
-            self.policy_logits.copy(), self.v_table.copy(), self.q_table.copy()
-        )
-
 
 @dataclass(frozen=True)
-class TransitionRecord:
-    """One environment step with the planner outputs recorded at it."""
+class Segment:
+    """Per-step arrays of one collected segment: ``search_policies`` is
+    ``(n, A)``, the rest ``(n,)``; ``tail_value`` bootstraps its end."""
 
-    state: int
-    action: int
-    reward: float
-    search_policy: np.ndarray
-    inner_value: float
-    terminal: bool
-
-    def __post_init__(self):
-        policy = np.asarray(self.search_policy, dtype=float)
-        if abs(policy.sum() - 1.0) > 1e-9:
-            raise ContractError("search_policy must sum to 1")
-        object.__setattr__(self, "search_policy", policy)
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    search_policies: np.ndarray
+    inner_values: np.ndarray
+    terminals: np.ndarray
+    tail_value: float
 
 
 @dataclass(frozen=True)
@@ -99,33 +92,43 @@ class LossConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity circular buffer of (record, target) pairs, FIFO."""
+    """Fixed-capacity FIFO buffer of (state, action, target, search
+    policy) columns; the n-th pair added lives in slot ``n % capacity``."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, n_actions: int):
         if capacity < 1:
             raise ContractError("capacity must be at least 1")
-        self.capacity = capacity
-        self._items = []
-        self._next = 0
+        self.states = np.zeros(capacity, dtype=np.intp)
+        self.actions = np.zeros(capacity, dtype=np.intp)
+        self.targets = np.zeros(capacity)
+        self.search_policies = np.zeros((capacity, n_actions))
+        self._added = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._added, len(self.targets))
 
-    def add_segment(self, records, targets):
-        if len(records) != len(targets):
-            raise ContractError("need one target per record")
-        for pair in zip(records, targets):
-            if len(self._items) < self.capacity:
-                self._items.append(pair)
-            else:
-                self._items[self._next] = pair
-                self._next = (self._next + 1) % self.capacity
+    def add_segment(self, segment: Segment, targets):
+        n, capacity = len(targets), len(self.targets)
+        if len(segment.states) != n:
+            raise ContractError("need one target per step")
+        if (np.abs(segment.search_policies.sum(axis=1) - 1.0) > 1e-9).any():
+            raise ContractError("search policies must sum to 1")
+        keep = slice(max(n - capacity, 0), n)  # older pairs would be overwritten
+        slots = (self._added + np.arange(n)[keep]) % capacity
+        self.states[slots] = segment.states[keep]
+        self.actions[slots] = segment.actions[keep]
+        self.targets[slots] = np.asarray(targets)[keep]
+        self.search_policies[slots] = segment.search_policies[keep]
+        self._added += n
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        if not self._items:
+        """``(states, actions, targets, search_policies)`` of a uniform
+        draw of ``batch_size`` stored pairs, with replacement."""
+        if not len(self):
             raise ContractError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, len(self), size=batch_size)
+        columns = self.states, self.actions, self.targets, self.search_policies
+        return tuple(column[idx] for column in columns)
 
 
 def collect_segment(
@@ -135,78 +138,72 @@ def collect_segment(
     horizon: int,
     seed: int,
     s0: int = 0,
-):
+) -> Segment:
     """Roll out up to ``horizon`` environment steps under planner control.
 
     At each state the planner produces a search policy and a mixed value
     estimate; the environment action is sampled from the search policy.
-    Returns ``(records, tail_value)`` where ``tail_value`` bootstraps the
-    segment end: zero after termination, otherwise the planner's value
-    estimate at the final state (one extra planning call). The model is
-    fixed within a segment, so its planning tables are built once.
+    The segment's ``tail_value`` is zero after termination, otherwise the
+    planner's value estimate at the final state (one extra planning
+    call). The model is fixed within a segment, so its planning tables
+    are built once.
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
     tables = plan_tables(mdp, model, planner_config)
-    records = []
+    states = np.empty(horizon, dtype=np.intp)
+    actions = np.empty(horizon, dtype=np.intp)
+    rewards, values = np.empty(horizon), np.empty(horizon)
+    search = np.empty((horizon, mdp.n_actions))
+    terminals = np.zeros(horizon, dtype=bool)
     state = int(s0)
     for t in range(horizon):
-        out = run_planner(
-            mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), tables
-        )
+        out = run_planner(mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), tables)
         gen = rng_mod.stream(seed, t, _ACT)
         action = int(rng_mod.categorical(np.cumsum(out.root_policy), gen.random()))
-        nxt, reward, terminal = step(mdp, state, action, gen)
-        records.append(
-            TransitionRecord(state, action, reward, out.root_policy, out.root_value, terminal)
-        )
-        if terminal:
-            return records, 0.0
-        state = nxt
-    tail = run_planner(
-        mdp, state, model, planner_config, rng_mod.fold(seed, horizon, _PLAN), tables
+        states[t], actions[t] = state, action
+        search[t], values[t] = out.root_policy, out.root_value
+        state, rewards[t], terminals[t] = step(mdp, state, action, gen)
+        if terminals[t]:
+            break
+    tail = 0.0
+    if not terminals[t]:
+        tail_seed = rng_mod.fold(seed, horizon, _PLAN)
+        tail = float(run_planner(mdp, state, model, planner_config, tail_seed, tables).root_value)
+    n = t + 1
+    return Segment(
+        states[:n], actions[:n], rewards[:n], search[:n], values[:n], terminals[:n], tail
     )
-    return records, float(tail.root_value)
 
 
-def outer_targets(records, gamma: float, lam: float, tail_value: float = 0.0) -> np.ndarray:
+def outer_targets(segment: Segment, gamma: float, lam: float) -> np.ndarray:
     """Truncated lambda-returns bootstrapped from the recorded inner values.
 
     ``G_t = r_t + gamma * ((1 - lam) * V'_{t+1} + lam * G_{t+1})`` with a
-    zero bootstrap past terminal transitions and ``tail_value`` standing
-    in for both ``V'`` and ``G`` beyond the segment end.
+    zero bootstrap past terminal transitions and the segment's
+    ``tail_value`` standing in for both ``V'`` and ``G`` beyond its end.
     """
-    if not records:
-        raise ContractError("need at least one record")
-    n = len(records)
+    n = len(segment.rewards)
+    if not n:
+        raise ContractError("need at least one step")
     targets = np.empty(n)
-    next_g = tail_value
-    next_v = tail_value
+    next_g = next_v = segment.tail_value
     for t in range(n - 1, -1, -1):
-        rec = records[t]
-        if rec.terminal:
-            targets[t] = rec.reward
+        if segment.terminals[t]:
+            targets[t] = segment.rewards[t]
         else:
-            targets[t] = rec.reward + gamma * ((1.0 - lam) * next_v + lam * next_g)
+            targets[t] = segment.rewards[t] + gamma * ((1.0 - lam) * next_v + lam * next_g)
         next_g = targets[t]
-        next_v = rec.inner_value
+        next_v = segment.inner_values[t]
     return targets
-
-
-def _batch_arrays(batch):
-    states = np.array([rec.state for rec, _ in batch], dtype=np.intp)
-    actions = np.array([rec.action for rec, _ in batch], dtype=np.intp)
-    targets = np.array([float(t) for _, t in batch])
-    search = np.stack([rec.search_policy for rec, _ in batch])
-    return states, actions, targets, search
 
 
 def loss(model: Model, batch, cfg: LossConfig) -> float:
     """Mean squared value errors plus policy cross-entropy and entropy
-    penalty over a batch of (record, target) pairs."""
-    if not batch:
+    penalty over a ``(states, actions, targets, search_policies)`` batch."""
+    states, actions, targets, search = batch
+    if not len(targets):
         raise ContractError("batch must be non-empty")
-    states, actions, targets, search = _batch_arrays(batch)
     log_pi = model.log_policy()
     pi = np.exp(log_pi)
     entropy = -(pi * log_pi).sum(axis=1)
@@ -237,10 +234,10 @@ def grad(model: Model, batch, cfg: LossConfig) -> ModelGrads:
     logit row, with the entropy penalty adding
     ``c_ent * pi * (log pi + H)``.
     """
-    if not batch:
+    states, actions, targets, search = batch
+    n = len(targets)
+    if not n:
         raise ContractError("batch must be non-empty")
-    states, actions, targets, search = _batch_arrays(batch)
-    n = len(batch)
     log_pi = model.log_policy()
     pi = np.exp(log_pi)
     entropy = -(pi * log_pi).sum(axis=1)
@@ -320,12 +317,12 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
         raise ContractError("iterations must be at least 1")
     eval_horizon = config.eval_horizon or config.horizon
     model = Model.zeros(mdp.n_states, mdp.n_actions)
-    buffer = ReplayBuffer(config.buffer_capacity)
+    buffer = ReplayBuffer(config.buffer_capacity, mdp.n_actions)
     greedy_returns = np.empty(iterations)
     policy_returns = np.empty(iterations)
     losses = np.empty(iterations)
     for n in range(iterations):
-        records, tail = collect_segment(
+        segment = collect_segment(
             mdp,
             model,
             config.planner,
@@ -333,10 +330,8 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
             rng_mod.fold(seed, n, _SEGMENT),
             s0=config.s0,
         )
-        targets = outer_targets(
-            records, config.loss.gamma_outer, config.loss.lambda_outer, tail
-        )
-        buffer.add_segment(records, targets)
+        targets = outer_targets(segment, config.loss.gamma_outer, config.loss.lambda_outer)
+        buffer.add_segment(segment, targets)
         gen = rng_mod.stream(seed, n, _UPDATES)
         for _ in range(config.updates_per_iteration):
             batch = buffer.sample(config.batch_size, gen)

@@ -16,7 +16,6 @@ from smcplan.harness import (
     make_env,
     run,
 )
-from smcplan.mdp import load_mdp
 
 
 def base_config(output_dir, **overrides):
@@ -228,11 +227,15 @@ def test_cli_happy_path(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"experiment": "nope"}))
     assert main([str(config_path)]) == 2
     assert main([str(tmp_path / "missing.json")]) == 2
+    assert "missing.json: No such file or directory" in capsys.readouterr().err
+    # a config path that cannot be read as a file is a config error too
+    assert main([str(tmp_path)]) == 2
+    assert f"plan-run: {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
 # one decision state with a single action into an absorbing terminal
@@ -297,7 +300,7 @@ def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("reader", [load_config, load_mdp, main])
+@pytest.mark.parametrize("reader", [load_config, main])
 def test_malformed_json_names_file_and_line(tmp_path, capsys, reader):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "experiment": "train",\n  oops\n}\n')

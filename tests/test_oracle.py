@@ -54,15 +54,6 @@ def test_soft_solution_invariants():
     assert np.abs(sol.posterior_policy - expected).max() <= 1e-9
 
 
-def test_soft_solution_dumps_to_json():
-    import json
-
-    sol = soft_value_iteration(make_two_arm(), UNIFORM2, 2, 1.0)
-    decoded = json.loads(json.dumps(sol.to_dict()))
-    assert decoded["v_soft"] == sol.v_soft.tolist()
-    assert decoded["temperature"] == 1.0
-
-
 def test_absorbing_zero_soft_values_vanish():
     mdp = make_absorbing_zero(4)
     for horizon in (1, 3, 8):

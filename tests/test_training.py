@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcplan import (
     ContractError,
@@ -9,8 +11,8 @@ from smcplan import (
     Model,
     PlannerConfig,
     ReplayBuffer,
+    Segment,
     TrainConfig,
-    TransitionRecord,
     collect_segment,
     grad,
     loss,
@@ -25,8 +27,28 @@ from smcplan import (
 from smcplan import rng as rng_mod
 
 
-def record(state, action, reward, policy, value, terminal=False):
-    return TransitionRecord(state, action, reward, np.asarray(policy, dtype=float), value, terminal)
+def segment(rewards, values, terminals=None, tail_value=0.0, policies=None):
+    """A segment of single-action steps from state 0 unless ``policies``
+    are given."""
+    n = len(rewards)
+    return Segment(
+        states=np.zeros(n, dtype=np.intp),
+        actions=np.zeros(n, dtype=np.intp),
+        rewards=np.asarray(rewards, dtype=float),
+        search_policies=np.ones((n, 1)) if policies is None else np.asarray(policies),
+        inner_values=np.asarray(values, dtype=float),
+        terminals=np.zeros(n, dtype=bool) if terminals is None else np.asarray(terminals),
+        tail_value=tail_value,
+    )
+
+
+def batch_of(states, actions, targets, policies):
+    return (
+        np.asarray(states, dtype=np.intp),
+        np.asarray(actions, dtype=np.intp),
+        np.asarray(targets, dtype=float),
+        np.asarray(policies, dtype=float),
+    )
 
 
 def random_model(n_states, n_actions, seed):
@@ -41,51 +63,44 @@ def random_model(n_states, n_actions, seed):
 def random_batch(model, seed, size=6):
     rng = np.random.default_rng(seed)
     n_states, n_actions = model.policy_logits.shape
-    batch = []
+    rows = []
     for _ in range(size):
         s = int(rng.integers(n_states))
         a = int(rng.integers(n_actions))
         policy = rng.dirichlet(np.ones(n_actions))
-        batch.append((record(s, a, rng.normal(), policy, rng.normal()), rng.normal()))
-    return batch
+        _reward, _inner_value, target = rng.normal(size=3)
+        rows.append((s, a, target, policy))
+    return batch_of(*zip(*rows))
 
 
 # ---------------------------------------------------------------- targets
 
 
 def test_single_terminal_transition_bootstraps_zero():
-    recs = [record(0, 1, 2.5, [0.5, 0.5], 9.0, terminal=True)]
+    seg = segment([2.5], [9.0], terminals=[True])
     for lam in (0.0, 0.5, 1.0):
-        assert outer_targets(recs, 0.9, lam).tolist() == [2.5]
+        assert outer_targets(seg, 0.9, lam).tolist() == [2.5]
 
 
 def test_lambda_zero_gives_one_step_targets():
-    recs = [
-        record(0, 0, 1.0, [1.0], 5.0),
-        record(1, 0, 2.0, [1.0], 7.0),
-        record(2, 0, 3.0, [1.0], 9.0, terminal=True),
-    ]
-    targets = outer_targets(recs, 0.5, 0.0, tail_value=0.0)
+    seg = segment([1.0, 2.0, 3.0], [5.0, 7.0, 9.0], terminals=[False, False, True])
+    targets = outer_targets(seg, 0.5, 0.0)
     assert targets.tolist() == [1.0 + 0.5 * 7.0, 2.0 + 0.5 * 9.0, 3.0]
 
 
 def test_lambda_one_accumulates_rewards():
-    recs = [
-        record(0, 0, 1.0, [1.0], 0.0),
-        record(1, 0, 2.0, [1.0], 0.0),
-        record(2, 0, 3.0, [1.0], 0.0, terminal=True),
-    ]
-    assert outer_targets(recs, 1.0, 1.0).tolist() == [6.0, 5.0, 3.0]
+    seg = segment([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], terminals=[False, False, True])
+    assert outer_targets(seg, 1.0, 1.0).tolist() == [6.0, 5.0, 3.0]
 
 
 def test_tail_value_bootstraps_truncated_segment():
-    recs = [record(0, 0, 1.0, [1.0], 4.0)]
-    assert outer_targets(recs, 1.0, 1.0, tail_value=2.0).tolist() == [3.0]
+    seg = segment([1.0], [4.0], tail_value=2.0)
+    assert outer_targets(seg, 1.0, 1.0).tolist() == [3.0]
 
 
 def test_outer_targets_reject_empty():
     with pytest.raises(ContractError):
-        outer_targets([], 1.0, 0.5)
+        outer_targets(segment([], []), 1.0, 0.5)
 
 
 # ---------------------------------------------------------------- loss/grad
@@ -109,7 +124,7 @@ def test_loss_at_perfect_model():
         q_table=np.full((2, 2), target_value),
     )
     cfg = LossConfig(c_v=0.5, c_pi=1.0, c_ent=0.1)
-    batch = [(record(0, 1, 0.0, target_policy, 0.0), target_value)]
+    batch = batch_of([0], [1], [target_value], [target_policy])
     entropy = -(target_policy * np.log(target_policy)).sum()
     assert loss(model, batch, cfg) == pytest.approx(
         (cfg.c_pi - cfg.c_ent) * entropy, abs=1e-12
@@ -120,7 +135,8 @@ def test_loss_mean_invariant_to_duplication():
     model = random_model(4, 3, seed=2)
     cfg = LossConfig()
     batch = random_batch(model, 3, size=1)
-    assert loss(model, batch, cfg) == pytest.approx(loss(model, batch * 2, cfg))
+    doubled = tuple(np.concatenate([column, column]) for column in batch)
+    assert loss(model, batch, cfg) == pytest.approx(loss(model, doubled, cfg))
 
 
 def _flatten(grads):
@@ -130,11 +146,14 @@ def _flatten(grads):
 
 
 def _numeric_grad(model, batch, cfg, h=1e-5):
+    def fresh():
+        return Model(model.policy_logits.copy(), model.v_table.copy(), model.q_table.copy())
+
     def perturb(setter):
-        base = model.copy()
+        base = fresh()
         setter(base, +h)
         up = loss(base, batch, cfg)
-        base = model.copy()
+        base = fresh()
         setter(base, -h)
         down = loss(base, batch, cfg)
         return (up - down) / (2 * h)
@@ -177,7 +196,7 @@ def test_policy_gradient_stationary_at_search_policy():
         q_table=np.zeros((2, 2)),
     )
     cfg = LossConfig(c_v=0.0, c_pi=1.0, c_ent=0.0)
-    batch = [(record(0, 0, 0.0, search, 0.0), 0.0)]
+    batch = batch_of([0], [0], [0.0], [search])
     grads = grad(model, batch, cfg)
     assert np.abs(grads.policy_logits[0]).max() <= 1e-12
     assert np.abs(grads.policy_logits[1]).max() == 0.0  # unvisited row
@@ -186,7 +205,7 @@ def test_policy_gradient_stationary_at_search_policy():
 def test_unvisited_states_get_zero_gradient():
     model = random_model(5, 2, seed=7)
     cfg = LossConfig()
-    batch = [(record(2, 1, 1.0, [0.5, 0.5], 0.3), 0.8)]
+    batch = batch_of([2], [1], [0.8], [[0.5, 0.5]])
     grads = grad(model, batch, cfg)
     for s in (0, 1, 3, 4):
         assert np.abs(grads.policy_logits[s]).max() == 0.0
@@ -256,21 +275,79 @@ def test_loss_decreases_on_frozen_batch():
 # ---------------------------------------------------------------- buffer
 
 
+class ListReplayBuffer:
+    """Reference buffer: a list of (state, action, target, search policy)
+    rows, appended until full, then overwritten oldest first."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.next = 0
+
+    def add_segment(self, seg, targets):
+        for row in zip(seg.states, seg.actions, targets, seg.search_policies):
+            if len(self.items) < self.capacity:
+                self.items.append(row)
+            else:
+                self.items[self.next] = row
+                self.next = (self.next + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.items), size=batch_size)
+        return batch_of(*zip(*[self.items[i] for i in idx]))
+
+
+def random_segment(gen, n, n_actions):
+    return Segment(
+        states=gen.integers(0, 50, size=n),
+        actions=gen.integers(0, n_actions, size=n),
+        rewards=gen.normal(size=n),
+        search_policies=gen.dirichlet(np.ones(n_actions), size=n),
+        inner_values=gen.normal(size=n),
+        terminals=np.zeros(n, dtype=bool),
+        tail_value=0.0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 8), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_buffer_matches_list_reference(capacity, lengths):
+    gen = rng_mod.stream(11)
+    buf, ref = ReplayBuffer(capacity, 3), ListReplayBuffer(capacity)
+    for i, n in enumerate(lengths):
+        seg = random_segment(gen, n, 3)
+        targets = gen.normal(size=n)
+        buf.add_segment(seg, targets)
+        ref.add_segment(seg, targets)
+        assert len(buf) == len(ref.items)
+        got = buf.sample(16, rng_mod.stream(5, i))
+        want = ref.sample(16, rng_mod.stream(5, i))
+        for column, expected in zip(got, want):
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
+
+
 def test_buffer_fifo_eviction():
-    buf = ReplayBuffer(capacity=10)
-    records = [record(0, 0, float(i), [1.0], 0.0) for i in range(14)]
-    buf.add_segment(records, list(range(14)))
+    buf = ReplayBuffer(capacity=10, n_actions=1)
+    buf.add_segment(segment(np.zeros(14), np.zeros(14)), np.arange(14.0))
     assert len(buf) == 10
-    kept_targets = {t for _, t in buf._items}
-    assert kept_targets == set(range(4, 14))
+    assert buf.targets.tolist() == [10, 11, 12, 13, 4, 5, 6, 7, 8, 9]
 
 
 def test_buffer_sampling_is_uniform_ish():
-    buf = ReplayBuffer(capacity=4)
-    buf.add_segment([record(0, 0, 0.0, [1.0], 0.0)] * 4, [0, 1, 2, 3])
-    draws = [t for _, t in buf.sample(4000, rng_mod.stream(5))]
+    buf = ReplayBuffer(capacity=4, n_actions=1)
+    buf.add_segment(segment(np.zeros(4), np.zeros(4)), [0, 1, 2, 3])
+    draws = buf.sample(4000, rng_mod.stream(5))[2].astype(int)
     counts = np.bincount(draws, minlength=4)
     assert counts.min() > 800
+
+
+def test_add_segment_rejects_unnormalised_search_policy():
+    buf = ReplayBuffer(capacity=4, n_actions=2)
+    seg = segment([0.0, 0.0], [0.0, 0.0], policies=[[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(ContractError, match="sum to 1"):
+        buf.add_segment(seg, [0.0, 0.0])
+    assert len(buf) == 0
 
 
 # ---------------------------------------------------------------- loop
@@ -280,10 +357,10 @@ def test_collect_segment_two_arm_single_step():
     mdp = make_two_arm()
     model = Model.zeros(2, 2)
     cfg = PlannerConfig(k=8, depth=2)
-    records, tail = collect_segment(mdp, model, cfg, horizon=5, seed=0)
-    assert len(records) == 1
-    assert records[0].terminal
-    assert tail == 0.0
+    seg = collect_segment(mdp, model, cfg, horizon=5, seed=0)
+    assert seg.terminals.tolist() == [True]
+    assert seg.search_policies.shape == (1, 2)
+    assert seg.tail_value == 0.0
 
 
 def test_collect_segment_rejects_zero_horizon():
@@ -296,11 +373,11 @@ def test_collect_segment_deterministic():
     mdp = make_chain(4)
     model = Model.zeros(5, 2)
     cfg = PlannerConfig(k=4, depth=3, resample_period=2)
-    a, tail_a = collect_segment(mdp, model, cfg, horizon=6, seed=31)
-    b, tail_b = collect_segment(mdp, model, cfg, horizon=6, seed=31)
-    assert [r.state for r in a] == [r.state for r in b]
-    assert [r.action for r in a] == [r.action for r in b]
-    assert tail_a == tail_b
+    a = collect_segment(mdp, model, cfg, horizon=6, seed=31)
+    b = collect_segment(mdp, model, cfg, horizon=6, seed=31)
+    for name in ("states", "actions", "rewards", "search_policies", "inner_values", "terminals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.tail_value == b.tail_value
 
 
 def test_collect_segment_bootstraps_nonterminal_tail():
@@ -308,9 +385,10 @@ def test_collect_segment_bootstraps_nonterminal_tail():
     model = Model.zeros(1, 2)
     model.v_table[0] = 0.7
     cfg = PlannerConfig(k=4, depth=2, sigma=1.0)  # value comes straight from the model
-    records, tail = collect_segment(mdp, model, cfg, horizon=3, seed=0)
-    assert len(records) == 3
-    assert tail == pytest.approx(0.7)
+    seg = collect_segment(mdp, model, cfg, horizon=3, seed=0)
+    assert len(seg.states) == 3
+    assert not seg.terminals.any()
+    assert seg.tail_value == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize(
@@ -386,11 +464,6 @@ def test_policy_return_trend_on_chain():
     slack = 0.05 * 1.0  # optimal return on this chain is 1
     assert (np.diff(smoothed) >= -slack).all()
     assert smoothed[-1] > smoothed[0]
-
-
-def test_transition_record_validates_policy():
-    with pytest.raises(ContractError):
-        TransitionRecord(0, 0, 0.0, np.array([0.5, 0.4]), 0.0, False)
 
 
 @pytest.mark.parametrize(
