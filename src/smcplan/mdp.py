@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, ConfigError, ContractError, require_integers
-from .rng import categorical
+from .rng import categorical, cdf_rows
 
 _ROW_SUM_TOL = 1e-12
 
@@ -28,16 +28,18 @@ class TabularMdp:
     """Explicit-tensor MDP: ``transition[s, a, s']`` and ``reward[s, a]``.
 
     Immutable after construction; the arrays are marked read-only so an
-    instance can be shared freely across threads. ``transition_cdf`` is
-    derived: the cumulative sum of every transition row, built once here
-    so that sampling a next state never re-sums a row.
+    instance can be shared freely across threads. Row ``s * A + a`` of
+    the derived successor tables holds the states ``(s, a)`` reaches with
+    positive mass, ascending, and their cumulative masses (``cdf_rows``),
+    padded to the widest row with entries that no draw reaches.
     """
 
     transition: np.ndarray
     reward: np.ndarray
     terminal: np.ndarray
     discount: float = 1.0
-    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    successor_states: np.ndarray = field(init=False, repr=False, compare=False)
+    successor_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         transition = np.ascontiguousarray(self.transition, dtype=float)
@@ -75,11 +77,16 @@ class TabularMdp:
                 raise ContractError(f"terminal state {s} must self-loop for all actions")
             if not (reward[s] == 0.0).all():
                 raise ContractError(f"terminal state {s} must have zero reward")
-        transition_cdf = np.cumsum(transition, axis=2)
-        for arr in (transition, reward, terminal, transition_cdf):
+        rows = transition.reshape(n_states * n_actions, n_states)
+        width = np.count_nonzero(rows > 0, axis=1).max()
+        # a stable sort puts each row's support first, in ascending order
+        successor_states = np.argsort(rows <= 0, axis=1, kind="stable")[:, :width].copy()
+        successor_cdf = cdf_rows(np.take_along_axis(rows, successor_states, axis=1))
+        for arr in (transition, reward, terminal, successor_states, successor_cdf):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "transition_cdf", transition_cdf)
+        object.__setattr__(self, "successor_states", successor_states)
+        object.__setattr__(self, "successor_cdf", successor_cdf)
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "terminal", terminal)
         object.__setattr__(self, "discount", discount)
@@ -120,7 +127,8 @@ def step(mdp: TabularMdp, state: int, action: int, rng: np.random.Generator):
         raise ContractError(f"state {state} out of range [0, {mdp.n_states})")
     if not 0 <= action < mdp.n_actions:
         raise ContractError(f"action {action} out of range [0, {mdp.n_actions})")
-    nxt = int(categorical(mdp.transition_cdf[state, action], rng.random()))
+    row = state * mdp.n_actions + action
+    nxt = int(mdp.successor_states[row, categorical(mdp.successor_cdf[row], rng.random())])
     return nxt, float(mdp.reward[state, action]), bool(mdp.terminal[nxt])
 
 

@@ -15,9 +15,11 @@ parallelism.
 
 The model is fixed for a whole planning call, so everything a step reads
 from it is built once as :class:`PlanTables` (proposal rows and their
-cumulative sums, the log-policy, the value table), per call or, by a
-caller planning repeatedly against one model, per model; transition
-draws read the MDP's own ``transition_cdf``. Each step normalizes its
+cumulative masses, the log-policy, the value table), per call or, by a
+caller planning repeatedly against one model, per model. A step reads
+the reward, log-prior, proposal and the MDP's support-compressed
+successor rows through one flat ``s * A + a`` index, so it costs K
+times the successor support, not K times S. Each step normalizes its
 weights once, and that one vector feeds the ESS, resampling and the
 final readout.
 """
@@ -196,9 +198,9 @@ class PlanTables:
     ``proposal`` is the ``(S, A)`` proposal table, ``log_prior`` the
     model's log-policy (the prior in the weight update) and ``v_table``
     its state values. ``proposal_cdf`` is derived: the row-wise
-    cumulative sum the action draws read. Construction checks that every
-    proposal row is a distribution, which covers every row a step can
-    gather.
+    cumulative masses the action draws read (never a zero-mass action).
+    Construction checks that every proposal row is a distribution, which
+    covers every row a step can gather.
     """
 
     proposal: np.ndarray
@@ -213,7 +215,7 @@ class PlanTables:
         if not ((proposal >= 0).all() and np.abs(proposal.sum(axis=1) - 1.0).max() <= 1e-6):
             raise ContractError("proposal rows must be probability distributions")
         object.__setattr__(self, "proposal", proposal)
-        object.__setattr__(self, "proposal_cdf", np.cumsum(proposal, axis=1))
+        object.__setattr__(self, "proposal_cdf", rng_mod.cdf_rows(proposal))
 
 
 def advance(
@@ -238,20 +240,21 @@ def advance(
     # one draw split in two: the action uniforms, then the state uniforms
     uniforms = rng.random(2 * k)
     states = particles.states
-    actions = rng_mod.categorical_rows(tables.proposal_cdf[states], uniforms[:k])
-    next_states = rng_mod.categorical_rows(mdp.transition_cdf[states, actions], uniforms[k:])
-    rewards = mdp.reward[states, actions]
+    actions = rng_mod.categorical_rows(tables.proposal_cdf, states, uniforms[:k])
+    flat = states * mdp.n_actions + actions
+    successors = rng_mod.categorical_rows(mdp.successor_cdf, flat, uniforms[k:])
+    next_states = mdp.successor_states[flat, successors]
+    rewards = np.take(mdp.reward, flat)
 
-    prior_logp = tables.log_prior[states, actions]
-    proposal_logp = np.log(tables.proposal[states, actions])
+    prior_logp = np.take(tables.log_prior, flat)
+    proposal_logp = np.log(np.take(tables.proposal, flat))
     v_table = tables.v_table
-    v_cur = v_table[states]
+    v_cur, v_sampled = v_table[states], v_table[next_states]
+    v_next = v_sampled
     if config.value_mode == "exact":
         with np.errstate(divide="ignore"):
             log_p = np.log(mdp.transition[states, actions])
         v_next = logsumexp(log_p + v_table[None, :], axis=1)
-    else:
-        v_next = v_table[next_states]
     increments = weight_update(
         0.0,
         prior_logp,
@@ -281,7 +284,7 @@ def advance(
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
-    delta = rewards + config.gamma * v_table[next_states] - v_cur
+    delta = rewards + config.gamma * v_sampled - v_cur
     if particles.step == 0:
         retrace_decay = np.ones(k)
         retrace_acc = delta.astype(float)
@@ -325,7 +328,11 @@ def multinomial_resample(
         raise ContractError(f"mode must be one of {RESAMPLE_MODES}, got {mode!r}")
     k = particles.k
     weights = _require_weights(weights, k)
-    idx = rng_mod.categorical(np.cumsum(weights), rng.random(k))
+    # a lookup in sorted order walks the CDF once; particle i keeps uniform i
+    uniforms = rng.random(k)
+    order = np.argsort(uniforms)
+    idx = np.empty(k, dtype=np.intp)
+    idx[order] = rng_mod.categorical(np.cumsum(weights), uniforms[order])
     # indexing by ``idx`` copies; revived references get their own copy
     # so the two fields never alias
     if mode == "revived":

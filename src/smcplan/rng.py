@@ -8,11 +8,11 @@ output bit-reproducible under any execution order.
 
 Every draw from a categorical distribution goes through the inverse-CDF
 helpers below. They take cumulative masses, not probabilities, so a
-table that is sampled many times (the MDP's transition rows, a planning
-call's proposal rows) is summed once by its owner: the index of a
-uniform is the number of cumulative masses at or below it, clamped to
-the last entry so rounding in the cumulative sum can never push a draw
-past the end.
+table that is sampled many times (the MDP's successor rows, a planning
+call's proposal rows) is summed once by its owner, with :func:`cdf_rows`:
+the index of a uniform is the number of cumulative masses at or below
+it, and no draw lands past a row's last positive mass, even on a row
+that sums to a little less than 1.
 """
 
 from __future__ import annotations
@@ -44,14 +44,25 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def cdf_rows(masses: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative masses (last axis), +inf from the first entry
+    that reaches the row's total on, which is its last positive mass."""
+    cdf = np.cumsum(masses, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = np.inf
+    return cdf
+
+
 def categorical(cdf, uniforms):
     """Inverse-CDF draw from one distribution, given as its cumulative
     masses, at each of ``uniforms`` (a scalar or an array)."""
     return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
 
 
-def categorical_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of cumulative masses; row i is sampled at
-    ``uniforms[i]``."""
-    idx = np.count_nonzero(uniforms[:, None] >= cdf_rows, axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+def categorical_rows(cdf_table: np.ndarray, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Particle i's draw from row ``rows[i]`` of ``cdf_table`` (rows of
+    cumulative masses) at ``uniforms[i]``: the clamped count, taken one
+    column at a time over all but the last, gathering no whole rows."""
+    idx = np.zeros(len(uniforms), dtype=np.intp)
+    for column in cdf_table.T[:-1]:
+        idx += uniforms >= column[rows]
+    return idx

@@ -4,15 +4,23 @@ import pytest
 from smcplan import TabularMdp
 
 
-def make_random_mdp(n_states, n_actions, seed, terminal_states=(), discount=1.0):
-    """Random dense MDP with Dirichlet transition rows and rewards in [-1, 1].
+def make_random_mdp(n_states, n_actions, seed, terminal_states=(), discount=1.0, sparse=False):
+    """Random MDP with Dirichlet transition rows and rewards in [-1, 1].
 
     State 0 is always non-terminal; terminal states get the absorbing
-    zero-reward structure.
+    zero-reward structure. ``sparse`` zeroes about half of every
+    transition row (each keeps its largest entry) and makes about a
+    quarter of the rows deterministic.
     """
     rng = np.random.default_rng(seed)
     transition = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
+    if sparse:
+        keep = rng.random(transition.shape) < 0.5
+        keep[rng.random((n_states, n_actions)) < 0.25] = False
+        keep |= transition == transition.max(axis=2, keepdims=True)
+        transition = np.where(keep, transition, 0.0)
+        transition /= transition.sum(axis=2, keepdims=True)
     terminal = np.zeros(n_states, dtype=bool)
     for s in terminal_states:
         if s == 0:
@@ -27,6 +35,23 @@ def make_random_mdp(n_states, n_actions, seed, terminal_states=(), discount=1.0)
 def make_random_policy(n_states, n_actions, seed):
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.ones(n_actions), size=n_states)
+
+
+class FixedUniforms:
+    """Stands in for a generator: ``random()`` and ``random(n)`` return
+    the next one or n of the chosen uniforms, so a test decides what
+    every draw sees."""
+
+    def __init__(self, uniforms):
+        self._rest = [float(u) for u in uniforms]
+
+    def random(self, n=None):
+        if n is None:
+            return self._rest.pop(0)
+        if n > len(self._rest):
+            raise AssertionError(f"{n} uniforms asked for, {len(self._rest)} left")
+        out, self._rest = self._rest[:n], self._rest[n:]
+        return np.array(out)
 
 
 @pytest.fixture

@@ -219,7 +219,7 @@ def test_planner_retrace_matches_reference():
         proposal = table[particles.states]
         # advance draws its action uniforms first from the step's stream
         uniforms = rng_mod.stream(seed, t).random(config.k)
-        actions = rng_mod.categorical_rows(np.cumsum(proposal, axis=1), uniforms)
+        actions = rng_mod.categorical_rows(np.cumsum(table, axis=1), particles.states, uniforms)
         states = particles.states
         particles = advance(particles, mdp, tables, config, rng_mod.stream(seed, t))
         rewards.append(mdp.reward[states, actions])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_random_mdp
+from conftest import FixedUniforms, make_random_mdp
 from smcplan import (
     BudgetError,
     ConfigError,
@@ -240,15 +240,43 @@ def test_mdp_is_immutable():
     n_states=st.integers(1, 9),
     n_actions=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
 )
-def test_transition_cdf_is_the_read_only_row_cumsum(n_states, n_actions, seed):
-    mdp = make_random_mdp(n_states, n_actions, seed, terminal_states=range(1, n_states, 3))
-    assert mdp.transition_cdf.tobytes() == np.cumsum(mdp.transition, axis=2).tobytes()
-    assert mdp.transition_cdf.shape == mdp.transition.shape
-    assert not mdp.transition_cdf.flags.writeable
-    with pytest.raises(ValueError):
-        mdp.transition_cdf[0, 0, 0] = 0.5
-    # derived data: neither a constructor argument nor part of the JSON form
-    assert "transition_cdf" not in mdp_to_dict(mdp)
-    with pytest.raises(TypeError):
-        TabularMdp(mdp.transition, mdp.reward, mdp.terminal, transition_cdf=mdp.transition_cdf)
+def test_successor_tables_compress_each_row_to_its_support(n_states, n_actions, seed, sparse):
+    mdp = make_random_mdp(
+        n_states, n_actions, seed, terminal_states=range(1, n_states, 3), sparse=sparse
+    )
+    rows = mdp.transition.reshape(n_states * n_actions, n_states)
+    width = int((rows > 0).sum(axis=1).max())
+    assert mdp.successor_states.shape == mdp.successor_cdf.shape == (len(rows), width)
+    # built row by row here: the support in ascending order and the dense
+    # row cumsum at it, +inf from the first entry reaching the row's total
+    # on (the last one, as no mass here is small enough to be absorbed);
+    # pads are +inf too
+    for row, states, cdf in zip(rows, mdp.successor_states, mdp.successor_cdf):
+        support = np.flatnonzero(row > 0)
+        n = support.size
+        assert states[:n].tolist() == support.tolist()
+        assert cdf[: n - 1].tobytes() == np.cumsum(row)[support[:-1]].tobytes()
+        assert np.isposinf(cdf[n - 1 :]).all()
+    for table in (mdp.successor_states, mdp.successor_cdf):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    # derived data: neither constructor arguments nor part of the JSON form
+    assert not {"successor_states", "successor_cdf"} & set(mdp_to_dict(mdp))
+    for name in ("successor_states", "successor_cdf"):
+        with pytest.raises(TypeError):
+            TabularMdp(mdp.transition, mdp.reward, mdp.terminal, **{name: getattr(mdp, name)})
+
+
+def test_step_never_draws_a_zero_mass_successor():
+    # row (0, 0) sums to 1 - 4e-13, inside the accepted rounding; a
+    # uniform past its total mass still draws its last positive-mass
+    # state, never the terminal state 2 behind it
+    transition = np.zeros((3, 1, 3))
+    transition[0, 0, 1] = 1.0 - 4e-13
+    transition[1, 0, 1] = transition[2, 0, 2] = 1.0
+    mdp = TabularMdp(transition, np.zeros((3, 1)), np.array([False, False, True]))
+    for u in (0.0, 1.0 - 4e-13, 1.0 - 1e-13):
+        assert step(mdp, 0, 0, FixedUniforms([u])) == (1, 0.0, False)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_random_mdp
+from conftest import FixedUniforms, make_random_mdp
 from smcplan import (
     ContractError,
     DegenerateWeightsError,
@@ -14,6 +14,7 @@ from smcplan import (
     NumericalError,
     PlannerConfig,
     PlanTables,
+    TabularMdp,
     adaptive_epsilon,
     advance,
     dirac_policy,
@@ -112,6 +113,27 @@ def test_advance_validates_proposal_rows():
         advance(p, mdp, tables, cfg, rng_mod.stream(0, 1))
 
 
+def test_advance_never_draws_a_zero_mass_action_or_successor():
+    # state 0's proposal row and its transition row for action 1 both
+    # fall short of 1 by less than their tolerances and end on zero mass;
+    # uniforms past their total mass still draw the last positive-mass
+    # action (1, not 2) and successor (1, not the terminal state 2)
+    transition = np.zeros((3, 3, 3))
+    transition[0, :, 1] = 1.0
+    transition[0, 1, 1] = 1.0 - 4e-13
+    transition[1, :, 1] = transition[2, :, 2] = 1.0
+    mdp = TabularMdp(transition, np.zeros((3, 3)), np.array([False, False, True]))
+    proposal = np.full((3, 3), 1.0 / 3.0)
+    proposal[0] = [0.5, 0.5 - 5e-7, 0.0]
+    tables = PlanTables(proposal, np.log(np.full((3, 3), 1.0 / 3.0)), np.zeros(3))
+    cfg = PlannerConfig(k=2, depth=1)
+    p = init_particles(0, cfg)
+    out = advance(p, mdp, tables, cfg, FixedUniforms([0.5, 1.0 - 1e-7, 1.0 - 1e-13, 0.25]))
+    assert out.root_actions.tolist() == [1, 1]
+    assert out.states.tolist() == [1, 1]
+    assert np.isfinite(out.log_weights).all()
+
+
 def _advanced_particle_set(seed=3, k=16):
     mdp = make_chain(3)
     cfg = PlannerConfig(k=k, depth=2)
@@ -182,6 +204,18 @@ def test_resample_rejects_degenerate_weights():
             multinomial_resample(p, weights, rng_mod.stream(1), "baseline")
     with pytest.raises(ContractError):
         multinomial_resample(p, np.full(p.k + 1, 1.0 / (p.k + 1)), rng_mod.stream(1), "baseline")
+
+
+def test_resample_looks_up_each_particles_own_uniform():
+    # uniforms out of order, repeated and on CDF boundaries, and weights
+    # with zeros: particle i still gets the index that uniform i selects
+    p, _, _ = _advanced_particle_set(k=6)
+    p = replace(p, states=np.arange(6))
+    weights = np.array([0.0, 0.25, 0.25, 0.0, 0.5, 0.0])
+    uniforms = [0.9, 0.25, 0.0, 0.25, 0.5, 0.1]
+    out = multinomial_resample(p, weights, FixedUniforms(uniforms), "baseline")
+    assert out.states.tolist() == [4, 2, 1, 2, 4, 1]
+    assert out.states.tolist() == rng_mod.categorical(np.cumsum(weights), uniforms).tolist()
 
 
 def _degenerate_weights(k):

@@ -1,4 +1,5 @@
-"""Property tests of the planner's step invariants on random MDPs."""
+"""Property tests of the planner's step invariants on random MDPs, and
+of its draws against the dense inverse-CDF draw they replaced."""
 
 from dataclasses import replace
 
@@ -6,10 +7,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_mdp
+from conftest import FixedUniforms, make_random_mdp
 from smcplan import (
     Model,
     PlannerConfig,
+    PlanTables,
+    TabularMdp,
     advance,
     dirac_policy,
     init_particles,
@@ -17,6 +20,7 @@ from smcplan import (
     multinomial_resample,
     plan_tables,
     run_planner,
+    step,
 )
 from smcplan import rng as rng_mod
 from smcplan.planner import RESAMPLE_MODES, VALUE_MODES, normalized_weights
@@ -140,3 +144,94 @@ def test_readout_policies_live_on_sampled_root_actions(problem):
         assert out.root_policy.tolist() == policy.tolist()
         value_smc = float(model.v_table[0]) + float(weights @ particles.retrace_acc)
         assert out.diagnostics.value_smc == value_smc
+
+
+def dense_draw(masses, u):
+    """The draw on a dense row, the reference for every table-based
+    draw: the count of the row's cumulative masses at or below ``u``,
+    clamped to the last index. Past the row's total mass the clamp may
+    land on a zero-mass entry, so there the reference is the row's last
+    positive-mass entry instead."""
+    cdf = np.cumsum(masses)
+    if u >= cdf[-1]:
+        return int(np.flatnonzero(masses)[-1])
+    return min(int(np.count_nonzero(u >= cdf)), cdf.size - 1)
+
+
+def boundary_uniforms(masses):
+    """0, every cumulative mass of the row, and the float just below each."""
+    cdf = np.cumsum(masses)
+    return sorted({0.0, *cdf.tolist(), *np.nextafter(cdf, 0.0).tolist()})
+
+
+@st.composite
+def sparse_problems(draw):
+    """A random sparse MDP and a sparse proposal table; some rows of both
+    fall short of 1 by less than their constructors accept."""
+    n_states, n_actions = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    terminal = draw(st.sets(st.integers(1, max(n_states - 1, 1)), max_size=n_states - 1))
+    mdp = make_random_mdp(n_states, n_actions, seed, terminal_states=terminal, sparse=True)
+    gen = rng_mod.stream(seed, 2)
+    transition = mdp.transition.copy()
+    short = (gen.random((n_states, n_actions)) < 0.3) & ~mdp.terminal[:, None]
+    transition[short] *= 1.0 - 4e-13
+    mdp = TabularMdp(transition, mdp.reward, mdp.terminal)
+    proposal = gen.random((n_states, n_actions)) * (gen.random((n_states, n_actions)) < 0.6)
+    proposal[np.arange(n_states), gen.integers(0, n_actions, n_states)] += 0.5
+    proposal /= proposal.sum(axis=1, keepdims=True)
+    proposal[gen.random(n_states) < 0.3] *= 1.0 - 5e-7
+    log_prior = gen.normal(size=(n_states, n_actions))
+    return mdp, PlanTables(proposal, log_prior, gen.random(n_states)), draw(st.data())
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=sparse_problems())
+def test_draws_equal_the_dense_draw_below_each_rows_last_mass(problem):
+    mdp, tables, data = problem
+    # every state at every boundary of its proposal row, each action it
+    # draws at every boundary of that successor row, plus random uniforms
+    case_states, action_u, state_u, actions, successors = [], [], [], [], []
+    for s in range(mdp.n_states):
+        row = tables.proposal[s]
+        random_u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))
+        for ua in boundary_uniforms(row) + random_u:
+            a = dense_draw(row, ua)
+            masses = mdp.transition[s, a]
+            for us in boundary_uniforms(masses) + random_u:
+                case_states.append(s)
+                action_u.append(ua)
+                state_u.append(us)
+                actions.append(a)
+                successors.append(dense_draw(masses, us))
+    for s, a, us, nxt in zip(case_states, actions, state_u, successors):
+        assert step(mdp, s, a, FixedUniforms([us]))[0] == nxt
+    config = PlannerConfig(k=len(case_states), depth=1)
+    particles = replace(init_particles(0, config), states=np.array(case_states))
+    out = advance(particles, mdp, tables, config, FixedUniforms(action_u + state_u))
+    assert out.root_actions.tolist() == actions
+    assert out.states.tolist() == successors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    masses=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=12)
+    .filter(lambda w: sum(w) > 0),
+    data=st.data(),
+)
+def test_resample_equals_the_unsorted_lookup(masses, data):
+    weights = np.asarray(masses) / sum(masses)
+    k = weights.size
+    # uniforms from a small pool repeat often; the pool holds every
+    # cumulative mass and the float below it
+    pool = boundary_uniforms(weights)
+    uniforms = data.draw(st.lists(
+        st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=k, max_size=k,
+    ))
+    config = PlannerConfig(k=k, depth=1)
+    particles = replace(init_particles(0, config), states=np.arange(k))
+    out = multinomial_resample(particles, weights, FixedUniforms(uniforms), "baseline")
+    expected = rng_mod.categorical(np.cumsum(weights), np.asarray(uniforms))
+    assert out.states.tolist() == expected.tolist()
+    assert out.ancestors.tolist() == expected.tolist()
