@@ -3,7 +3,8 @@
 Resampling discards most particle ancestries, so naive point-mass policy
 inference at the root degenerates with depth. These helpers keep one
 running log-value per root atom, fed by each step's weight ratios, and
-turn those into a root policy that never loses atoms.
+turn those into a root policy that never loses atoms; the planner feeds
+them only for this ``message_passing`` readout.
 ``mix_value_target`` blends the model value with the search value, the
 retrace trace that ``planner.advance`` keeps per particle.
 """
@@ -22,8 +23,9 @@ def accumulate_ancestor_q(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
     ``log_ratio[i]`` is the log of particle i's single-step weight
     factor. For every root atom j with at least one surviving particle,
     the accumulator grows by ``log(mean(exp(log_ratio)))`` over those
-    particles; atoms with no survivors are left unchanged. The reduction
-    runs over a stable sort, so results are bit-reproducible.
+    particles; atoms with no survivors are left unchanged. Sums run in
+    the order of a stable sort of the ids, done in the narrowest type
+    that holds them (a radix sort), so results are bit-reproducible.
     """
     logq = np.asarray(ancestor_logq, dtype=float)
     anc = np.asarray(ancestors, dtype=np.intp)
@@ -32,13 +34,13 @@ def accumulate_ancestor_q(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
         raise ContractError("ancestors and log_ratio must be equal-length vectors")
     if anc.size and (anc.min() < 0 or anc.max() >= logq.size):
         raise ContractError("ancestor ids out of range")
-    order = np.argsort(anc, kind="stable")
-    anc_sorted = anc[order]
+    # atom j's particles are the j-th run of the sorted order
+    counts = np.bincount(anc, minlength=logq.size)
+    uniq = np.flatnonzero(counts)
+    counts = counts[uniq]
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(anc.astype(np.min_scalar_type(logq.size)), kind="stable")
     ratio_sorted = ratios[order]
-    # each run of equal ids in the sorted order is one atom's segment
-    starts = np.flatnonzero(np.concatenate(([anc.size > 0], anc_sorted[1:] != anc_sorted[:-1])))
-    counts = np.diff(np.append(starts, anc.size))
-    uniq = anc_sorted[starts]
     seg_max = np.maximum.reduceat(ratio_sorted, starts)
     sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, counts)), starts)
     out = logq.copy()

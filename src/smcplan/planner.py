@@ -6,7 +6,8 @@ exponentiated reward, and the model value at the new state. Particles
 are periodically resampled by their normalized weights. The root policy
 is then read off either as the weighted point masses of surviving root
 ancestors, or from per-atom backed-up values that survive ancestry
-collapse. All weights live in log space.
+collapse, kept only for that ``message_passing`` readout. All weights
+live in log space.
 
 Randomness is addressed as (seed, step, lane): each planner step draws
 vectors from its own counter-based stream, with vector position i
@@ -102,7 +103,8 @@ class ParticleSet:
     ``ancestors[i]`` is particle i's root atom id. ``root_actions`` is
     the atom-indexed record of first-step actions, written once at the
     first advance and never permuted afterwards; policies index it
-    through ``ancestors``. ``ancestor_logq`` is likewise atom-indexed.
+    through ``ancestors``. ``ancestor_logq`` is likewise atom-indexed;
+    only ``message_passing`` inference reads and updates it (else zero).
     ``ref_states`` track each lineage's last non-terminal state, and the
     retrace accumulator/decay pair carries its running return estimate.
     """
@@ -230,8 +232,8 @@ def advance(
     Samples an action from each particle's proposal row, steps the MDP,
     applies the weight update with the model's policy as prior and its
     value table for bootstrapping, refreshes the last-non-terminal
-    reference states, and feeds the per-step weight ratios into the atom
-    accumulators and retrace traces.
+    reference states, and feeds the per-step weight ratios into the
+    retrace traces and, for ``message_passing``, the atom accumulators.
     """
     k = particles.k
     if tables.proposal.shape != (mdp.n_states, mdp.n_actions):
@@ -275,12 +277,12 @@ def advance(
     # of the action's value, and leaving it in would bias the backed-up
     # policy against whatever the proposal was tilted toward. Later
     # steps keep their full ratios (their actions are marginalized).
-    backup_increments = increments
-    if particles.step == 0:
-        backup_increments = increments - (prior_logp - proposal_logp)
-    ancestor_logq = accumulate_ancestor_q(
-        particles.ancestor_logq, particles.ancestors, backup_increments
-    )
+    ancestor_logq = particles.ancestor_logq
+    if config.inference_mode == "message_passing":
+        backup_increments = increments
+        if particles.step == 0:
+            backup_increments = increments - (prior_logp - proposal_logp)
+        ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestors, backup_increments)
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
@@ -314,7 +316,8 @@ def advance(
 def multinomial_resample(
     particles: ParticleSet, weights: np.ndarray, rng: np.random.Generator, mode: str = "baseline"
 ) -> ParticleSet:
-    """Draw K particles by ``weights`` and reset the weights to uniform.
+    """Draw K particles by ``weights``, none of weight zero, and reset the
+    weights to uniform.
 
     ``weights`` is ``normalized_weights(particles.log_weights)``.
     Per-lineage data (ancestors, reference states, retrace traces) is
@@ -332,7 +335,7 @@ def multinomial_resample(
     uniforms = rng.random(k)
     order = np.argsort(uniforms)
     idx = np.empty(k, dtype=np.intp)
-    idx[order] = rng_mod.categorical(np.cumsum(weights), uniforms[order])
+    idx[order] = rng_mod.categorical(rng_mod.cdf_rows(weights), uniforms[order])
     # indexing by ``idx`` copies; revived references get their own copy
     # so the two fields never alias
     if mode == "revived":
@@ -449,7 +452,7 @@ def run_planner(
     resample_steps = []
 
     for t in range(1, config.depth + 1):
-        gen = rng_mod.stream(seed, t)
+        gen = rng_mod.stream(seed, t) if t == 1 else rng_mod.rekey(gen, seed, t)
         particles = advance(particles, mdp, tables, config, gen)
         # the final step never resamples, so its weights are the final ones
         weights = normalized_weights(particles.log_weights)

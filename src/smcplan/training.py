@@ -159,8 +159,8 @@ def collect_segment(
     state = int(s0)
     for t in range(horizon):
         out = run_planner(mdp, state, model, planner_config, rng_mod.fold(seed, t, _PLAN), tables)
-        gen = rng_mod.stream(seed, t, _ACT)
-        action = int(rng_mod.categorical(np.cumsum(out.root_policy), gen.random()))
+        gen = rng_mod.stream(seed, t, _ACT) if t == 0 else rng_mod.rekey(gen, seed, t, _ACT)
+        action = int(rng_mod.categorical(rng_mod.cdf_rows(out.root_policy), gen.random()))
         states[t], actions[t] = state, action
         search[t], values[t] = out.root_policy, out.root_value
         state, rewards[t], terminals[t] = step(mdp, state, action, gen)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_mdp
 from smcplan import (
@@ -68,6 +70,27 @@ def retrace_root_value(
     return float(w @ per_particle)
 
 
+# Reference grouping for the atom accumulators: a stable sort of the
+# ids in their own type, then one segment per run of equal ids. The
+# package groups the same way but takes the runs from a count of each id
+# and sorts the ids in a narrower type; the tests pin the two together.
+def accumulate_reference(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
+    logq = np.asarray(ancestor_logq, dtype=float)
+    anc = np.asarray(ancestors, dtype=np.intp)
+    ratios = np.asarray(log_ratio, dtype=float)
+    order = np.argsort(anc, kind="stable")
+    anc_sorted = anc[order]
+    ratio_sorted = ratios[order]
+    starts = np.flatnonzero(np.concatenate(([anc.size > 0], anc_sorted[1:] != anc_sorted[:-1])))
+    counts = np.diff(np.append(starts, anc.size))
+    uniq = anc_sorted[starts]
+    seg_max = np.maximum.reduceat(ratio_sorted, starts)
+    sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, counts)), starts)
+    out = logq.copy()
+    out[uniq] += seg_max + np.log(sums) - np.log(counts)
+    return out
+
+
 def test_accumulate_identical_ratios_add_exactly():
     # every particle keeps atom 1 and carries ratio e^r: increment is r
     r = 0.7
@@ -109,6 +132,35 @@ def test_accumulate_matches_bruteforce_on_random_inputs():
 def test_accumulate_rejects_bad_ids():
     with pytest.raises(ContractError):
         accumulate_ancestor_q(np.zeros(2), np.array([0, 5]), np.zeros(2))
+    with pytest.raises(ContractError):
+        accumulate_ancestor_q(np.zeros(2), np.array([0, 2]), np.zeros(2))
+    with pytest.raises(ContractError):
+        accumulate_ancestor_q(np.zeros(2), np.array([-1, 0]), np.zeros(2))
+
+
+# atom counts on both sides of the uint8 and uint16 limits, so the ids
+# are sorted as uint8, uint16 and uint32
+N_ATOMS = st.one_of(st.integers(1, 2048), st.sampled_from([255, 256, 257, 65535, 65536, 65537]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_atoms=N_ATOMS, k=st.integers(1, 2048), data=st.data())
+def test_accumulate_matches_sort_reference_bit_for_bit(n_atoms, k, data):
+    # ids at both ends of each narrow type's range, where the atoms reach
+    edges = [i for i in (0, 1, 254, 255, 256, 65534, 65535, 65536, n_atoms - 1) if i < n_atoms]
+    live = data.draw(st.lists(
+        st.one_of(st.sampled_from(edges), st.integers(0, n_atoms - 1)), min_size=1, max_size=12
+    ))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        # a few live atoms with skewed counts; every other atom is empty
+        ids = gen.choice(live, size=k, p=gen.dirichlet(np.full(len(live), 0.3)))
+    else:
+        ids = gen.integers(0, n_atoms, size=k)
+    ratios = gen.normal(scale=data.draw(st.sampled_from([1e-3, 1.0, 30.0])), size=k)
+    logq = gen.normal(size=n_atoms)
+    out = accumulate_ancestor_q(logq, ids, ratios)
+    assert out.tobytes() == accumulate_reference(logq, ids, ratios).tobytes()
 
 
 def test_message_passing_equal_values_recovers_prior_on_atoms():

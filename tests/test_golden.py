@@ -27,6 +27,7 @@ from smcplan import (
     run_planner,
     train,
 )
+from smcplan import planner
 from smcplan import rng as rng_mod
 from smcplan.harness import config_from_dict, run
 from smcplan.planner import INFERENCE_MODES, PROPOSAL_MODES, RESAMPLE_MODES, VALUE_MODES
@@ -233,3 +234,15 @@ def test_wide_planner_outputs_are_pinned(env, proposal, inference, resample, val
     out = run_planner(_wide_mdps()[env], 0, model, config, 77)
     digest = _sha256(json.dumps(out.to_dict(), sort_keys=True).encode())
     assert digest == GOLDEN_WIDE["/".join((env, proposal, inference, resample, value))]
+
+
+@pytest.mark.parametrize(
+    "env,proposal,resample,value",
+    list(product(("grid", "slippery"), PROPOSAL_MODES, RESAMPLE_MODES, VALUE_MODES)),
+)
+def test_dirac_planning_never_backs_up_atoms(monkeypatch, env, proposal, resample, value):
+    def refuse(*args):
+        raise AssertionError("the dirac readout never reads atom backups")
+
+    monkeypatch.setattr(planner, "accumulate_ancestor_q", refuse)
+    test_wide_planner_outputs_are_pinned(env, proposal, "dirac", resample, value)

@@ -69,7 +69,7 @@ def test_weight_update_rejects_nonfinite():
 
 def test_advance_zero_reward_keeps_weights_flat():
     mdp = make_absorbing_zero(4)
-    cfg = PlannerConfig(k=64, depth=3)
+    cfg = PlannerConfig(k=64, depth=3, inference_mode="message_passing")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
     p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(0, 1))
@@ -81,7 +81,7 @@ def test_advance_weight_equals_sampled_reward():
     # two-arm with uniform prior as proposal and zero values: each
     # particle's log weight is exactly the reward of its sampled arm
     mdp = make_two_arm()
-    cfg = PlannerConfig(k=256, depth=1)
+    cfg = PlannerConfig(k=256, depth=1, inference_mode="message_passing")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
     p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(1, 1))
@@ -216,6 +216,17 @@ def test_resample_looks_up_each_particles_own_uniform():
     out = multinomial_resample(p, weights, FixedUniforms(uniforms), "baseline")
     assert out.states.tolist() == [4, 2, 1, 2, 4, 1]
     assert out.states.tolist() == rng_mod.categorical(np.cumsum(weights), uniforms).tolist()
+
+
+def test_resample_never_copies_a_zero_weight_particle():
+    # the weights fall short of 1 by less than the tolerance and end on
+    # zero; a uniform past their total still copies particle 0
+    p, _, _ = _advanced_particle_set(k=2)
+    p = replace(p, states=np.arange(2))
+    weights = np.array([1.0 - 1e-10, 0.0])
+    out = multinomial_resample(p, weights, FixedUniforms([0.5, 1.0 - 1e-11]), "baseline")
+    assert out.states.tolist() == [0, 0]
+    assert out.ancestors.tolist() == [p.ancestors[0]] * 2
 
 
 def _degenerate_weights(k):

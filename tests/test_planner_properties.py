@@ -122,6 +122,9 @@ def test_resample_leaves_atom_records_alone(problem, log_weights):
 @given(problem=planning_problems())
 def test_readout_policies_live_on_sampled_root_actions(problem):
     mdp, model, config, seed = problem
+    # atom values are backed up only when the message-passing readout
+    # reads them; the particles and weights are the same in both modes
+    config = replace(config, inference_mode="message_passing")
     particles, weights, tables = _plan(mdp, model, config, seed)
     sampled = np.zeros(mdp.n_actions, dtype=bool)
     sampled[particles.root_actions] = True
@@ -232,6 +235,6 @@ def test_resample_equals_the_unsorted_lookup(masses, data):
     config = PlannerConfig(k=k, depth=1)
     particles = replace(init_particles(0, config), states=np.arange(k))
     out = multinomial_resample(particles, weights, FixedUniforms(uniforms), "baseline")
-    expected = rng_mod.categorical(np.cumsum(weights), np.asarray(uniforms))
-    assert out.states.tolist() == expected.tolist()
-    assert out.ancestors.tolist() == expected.tolist()
+    expected = [dense_draw(weights, u) for u in uniforms]
+    assert out.states.tolist() == expected
+    assert out.ancestors.tolist() == expected

@@ -1,11 +1,11 @@
-"""Inverse-CDF draws: one distribution at many uniforms, and row-wise;
-the cumulative-mass tables they read."""
+"""Sub-stream generators; inverse-CDF draws: one distribution at many
+uniforms, and row-wise; the cumulative-mass tables they read."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smcplan.rng import categorical, categorical_rows, cdf_rows
+from smcplan.rng import _GOLDEN, categorical, categorical_rows, cdf_rows, fold, rekey, stream
 
 # masses with exact zeros mixed in, normalised to a distribution
 weights = st.lists(
@@ -65,3 +65,30 @@ def test_categorical_rows_draws_each_row_at_its_uniform():
     rows = np.array([0, 1, 2, 0, 1, 1])
     uniforms = np.array([0.5, 0.5, 0.99, 0.0, 0.0, 0.25])
     assert categorical_rows(table, rows, uniforms).tolist() == [1, 2, 0, 0, 1, 2]
+
+
+def draws(gen) -> list:
+    """Doubles, 64-bit integers, an odd number of 32-bit integers, then
+    a 32-bit integer and a double drawn after them."""
+    out = gen.random(3).tolist() + gen.integers(0, 2**62, size=3).tolist()
+    out += gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    out += [int(gen.integers(0, 2**32, dtype=np.uint32)), gen.random()]
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    path=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+    used=st.integers(0, 7),
+)
+def test_rekey_draws_what_a_fresh_generator_draws(seed, path, used):
+    key = np.array([fold(seed, *path), _GOLDEN], dtype=np.uint64)
+    expected = draws(np.random.Generator(np.random.Philox(key=key)))
+    # a generator part-way through another stream, its 64-bit buffer
+    # part used and, for an odd ``used``, half a 64-bit word held back
+    gen = stream(seed ^ 1, 5)
+    gen.random(used)
+    gen.integers(0, 2**32, size=used, dtype=np.uint32)
+    assert rekey(gen, seed, *path) is gen
+    assert draws(gen) == expected
+    assert draws(stream(seed, *path)) == expected

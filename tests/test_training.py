@@ -1,10 +1,13 @@
 """Targets, loss, gradients, SGD, the replay buffer, and the outer loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FixedUniforms, make_random_mdp
 from smcplan import (
     ContractError,
     LossConfig,
@@ -23,6 +26,7 @@ from smcplan import (
     outer_targets,
     sgd_step,
     train,
+    training,
 )
 from smcplan import rng as rng_mod
 
@@ -367,6 +371,18 @@ def test_collect_segment_rejects_zero_horizon():
     mdp = make_two_arm()
     with pytest.raises(ContractError):
         collect_segment(mdp, Model.zeros(2, 2), PlannerConfig(k=2, depth=1), 0, seed=0)
+
+
+def test_collect_segment_never_acts_on_a_zero_mass_action(monkeypatch):
+    # the search policy falls short of 1 and ends on a zero; an action
+    # uniform past its total still picks the last action with mass
+    mdp, model, cfg = make_random_mdp(3, 3, seed=5), Model.zeros(3, 3), PlannerConfig(k=4, depth=2)
+    out = training.run_planner(mdp, 0, model, cfg, 0)
+    out = replace(out, root_policy=np.array([0.5, 0.5 - 1e-12, 0.0]))
+    monkeypatch.setattr(training, "run_planner", lambda *args: out)
+    monkeypatch.setattr(rng_mod, "stream", lambda *path: FixedUniforms([1.0 - 1e-13, 0.5]))
+    seg = collect_segment(mdp, model, cfg, horizon=1, seed=0)
+    assert seg.actions.tolist() == [1]
 
 
 def test_collect_segment_deterministic():
