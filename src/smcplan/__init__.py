@@ -8,6 +8,7 @@ against exact enumeration oracles.
 
 from .backups import (
     accumulate_ancestor_q,
+    group_ancestors,
     message_passing_policy,
     mix_value_target,
 )

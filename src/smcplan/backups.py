@@ -4,12 +4,15 @@ Resampling discards most particle ancestries, so naive point-mass policy
 inference at the root degenerates with depth. These helpers keep one
 running log-value per root atom, fed by each step's weight ratios, and
 turn those into a root policy that never loses atoms; the planner feeds
-them only for this ``message_passing`` readout.
+them only for this ``message_passing`` readout, through a grouping of
+the particles by atom that it rebuilds only when it resamples.
 ``mix_value_target`` blends the model value with the search value, the
 retrace trace that ``planner.advance`` keeps per particle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,34 +20,54 @@ from .errors import ContractError, NumericalError
 from .numerics import logsumexp
 
 
-def accumulate_ancestor_q(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
+class AncestorGroups(NamedTuple):
+    """Particles by root atom: atom ``atoms[j]`` holds ``counts[j]``
+    particles, from ``starts[j]`` on in ``order`` (a stable sort by atom
+    id). ``IDENTITY`` (``order`` None) is particle i alone in atom i."""
+
+    order: np.ndarray | None
+    starts: np.ndarray | None
+    counts: np.ndarray | None
+    atoms: np.ndarray | None
+    log_counts: np.ndarray | None
+
+
+IDENTITY = AncestorGroups(None, None, None, None, None)
+
+
+def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
+    """Group particles by their root atom ids (each in ``[0, n_atoms)``).
+    The ids are sorted stably in the narrowest type that holds them (a
+    radix sort), so sums over a group run in particle order."""
+    anc = np.asarray(ancestors, dtype=np.intp)
+    if anc.ndim != 1:
+        raise ContractError("ancestors must be a vector")
+    if anc.size and (anc.min() < 0 or anc.max() >= n_atoms):
+        raise ContractError("ancestor ids out of range")
+    # atom j's particles are the j-th run of the sorted order
+    counts = np.bincount(anc, minlength=n_atoms)
+    atoms = np.flatnonzero(counts)
+    counts = counts[atoms]
+    order = np.argsort(anc.astype(np.min_scalar_type(n_atoms)), kind="stable")
+    return AncestorGroups(order, np.cumsum(counts) - counts, counts, atoms, np.log(counts))
+
+
+def accumulate_ancestor_q(ancestor_logq, groups: AncestorGroups, log_ratio) -> np.ndarray:
     """Add each atom's mean weight-ratio (in log space) to its accumulator.
 
     ``log_ratio[i]`` is the log of particle i's single-step weight
-    factor. For every root atom j with at least one surviving particle,
-    the accumulator grows by ``log(mean(exp(log_ratio)))`` over those
-    particles; atoms with no survivors are left unchanged. Sums run in
-    the order of a stable sort of the ids, done in the narrowest type
-    that holds them (a radix sort), so results are bit-reproducible.
+    factor. For every root atom j with at least one surviving particle
+    in ``groups``, the accumulator grows by ``log(mean(exp(log_ratio)))``
+    over those particles (under ``IDENTITY``, the one finite ratio);
+    atoms with no survivors are left unchanged.
     """
-    logq = np.asarray(ancestor_logq, dtype=float)
-    anc = np.asarray(ancestors, dtype=np.intp)
-    ratios = np.asarray(log_ratio, dtype=float)
-    if anc.shape != ratios.shape or anc.ndim != 1:
-        raise ContractError("ancestors and log_ratio must be equal-length vectors")
-    if anc.size and (anc.min() < 0 or anc.max() >= logq.size):
-        raise ContractError("ancestor ids out of range")
-    # atom j's particles are the j-th run of the sorted order
-    counts = np.bincount(anc, minlength=logq.size)
-    uniq = np.flatnonzero(counts)
-    counts = counts[uniq]
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(anc.astype(np.min_scalar_type(logq.size)), kind="stable")
-    ratio_sorted = ratios[order]
-    seg_max = np.maximum.reduceat(ratio_sorted, starts)
-    sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, counts)), starts)
-    out = logq.copy()
-    out[uniq] += seg_max + np.log(sums) - np.log(counts)
+    if groups.order is None:
+        return ancestor_logq + log_ratio
+    ratio_sorted = log_ratio[groups.order]
+    seg_max = np.maximum.reduceat(ratio_sorted, groups.starts)
+    sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, groups.counts)), groups.starts)
+    out = ancestor_logq.copy()
+    out[groups.atoms] += seg_max + np.log(sums) - groups.log_counts
     return out
 
 

@@ -16,23 +16,26 @@ parallelism.
 
 The model is fixed for a whole planning call, so everything a step reads
 from it is built once as :class:`PlanTables` (proposal rows and their
-cumulative masses, the log-policy, the value table), per call or, by a
+cumulative masses, the log-policy, the value table, and per ``(s, a)``
+the log prior/proposal ratio and its retrace cap), per call or, by a
 caller planning repeatedly against one model, per model. A step reads
-the reward, log-prior, proposal and the MDP's support-compressed
-successor rows through one flat ``s * A + a`` index, so it costs K
-times the successor support, not K times S. Each step normalizes its
-weights once, and that one vector feeds the ESS, resampling and the
-final readout.
+the reward, those ratios and the MDP's support-compressed successor
+rows through one flat ``s * A + a`` index, so it costs K times the
+successor support, not K times S. Each step normalizes its weights
+once, for the ESS, resampling and readout; the particles' grouping by
+root atom is built only at a resample, where ancestors change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
-from .backups import accumulate_ancestor_q, message_passing_policy, mix_value_target
+from .backups import IDENTITY, AncestorGroups, accumulate_ancestor_q, group_ancestors
+from .backups import message_passing_policy, mix_value_target
 from .errors import ContractError, DegenerateWeightsError, NumericalError, require_integers
 from .mdp import TabularMdp
 from .numerics import logsumexp
@@ -104,7 +107,9 @@ class ParticleSet:
     the atom-indexed record of first-step actions, written once at the
     first advance and never permuted afterwards; policies index it
     through ``ancestors``. ``ancestor_logq`` is likewise atom-indexed;
-    only ``message_passing`` inference reads and updates it (else zero).
+    only ``message_passing`` inference updates it (else zero), through
+    ``ancestor_groups``: the identity until the first resample, rebuilt
+    at each resample (where ``ancestors`` change), None under ``dirac``.
     ``ref_states`` track each lineage's last non-terminal state, and the
     retrace accumulator/decay pair carries its running return estimate.
     """
@@ -118,6 +123,7 @@ class ParticleSet:
     retrace_acc: np.ndarray
     retrace_decay: np.ndarray
     step: int = 0
+    ancestor_groups: AncestorGroups | None = None
 
     @property
     def k(self) -> int:
@@ -138,13 +144,13 @@ def init_particles(s0: int, config: PlannerConfig) -> ParticleSet:
         retrace_acc=np.zeros(k),
         retrace_decay=np.ones(k),
         step=0,
+        ancestor_groups=IDENTITY if config.inference_mode == "message_passing" else None,
     )
 
 
 def weight_update(
     log_w_prev,
-    prior_logp,
-    proposal_logp,
+    log_ratio,
     reward,
     v_next,
     v_cur,
@@ -153,17 +159,14 @@ def weight_update(
 ):
     """One multiplicative weight factor, in log space.
 
+    ``log_ratio`` is the sampled action's log prior-over-proposal ratio;
     ``v_next`` stands in for the log expected exponentiated value at the
-    next state; with the prior as proposal and exact soft values the
+    next state. With the prior as proposal and exact soft values the
     increment is exactly the log posterior-over-proposal ratio.
-    Broadcasts over arrays.
+    Broadcasts over scalars and arrays.
     """
-    out = (
-        np.asarray(log_w_prev, dtype=float)
-        + (np.asarray(prior_logp, dtype=float) - np.asarray(proposal_logp, dtype=float))
-        + np.asarray(reward, dtype=float) / temperature
-        + gamma * np.asarray(v_next, dtype=float)
-        - np.asarray(v_cur, dtype=float)
+    out = np.asarray(
+        log_w_prev + log_ratio + reward / temperature + gamma * v_next - v_cur, dtype=float
     )
     if not np.isfinite(out).all():
         raise NumericalError("weight update produced non-finite log weights")
@@ -174,7 +177,7 @@ def normalized_weights(log_weights) -> np.ndarray:
     """Exponentiate and normalize log weights; rejects degenerate sets."""
     log_weights = np.asarray(log_weights, dtype=float)
     norm = logsumexp(log_weights)
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise DegenerateWeightsError("all particle weights underflowed to zero")
     w = np.exp(log_weights - norm)
     return w / w.sum()
@@ -199,8 +202,10 @@ class PlanTables:
 
     ``proposal`` is the ``(S, A)`` proposal table, ``log_prior`` the
     model's log-policy (the prior in the weight update) and ``v_table``
-    its state values. ``proposal_cdf`` is derived: the row-wise
-    cumulative masses the action draws read (never a zero-mass action).
+    its ``(S,)`` state values. Derived per ``(s, a)``: ``proposal_cdf``,
+    the row-wise cumulative masses the action draws read (never a
+    zero-mass action, whose ratios are thus never read), ``log_ratio =
+    log_prior - log(proposal)`` and ``ratio_cap = min(1, exp(log_ratio))``.
     Construction checks that every proposal row is a distribution, which
     covers every row a step can gather.
     """
@@ -209,13 +214,21 @@ class PlanTables:
     log_prior: np.ndarray
     v_table: np.ndarray
     proposal_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    log_ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    ratio_cap: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         proposal = np.asarray(self.proposal, dtype=float)
         if proposal.ndim != 2 or proposal.shape != np.shape(self.log_prior):
             raise ContractError("proposal and log_prior must be (S, A) tables of one shape")
+        if np.shape(self.v_table) != proposal.shape[:1]:
+            raise ContractError(f"v_table must have shape ({len(proposal)},)")
         if not ((proposal >= 0).all() and np.abs(proposal.sum(axis=1) - 1.0).max() <= 1e-6):
             raise ContractError("proposal rows must be probability distributions")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_ratio = self.log_prior - np.log(proposal)
+            object.__setattr__(self, "ratio_cap", np.minimum(1.0, np.exp(log_ratio)))
+        object.__setattr__(self, "log_ratio", log_ratio)
         object.__setattr__(self, "proposal", proposal)
         object.__setattr__(self, "proposal_cdf", rng_mod.cdf_rows(proposal))
 
@@ -248,8 +261,7 @@ def advance(
     next_states = mdp.successor_states[flat, successors]
     rewards = np.take(mdp.reward, flat)
 
-    prior_logp = np.take(tables.log_prior, flat)
-    proposal_logp = np.log(np.take(tables.proposal, flat))
+    log_ratio = np.take(tables.log_ratio, flat)
     v_table = tables.v_table
     v_cur, v_sampled = v_table[states], v_table[next_states]
     v_next = v_sampled
@@ -258,14 +270,7 @@ def advance(
             log_p = np.log(mdp.transition[states, actions])
         v_next = logsumexp(log_p + v_table[None, :], axis=1)
     increments = weight_update(
-        0.0,
-        prior_logp,
-        proposal_logp,
-        rewards,
-        v_next,
-        v_cur,
-        config.temperature,
-        config.gamma,
+        0.0, log_ratio, rewards, v_next, v_cur, config.temperature, config.gamma
     )
     log_weights = particles.log_weights + increments
 
@@ -279,10 +284,8 @@ def advance(
     # steps keep their full ratios (their actions are marginalized).
     ancestor_logq = particles.ancestor_logq
     if config.inference_mode == "message_passing":
-        backup_increments = increments
-        if particles.step == 0:
-            backup_increments = increments - (prior_logp - proposal_logp)
-        ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestors, backup_increments)
+        backed_up = increments - log_ratio if particles.step == 0 else increments
+        ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
@@ -291,13 +294,8 @@ def advance(
         retrace_decay = np.ones(k)
         retrace_acc = delta.astype(float)
     else:
-        ratio = np.exp(prior_logp - proposal_logp)
-        retrace_decay = (
-            particles.retrace_decay
-            * config.gamma
-            * config.lambda_smc
-            * np.minimum(1.0, ratio)
-        )
+        ratio_cap = np.take(tables.ratio_cap, flat)
+        retrace_decay = particles.retrace_decay * config.gamma * config.lambda_smc * ratio_cap
         retrace_acc = particles.retrace_acc + retrace_decay * delta
 
     return ParticleSet(
@@ -310,6 +308,7 @@ def advance(
         retrace_acc=retrace_acc,
         retrace_decay=retrace_decay,
         step=particles.step + 1,
+        ancestor_groups=particles.ancestor_groups,
     )
 
 
@@ -322,7 +321,8 @@ def multinomial_resample(
     ``weights`` is ``normalized_weights(particles.log_weights)``.
     Per-lineage data (ancestors, reference states, retrace traces) is
     copied from the drawn indices; the atom-indexed records
-    (``root_actions``, ``ancestor_logq``) are left in place. In
+    (``root_actions``, ``ancestor_logq``) are left in place; an ancestor
+    grouping, if the particles carry one, is rebuilt. In
     ``revived`` mode the copies restart from their lineage's last
     non-terminal state instead of its current state, and the references
     reset to those restart states.
@@ -344,16 +344,20 @@ def multinomial_resample(
     else:
         states = particles.states[idx]
         ref_states = particles.ref_states[idx]
+    ancestors, groups = particles.ancestors[idx], particles.ancestor_groups
+    if groups is not None:
+        groups = group_ancestors(ancestors, particles.ancestor_logq.size)
     return ParticleSet(
         states=states,
         log_weights=np.zeros(k),
-        ancestors=particles.ancestors[idx],
+        ancestors=ancestors,
         root_actions=particles.root_actions,
         ref_states=ref_states,
         ancestor_logq=particles.ancestor_logq,
         retrace_acc=particles.retrace_acc[idx],
         retrace_decay=particles.retrace_decay[idx],
         step=particles.step,
+        ancestor_groups=groups,
     )
 
 
@@ -447,7 +451,7 @@ def run_planner(
         tables = plan_tables(mdp, model, config)
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
-    distinct = np.empty(config.depth, dtype=np.intp)
+    distinct = np.full(config.depth, config.k, dtype=np.intp)
     terminal_counts = np.empty(config.depth, dtype=np.intp)
     resample_steps = []
 
@@ -460,8 +464,9 @@ def run_planner(
         if t % config.resample_period == 0 and t < config.depth:
             particles = multinomial_resample(particles, weights, gen, config.resample_mode)
             resample_steps.append(t)
-        distinct[t - 1] = np.count_nonzero(np.bincount(particles.ancestors, minlength=config.k))
-        terminal_counts[t - 1] = int(mdp.terminal[particles.states].sum())
+            # ancestors change only at a resample
+            distinct[t - 1:] = np.count_nonzero(np.bincount(particles.ancestors))
+        terminal_counts[t - 1] = np.count_nonzero(mdp.terminal[particles.states])
 
     if config.inference_mode == "dirac":
         root_policy = dirac_policy(particles, weights, mdp.n_actions)

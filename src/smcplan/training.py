@@ -232,7 +232,7 @@ def grad(model: Model, batch, cfg: LossConfig) -> ModelGrads:
     Only rows visited by the batch receive gradient; the cross-entropy
     term differentiates to ``c_pi * (pi - search_policy)`` per visited
     logit row, with the entropy penalty adding
-    ``c_ent * pi * (log pi + H)``.
+    ``c_ent * pi * (log pi + H)``; each cell sums in batch order from 0.
     """
     states, actions, targets, search = batch
     n = len(targets)
@@ -242,15 +242,15 @@ def grad(model: Model, batch, cfg: LossConfig) -> ModelGrads:
     pi = np.exp(log_pi)
     entropy = -(pi * log_pi).sum(axis=1)
 
-    g_logits = np.zeros_like(model.policy_logits)
-    g_v = np.zeros_like(model.v_table)
-    g_q = np.zeros_like(model.q_table)
-    np.add.at(g_v, states, cfg.c_v * (model.v_table[states] - targets) / n)
-    np.add.at(g_q, (states, actions), cfg.c_v * (model.q_table[states, actions] - targets) / n)
+    n_states, n_actions = pi.shape
+    cells = (states * n_actions)[:, None] + np.arange(n_actions)
+    g_v = np.bincount(states, cfg.c_v * (model.v_table[states] - targets) / n, n_states)
+    q_err = cfg.c_v * (model.q_table[states, actions] - targets) / n
+    g_q = np.bincount(states * n_actions + actions, q_err, pi.size).reshape(pi.shape)
     rows = cfg.c_pi * (pi[states] - search) + cfg.c_ent * pi[states] * (
         log_pi[states] + entropy[states, None]
     )
-    np.add.at(g_logits, states, rows / n)
+    g_logits = np.bincount(cells.ravel(), (rows / n).ravel(), pi.size).reshape(pi.shape)
     return ModelGrads(g_logits, g_v, g_q)
 
 

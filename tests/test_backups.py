@@ -1,6 +1,7 @@
 """Ancestor accumulators, backed-up root policies, and return estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from smcplan import (
     PlannerConfig,
     accumulate_ancestor_q,
     advance,
+    group_ancestors,
     init_particles,
     message_passing_policy,
     mix_value_target,
+    multinomial_resample,
     plan_tables,
     run_planner,
 )
 from smcplan import rng as rng_mod
+from smcplan.backups import IDENTITY
 from smcplan.planner import normalized_weights
 
 
@@ -71,9 +75,10 @@ def retrace_root_value(
 
 
 # Reference grouping for the atom accumulators: a stable sort of the
-# ids in their own type, then one segment per run of equal ids. The
-# package groups the same way but takes the runs from a count of each id
-# and sorts the ids in a narrower type; the tests pin the two together.
+# ids in their own type, then one segment per run of equal ids, rebuilt
+# on every call. The package groups the same way but only when the ids
+# change, takes the runs from a count of each id and sorts the ids in a
+# narrower type; the tests pin the two together.
 def accumulate_reference(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
     logq = np.asarray(ancestor_logq, dtype=float)
     anc = np.asarray(ancestors, dtype=np.intp)
@@ -91,25 +96,30 @@ def accumulate_reference(ancestor_logq, ancestors, log_ratio) -> np.ndarray:
     return out
 
 
+def accumulate(ancestor_logq, ancestors, log_ratio):
+    """``accumulate_ancestor_q`` with the grouping built from the ids."""
+    return accumulate_ancestor_q(
+        ancestor_logq, group_ancestors(ancestors, len(ancestor_logq)), log_ratio
+    )
+
+
 def test_accumulate_identical_ratios_add_exactly():
     # every particle keeps atom 1 and carries ratio e^r: increment is r
     r = 0.7
-    out = accumulate_ancestor_q(
-        np.zeros(3), np.array([1, 1, 1]), np.full(3, r)
-    )
+    out = accumulate(np.zeros(3), np.array([1, 1, 1]), np.full(3, r))
     assert out[1] == pytest.approx(r, abs=1e-12)
     assert out[0] == 0.0 and out[2] == 0.0
 
 
 def test_accumulate_leaves_empty_atoms_unchanged():
     logq = np.array([0.3, -0.2, 0.9])
-    out = accumulate_ancestor_q(logq, np.array([0, 0, 0]), np.zeros(3))
+    out = accumulate(logq, np.array([0, 0, 0]), np.zeros(3))
     assert out[1] == logq[1] and out[2] == logq[2]
 
 
 def test_accumulate_two_member_mean():
     # ratios e^0 and e^2 average to (1 + e^2)/2 before the log
-    out = accumulate_ancestor_q(np.zeros(2), np.array([0, 0]), np.array([0.0, 2.0]))
+    out = accumulate(np.zeros(2), np.array([0, 0]), np.array([0.0, 2.0]))
     assert out[0] == pytest.approx(math.log((1.0 + math.e**2) / 2.0), abs=1e-12)
 
 
@@ -120,7 +130,7 @@ def test_accumulate_matches_bruteforce_on_random_inputs():
         ancestors = rng.integers(0, k, size=k)
         ratios = rng.normal(size=k)
         logq = rng.normal(size=k)
-        out = accumulate_ancestor_q(logq, ancestors, ratios)
+        out = accumulate(logq, ancestors, ratios)
         for j in range(k):
             members = ratios[ancestors == j]
             expected = logq[j]
@@ -129,13 +139,15 @@ def test_accumulate_matches_bruteforce_on_random_inputs():
             assert out[j] == pytest.approx(expected, abs=1e-9)
 
 
-def test_accumulate_rejects_bad_ids():
+def test_group_ancestors_rejects_bad_ids():
     with pytest.raises(ContractError):
-        accumulate_ancestor_q(np.zeros(2), np.array([0, 5]), np.zeros(2))
+        group_ancestors(np.array([0, 5]), 2)
     with pytest.raises(ContractError):
-        accumulate_ancestor_q(np.zeros(2), np.array([0, 2]), np.zeros(2))
+        group_ancestors(np.array([0, 2]), 2)
     with pytest.raises(ContractError):
-        accumulate_ancestor_q(np.zeros(2), np.array([-1, 0]), np.zeros(2))
+        group_ancestors(np.array([-1, 0]), 2)
+    with pytest.raises(ContractError):
+        group_ancestors(np.zeros((2, 2), dtype=int), 2)
 
 
 # atom counts on both sides of the uint8 and uint16 limits, so the ids
@@ -143,24 +155,61 @@ def test_accumulate_rejects_bad_ids():
 N_ATOMS = st.one_of(st.integers(1, 2048), st.sampled_from([255, 256, 257, 65535, 65536, 65537]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(n_atoms=N_ATOMS, k=st.integers(1, 2048), data=st.data())
-def test_accumulate_matches_sort_reference_bit_for_bit(n_atoms, k, data):
-    # ids at both ends of each narrow type's range, where the atoms reach
+def random_ids(n_atoms, k, data, gen):
+    """``k`` atom ids below ``n_atoms``: uniform, or a few live atoms with
+    skewed counts, ids at both ends of each narrow type's range among them."""
     edges = [i for i in (0, 1, 254, 255, 256, 65534, 65535, 65536, n_atoms - 1) if i < n_atoms]
     live = data.draw(st.lists(
         st.one_of(st.sampled_from(edges), st.integers(0, n_atoms - 1)), min_size=1, max_size=12
     ))
-    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
-        # a few live atoms with skewed counts; every other atom is empty
-        ids = gen.choice(live, size=k, p=gen.dirichlet(np.full(len(live), 0.3)))
-    else:
-        ids = gen.integers(0, n_atoms, size=k)
+        # every atom but the live ones is empty
+        return gen.choice(live, size=k, p=gen.dirichlet(np.full(len(live), 0.3)))
+    return gen.integers(0, n_atoms, size=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_atoms=N_ATOMS, k=st.integers(1, 2048), data=st.data())
+def test_accumulate_matches_sort_reference_bit_for_bit(n_atoms, k, data):
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = random_ids(n_atoms, k, data, gen)
     ratios = gen.normal(scale=data.draw(st.sampled_from([1e-3, 1.0, 30.0])), size=k)
     logq = gen.normal(size=n_atoms)
-    out = accumulate_ancestor_q(logq, ids, ratios)
+    out = accumulate(logq, ids, ratios)
     assert out.tobytes() == accumulate_reference(logq, ids, ratios).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_atoms=N_ATOMS,
+    k=st.integers(1, 2048),
+    identity=st.booleans(),
+    steps=st.integers(1, 6),
+    data=st.data(),
+)
+def test_grouped_backups_match_reference_across_resamples(n_atoms, k, identity, steps, data):
+    # a resample chain as the planner runs it: the particles start on the
+    # identity grouping (atom i is particle i) or on random ids, and each
+    # resample draws the new ancestors from the previous ones and rebuilds
+    # the grouping the backups read until the next one
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    config = PlannerConfig(k=n_atoms if identity else k, depth=1,
+                           inference_mode="message_passing")
+    particles = init_particles(0, config)
+    if identity:
+        assert particles.ancestor_groups is IDENTITY
+    else:
+        ids = random_ids(n_atoms, k, data, gen)
+        particles = replace(particles, ancestors=ids, ancestor_logq=gen.normal(size=n_atoms),
+                            ancestor_groups=group_ancestors(ids, n_atoms))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    for _ in range(steps):
+        ratios = gen.normal(scale=scale, size=particles.k)
+        logq = particles.ancestor_logq
+        out = accumulate_ancestor_q(logq, particles.ancestor_groups, ratios)
+        assert out.tobytes() == accumulate_reference(logq, particles.ancestors, ratios).tobytes()
+        weights = normalized_weights(gen.normal(scale=scale, size=particles.k))
+        particles = multinomial_resample(replace(particles, ancestor_logq=out), weights, gen)
 
 
 def test_message_passing_equal_values_recovers_prior_on_atoms():

@@ -245,4 +245,5 @@ def test_dirac_planning_never_backs_up_atoms(monkeypatch, env, proposal, resampl
         raise AssertionError("the dirac readout never reads atom backups")
 
     monkeypatch.setattr(planner, "accumulate_ancestor_q", refuse)
+    monkeypatch.setattr(planner, "group_ancestors", refuse)
     test_wide_planner_outputs_are_pinned(env, proposal, "dirac", resample, value)

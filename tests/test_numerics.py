@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -70,3 +70,27 @@ def test_edge_cases_match_scipy(a):
     if a.ndim == 2:
         assert_same(ours_quietly(a, 1), scipy_logsumexp(a, axis=1))
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 2048),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    ties=st.integers(0, 8),
+    neg_inf=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    extra=st.sampled_from([None, np.inf, np.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vector_path_matches_the_general_path_bit_for_bit(size, scale, ties, neg_inf, extra, seed):
+    # a full reduction of a vector takes its own one-pass route; the
+    # general route over axis 0 is the reference, ties at the maximum,
+    # -inf entries (all of them at neg_inf 1), +inf and nan included
+    gen = np.random.default_rng(seed)
+    a = gen.normal(scale=scale, size=size)
+    a[gen.choice(size, min(ties, size), replace=False)] = a.max()
+    a[gen.random(size) < neg_inf] = -np.inf
+    if extra is not None:
+        a[gen.integers(size)] = extra
+    ours, general = ours_quietly(a), logsumexp(a, axis=0)
+    assert type(ours) is type(general) is np.float64
+    assert ours.tobytes() == general.tobytes()

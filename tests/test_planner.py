@@ -52,19 +52,19 @@ def test_init_particles_layout():
 
 
 def test_weight_update_arithmetic():
-    # proposal equals prior and values vanish: the increment is the
-    # temperature-scaled reward
-    assert weight_update(0.0, -0.7, -0.7, 2.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
+    # proposal equals prior (log ratio 0) and values vanish: the
+    # increment is the temperature-scaled reward
+    assert weight_update(0.0, 0.0, 2.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
     # everything cancels
-    assert weight_update(0.3, -0.7, -0.7, 0.0, 1.2, 1.2, 1.0, 1.0) == pytest.approx(0.3)
+    assert weight_update(0.3, 0.0, 0.0, 1.2, 1.2, 1.0, 1.0) == pytest.approx(0.3)
     # pure proposal correction: log(0.5 / 0.25) = log 2
-    got = weight_update(0.0, math.log(0.5), math.log(0.25), 0.0, 0.0, 0.0, 1.0, 1.0)
+    got = weight_update(0.0, math.log(0.5) - math.log(0.25), 0.0, 0.0, 0.0, 1.0, 1.0)
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_weight_update_rejects_nonfinite():
     with pytest.raises(NumericalError):
-        weight_update(0.0, -np.inf, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+        weight_update(0.0, -np.inf, 0.0, 0.0, 0.0, 1.0, 1.0)
 
 
 def test_advance_zero_reward_keeps_weights_flat():
@@ -111,6 +111,29 @@ def test_advance_validates_proposal_rows():
     with pytest.raises(ContractError):
         tables = PlanTables(bad, model.log_policy(), model.v_table)
         advance(p, mdp, tables, cfg, rng_mod.stream(0, 1))
+
+
+def test_plan_tables_reject_a_value_table_of_the_wrong_shape():
+    # make_chain(5) has 6 states: a longer table used to plan silently, a
+    # shorter one to fail as an IndexError inside advance
+    mdp = make_chain(5)
+    tables = plan_tables(mdp, uniform_model(mdp), PlannerConfig(k=4, depth=2))
+    for v_table in (np.zeros(9), np.zeros(2), np.zeros((6, 1))):
+        with pytest.raises(ContractError, match="v_table"):
+            PlanTables(tables.proposal, tables.log_prior, v_table)
+    PlanTables(tables.proposal, tables.log_prior, np.zeros(6))
+
+
+def test_plan_tables_hold_the_per_action_ratios():
+    proposal = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    log_prior = np.log(np.full((2, 3), 1.0 / 3.0))
+    tables = PlanTables(proposal, log_prior, np.zeros(2))
+    live = proposal > 0
+    with np.errstate(divide="ignore"):
+        expected = log_prior - np.log(proposal)
+    assert np.array_equal(tables.log_ratio[live], expected[live])
+    assert np.array_equal(tables.ratio_cap[live], np.minimum(1.0, np.exp(tables.log_ratio))[live])
+    assert tables.ratio_cap[1].tolist() == [1.0, 1.0, np.exp(tables.log_ratio[1, 2])]
 
 
 def test_advance_never_draws_a_zero_mass_action_or_successor():

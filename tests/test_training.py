@@ -192,6 +192,53 @@ def test_gradient_matches_finite_differences(trial):
     assert (np.abs(analytic - numeric) / scale).max() <= 1e-6
 
 
+# Reference scatter for the gradient: ``np.add.at`` adds the batch rows
+# into zeroed tables one after another, in batch order. The package sums
+# the same rows per cell with ``bincount``; the test pins the two together.
+def grad_add_at(model, batch, cfg):
+    states, actions, targets, search = batch
+    n = len(targets)
+    log_pi = model.log_policy()
+    pi = np.exp(log_pi)
+    entropy = -(pi * log_pi).sum(axis=1)
+    g_logits = np.zeros_like(model.policy_logits)
+    g_v = np.zeros_like(model.v_table)
+    g_q = np.zeros_like(model.q_table)
+    np.add.at(g_v, states, cfg.c_v * (model.v_table[states] - targets) / n)
+    np.add.at(g_q, (states, actions), cfg.c_v * (model.q_table[states, actions] - targets) / n)
+    rows = cfg.c_pi * (pi[states] - search) + cfg.c_ent * pi[states] * (
+        log_pi[states] + entropy[states, None]
+    )
+    np.add.at(g_logits, states, rows / n)
+    return g_logits, g_v, g_q
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_states=st.integers(1, 8),
+    n_actions=st.integers(1, 5),
+    size=st.integers(1, 128),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_matches_add_at_reference_bit_for_bit(n_states, n_actions, size, seed):
+    # few states and actions, so the batch repeats cells many times over
+    gen = np.random.default_rng(seed)
+    model = random_model(n_states, n_actions, seed)
+    model.policy_logits *= gen.choice([0.1, 1.0, 30.0])
+    batch = batch_of(
+        gen.integers(n_states, size=size),
+        gen.integers(n_actions, size=size),
+        gen.normal(scale=10.0, size=size),
+        gen.dirichlet(np.ones(n_actions), size=size),
+    )
+    cfg = LossConfig(c_v=0.6, c_pi=1.1, c_ent=0.2)
+    grads = grad(model, batch, cfg)
+    ours = (grads.policy_logits, grads.v_table, grads.q_table)
+    for got, expected in zip(ours, grad_add_at(model, batch, cfg)):
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_policy_gradient_stationary_at_search_policy():
     search = np.array([0.6, 0.4])
     model = Model(
