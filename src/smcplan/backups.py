@@ -5,7 +5,9 @@ inference at the root degenerates with depth. These helpers keep one
 running log-value per root atom, fed by each step's weight ratios, and
 turn those into a root policy that never loses atoms; the planner feeds
 them only for this ``message_passing`` readout, through a grouping of
-the particles by atom that it rebuilds only when it resamples.
+the particles by atom that it rebuilds only when it resamples. The
+readout normalizes its per-action masses with the planner's own
+``numerics.normalized_weights``.
 ``mix_value_target`` blends the model value with the search value, the
 retrace trace that ``planner.advance`` keeps per particle.
 """
@@ -16,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
-from .numerics import logsumexp
+from .errors import ContractError, require_range
+from .numerics import logsumexp, normalized_weights
 
 
 class AncestorGroups(NamedTuple):
@@ -82,7 +84,8 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     rather than summing keeps the estimate free of the sampling
     frequency, so it converges to the exact posterior policy for any
     prior. Temperature is not reapplied here: it is already inside the
-    accumulated weights.
+    accumulated weights. Masses that are all zero, or ``nan`` or ``+inf``
+    anywhere, raise :class:`DegenerateWeightsError`.
     """
     prior = np.asarray(prior_row, dtype=float)
     actions = np.asarray(root_actions, dtype=np.intp)
@@ -100,16 +103,11 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
         members = logq[actions == a]
         if members.size:
             log_mass[a] = log_prior[a] + logsumexp(members) - np.log(members.size)
-    norm = logsumexp(log_mass)
-    if not np.isfinite(norm):
-        raise NumericalError("all root atoms carry zero mass")
-    policy = np.exp(log_mass - norm)
-    return policy / policy.sum()
+    return normalized_weights(log_mass)
 
 
 def mix_value_target(v_model: float, v_smc: float, sigma: float) -> float:
     """Interpolate the model value and the search value: ``sigma`` at 1
     returns the model value, at 0 the search value."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ContractError(f"sigma must lie in [0, 1], got {sigma}")
+    require_range(0, 1, sigma=sigma)
     return sigma * v_model + (1.0 - sigma) * v_smc

@@ -1,9 +1,14 @@
-"""Exception types shared across the package, the integer check the
-config classes raise them from, and the JSON file reader the loaders
-share."""
+"""Exception types shared across the package, the integer and range
+checks the config classes raise them from, and the JSON file reader the
+loaders share."""
 
 import json
+import math
 import numbers
+import sys
+
+POSITIVE = math.ulp(0.0)  # the least positive float: [POSITIVE, hi] excludes 0
+FINITE = sys.float_info.max  # the largest finite float: [lo, FINITE] excludes inf
 
 
 class ContractError(ValueError):
@@ -37,6 +42,14 @@ def require_integers(**fields):
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
+def require_range(lo, hi, **fields):
+    """Raise :class:`ContractError` naming the first field whose value is
+    not in ``[lo, hi]``; ``nan`` lies in no range."""
+    for name, value in fields.items():
+        if not lo <= value <= hi:
+            raise ContractError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
 
 
 def read_json(path):

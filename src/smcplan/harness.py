@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -29,11 +30,12 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError, read_json, require_integers
+from .errors import ConfigError, ContractError, read_json, require_integers, require_range
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import run_planner
 from .training import Model, TrainConfig, train
+from .trust_region import kl_to_prior
 
 EXPERIMENTS = ("path_degeneracy", "oracle_convergence", "train", "ablation")
 POLICY_FLOOR = 1e-6
@@ -44,14 +46,11 @@ EXIT_RUNTIME = 3
 
 
 def kl_to_reference(reference, policy) -> float:
-    """``KL(reference || policy)`` with the policy floored and renormalized."""
-    reference = np.asarray(reference, dtype=float)
+    """``KL(reference || policy)`` with the policy floored and renormalized.
+    Every smoothed entry is at least ``POLICY_FLOOR / (1 + A * POLICY_FLOOR)``,
+    far above ``kl_to_prior``'s own floor, so that floor never applies."""
     smoothed = np.maximum(np.asarray(policy, dtype=float), POLICY_FLOOR)
-    smoothed = smoothed / smoothed.sum()
-    support = reference > 0
-    return float(
-        np.sum(reference[support] * (np.log(reference[support]) - np.log(smoothed[support])))
-    )
+    return kl_to_prior(reference, smoothed / smoothed.sum())
 
 
 def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator):
@@ -96,32 +95,23 @@ class ExperimentConfig:
                 f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
         require_integers(iterations=self.iterations)
-        if self.iterations < 1:
-            raise ConfigError(f"iterations: must be at least 1, got {self.iterations}")
+        require_range(1, math.inf, iterations=self.iterations)
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
         if not self.seeds:
             raise ConfigError("seeds: must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds: must not repeat a seed, got {list(self.seeds)}")
+        # the loader applies every sweep point, which checks the keys
         for key, values in self.sweep.items():
-            self._resolve_sweep_key(key)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep.{key}: must be a non-empty list of values")
-
-    def _resolve_sweep_key(self, key: str):
-        head, _, tail = key.partition(".")
-        if head in _SECTIONS and tail:
-            if tail in {f.name for f in dataclasses.fields(_SECTIONS[head])}:
-                return
-        elif not tail and head in _SWEEPABLE_TOP:
-            return
-        raise ConfigError(f"sweep.{key}: does not name a configurable field")
 
 
 # TrainConfig fields: nested config sections, and top-level scalars
 _TRAIN_FIELDS = get_type_hints(TrainConfig)
 _SECTIONS = {name: kind for name, kind in _TRAIN_FIELDS.items() if dataclasses.is_dataclass(kind)}
 _SCALARS = set(_TRAIN_FIELDS) - set(_SECTIONS)
-_SWEEPABLE_TOP = {"iterations"} | _SCALARS
 _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"mdp", "train"}
 _TOP_KEYS |= set(_TRAIN_FIELDS)
 
@@ -172,7 +162,7 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
             iterations=data.get("iterations", 100),
             seeds=tuple(seeds),
             sweep=dict(data.get("sweep", {})),
-            output_dir=str(data.get("output_dir", "out")),
+            output_dir=data.get("output_dir", "out"),
         )
     except ConfigError:
         raise
@@ -237,15 +227,19 @@ def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> Non
 
 
 def _apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
+    """``config`` with each ``key: value`` of ``point`` set, where a key is
+    ``iterations``, a top-level ``TrainConfig`` scalar or ``section.field``."""
     section_updates, train_updates, top_updates = {}, {}, {}
     for key, value in point.items():
         head, _, tail = key.partition(".")
-        if tail:
+        if head in _SECTIONS and tail in {f.name for f in dataclasses.fields(_SECTIONS[head])}:
             section_updates.setdefault(head, {})[tail] = value
-        elif head in _SCALARS:
+        elif head in _SCALARS and not tail:
             train_updates[head] = value
-        else:
+        elif key == "iterations":
             top_updates[head] = value
+        else:
+            raise ConfigError(f"sweep.{key}: does not name a configurable field")
     for head, updates in section_updates.items():
         train_updates[head] = replace(getattr(config.train, head), **updates)
     return replace(config, train=replace(config.train, **train_updates), **top_updates)

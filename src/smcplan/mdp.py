@@ -12,12 +12,13 @@ and the test-suite use as ground truth for sampled estimators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError, require_integers
+from .errors import BudgetError, ConfigError, ContractError, require_integers, require_range
 from .rng import categorical, cdf_rows
 
 _ROW_SUM_TOL = 1e-12
@@ -59,8 +60,7 @@ class TabularMdp:
                 f"terminal must have shape ({n_states},), got {terminal.shape}"
             )
         discount = float(self.discount)
-        if not 0.0 <= discount <= 1.0:
-            raise ContractError(f"discount must lie in [0, 1], got {discount}")
+        require_range(0, 1, discount=discount)
         for name, arr in (("transition", transition), ("reward", reward)):
             if not np.isfinite(arr).all():
                 raise ContractError(f"{name} has non-finite entries")
@@ -237,7 +237,8 @@ def builtin_mdp(name: str, **params) -> TabularMdp:
         )
     try:
         return _BUILTINS[name](**params)
-    except (ContractError, TypeError) as exc:
+    # a nan or infinite trap coordinate raises ValueError or OverflowError in int()
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"environment {name!r}: {exc}") from exc
 
 
@@ -248,8 +249,8 @@ def check_policy_table(policy, n_states: int, n_actions: int, name: str = "polic
         raise ContractError(
             f"{name} must have shape ({n_states}, {n_actions}), got {table.shape}"
         )
-    if (table < 0).any():
-        raise ContractError(f"{name} has negative probabilities")
+    if not (table >= 0).all():  # nan >= 0 is false; an infinite entry fails the sum
+        raise ContractError(f"{name} has negative or nan probabilities")
     if np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
         raise ContractError(f"{name} rows must sum to 1")
     return table
@@ -292,8 +293,7 @@ def enumerate_trajectories(
     Raises :class:`BudgetError` when ``branching ** depth`` exceeds
     ``budget``, with branching the largest per-state out-degree.
     """
-    if depth < 1:
-        raise ContractError("depth must be at least 1")
+    require_range(1, math.inf, depth=depth)
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
     tables = stage_policy_tables(policy, depth, mdp)

@@ -10,6 +10,10 @@ falls back to ``log(sum(exp(a)))``, which gives ``inf``, ``nan`` and
 ``-inf`` respectively.
 A full reduction of a vector with a finite maximum, which the planner
 makes every step, takes a one-pass route: same formula, same bits.
+
+:func:`normalized_weights` is the one place log weights become
+probabilities: the planner's particle weights every step, and the
+message-passing root policy's per-action masses.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DegenerateWeightsError
 
 
 def _shifted(a, a_max, axis):
@@ -51,3 +57,14 @@ def logsumexp(a, axis=None):
         out = np.where(np.isfinite(out), out, direct)
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def normalized_weights(log_weights) -> np.ndarray:
+    """Exponentiate and normalize log weights; rejects degenerate sets
+    (every weight zero, or one ``nan`` or ``+inf``)."""
+    log_weights = np.asarray(log_weights, dtype=float)
+    norm = logsumexp(log_weights)
+    if not math.isfinite(norm):
+        raise DegenerateWeightsError("weights are all zero or not finite")
+    w = np.exp(log_weights - norm)
+    return w / w.sum()

@@ -14,11 +14,12 @@ reward at step t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, SupportError
+from .errors import POSITIVE, ContractError, NumericalError, SupportError, require_range
 from .mdp import (
     TabularMdp,
     check_policy_table,
@@ -45,10 +46,8 @@ class SoftSolution:
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
     """Yield ``(v, q, posterior)`` per backward sweep, boundary values zero."""
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
-    if not temperature > 0:
-        raise ContractError("temperature must be positive")
+    require_range(1, math.inf, horizon=horizon)
+    require_range(POSITIVE, math.inf, temperature=temperature)
     table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
     with np.errstate(divide="ignore"):
         log_p = np.log(mdp.transition)
@@ -108,8 +107,7 @@ def exact_posterior_trajectories(
     Each trajectory's prior probability is reweighted by the exponential
     of its discounted reward sum over the temperature, then normalized.
     """
-    if not temperature > 0:
-        raise ContractError("temperature must be positive")
+    require_range(POSITIVE, math.inf, temperature=temperature)
     pairs = enumerate_trajectories(mdp, s0, prior, depth)
     log_w = np.array(
         [np.log(p) + _discounted_loglik(traj, mdp.discount, temperature) for traj, p in pairs]
@@ -180,8 +178,7 @@ def optimal_policy(mdp: TabularMdp, horizon: int):
 
     Returns ``(policy, v_star)`` at the root stage.
     """
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
+    require_range(1, math.inf, horizon=horizon)
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
         q = mdp.reward + mdp.discount * mdp.transition @ v
@@ -198,8 +195,7 @@ def policy_value(mdp: TabularMdp, policy, horizon: int) -> np.ndarray:
     first). Exact dynamic programming, equivalent to enumerating every
     trajectory.
     """
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
+    require_range(1, math.inf, horizon=horizon)
     tables = stage_policy_tables(policy, horizon, mdp)
     v = np.zeros(mdp.n_states)
     for steps_to_go in range(1, horizon + 1):

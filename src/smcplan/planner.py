@@ -29,16 +29,17 @@ root atom is built only at a resample, where ancestors change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
 from .backups import IDENTITY, AncestorGroups, accumulate_ancestor_q, group_ancestors
 from .backups import message_passing_policy, mix_value_target
-from .errors import ContractError, DegenerateWeightsError, NumericalError, require_integers
+from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, NumericalError
+from .errors import require_integers, require_range
 from .mdp import TabularMdp
-from .numerics import logsumexp
+from .numerics import logsumexp, normalized_weights
 from .trust_region import adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
@@ -72,23 +73,13 @@ class PlannerConfig:
     value_mode: str = "sampled"
 
     def __post_init__(self):
-        require_integers(k=self.k, depth=self.depth, resample_period=self.resample_period)
-        if self.k < 1:
-            raise ContractError("need at least one particle")
-        if self.depth < 1:
-            raise ContractError("depth must be at least 1")
-        if self.resample_period < 1:
-            raise ContractError("resample_period must be at least 1")
-        for name, value in (
-            ("alpha", self.alpha),
-            ("lambda_smc", self.lambda_smc),
-            ("gamma", self.gamma),
-            ("sigma", self.sigma),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ContractError(f"{name} must lie in [0, 1], got {value}")
-        if not self.temperature > 0:
-            raise ContractError("temperature must be positive")
+        counts = dict(k=self.k, depth=self.depth, resample_period=self.resample_period)
+        require_integers(**counts)
+        require_range(1, math.inf, **counts)
+        require_range(
+            0, 1, alpha=self.alpha, lambda_smc=self.lambda_smc, gamma=self.gamma, sigma=self.sigma
+        )
+        require_range(POSITIVE, FINITE, temperature=self.temperature)
         for name, value, allowed in (
             ("proposal_mode", self.proposal_mode, PROPOSAL_MODES),
             ("inference_mode", self.inference_mode, INFERENCE_MODES),
@@ -148,15 +139,7 @@ def init_particles(s0: int, config: PlannerConfig) -> ParticleSet:
     )
 
 
-def weight_update(
-    log_w_prev,
-    log_ratio,
-    reward,
-    v_next,
-    v_cur,
-    temperature: float,
-    gamma: float,
-):
+def weight_update(log_ratio, reward, v_next, v_cur, temperature: float, gamma: float):
     """One multiplicative weight factor, in log space.
 
     ``log_ratio`` is the sampled action's log prior-over-proposal ratio;
@@ -165,22 +148,10 @@ def weight_update(
     increment is exactly the log posterior-over-proposal ratio.
     Broadcasts over scalars and arrays.
     """
-    out = np.asarray(
-        log_w_prev + log_ratio + reward / temperature + gamma * v_next - v_cur, dtype=float
-    )
+    out = log_ratio + reward / temperature + gamma * v_next - v_cur
     if not np.isfinite(out).all():
         raise NumericalError("weight update produced non-finite log weights")
-    return out if out.ndim else float(out)
-
-
-def normalized_weights(log_weights) -> np.ndarray:
-    """Exponentiate and normalize log weights; rejects degenerate sets."""
-    log_weights = np.asarray(log_weights, dtype=float)
-    norm = logsumexp(log_weights)
-    if not math.isfinite(norm):
-        raise DegenerateWeightsError("all particle weights underflowed to zero")
-    w = np.exp(log_weights - norm)
-    return w / w.sum()
+    return out
 
 
 def _require_weights(weights, k: int) -> np.ndarray:
@@ -269,9 +240,7 @@ def advance(
         with np.errstate(divide="ignore"):
             log_p = np.log(mdp.transition[states, actions])
         v_next = logsumexp(log_p + v_table[None, :], axis=1)
-    increments = weight_update(
-        0.0, log_ratio, rewards, v_next, v_cur, config.temperature, config.gamma
-    )
+    increments = weight_update(log_ratio, rewards, v_next, v_cur, config.temperature, config.gamma)
     log_weights = particles.log_weights + increments
 
     ref_states = np.where(mdp.terminal[next_states], particles.ref_states, next_states)
@@ -383,15 +352,12 @@ class PlannerDiagnostics:
     value_smc: float
     value_model: float
 
-    def to_dict(self) -> dict:
-        return {
-            "ess": self.ess.tolist(),
-            "distinct_ancestors": self.distinct_ancestors.tolist(),
-            "terminal_particles": self.terminal_particles.tolist(),
-            "resample_steps": list(self.resample_steps),
-            "value_smc": self.value_smc,
-            "value_model": self.value_model,
-        }
+
+def _jsonable(items) -> dict:
+    """``asdict`` factory: arrays and tuples become lists."""
+    return {
+        k: np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v for k, v in items
+    }
 
 
 @dataclass(frozen=True)
@@ -401,11 +367,8 @@ class PlannerOutput:
     diagnostics: PlannerDiagnostics
 
     def to_dict(self) -> dict:
-        return {
-            "root_policy": self.root_policy.tolist(),
-            "root_value": self.root_value,
-            "diagnostics": self.diagnostics.to_dict(),
-        }
+        """Plain lists and numbers, the diagnostics nested, ready for JSON."""
+        return asdict(self, dict_factory=_jsonable)
 
 
 def plan_tables(mdp: TabularMdp, model, config: PlannerConfig) -> PlanTables:

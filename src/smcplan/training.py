@@ -16,12 +16,13 @@ instead of sampled episodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ContractError, require_integers
+from .errors import FINITE, ContractError, require_integers, require_range
 from .mdp import TabularMdp, step
 from .oracle import policy_value
 from .planner import PlannerConfig, plan_tables, run_planner
@@ -82,13 +83,9 @@ class LossConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        for name in ("c_v", "c_pi", "c_ent", "lr", "clip_abs", "clip_norm"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be non-negative")
-        for name in ("lambda_outer", "gamma_outer"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ContractError(f"{name} must lie in [0, 1], got {value}")
+        require_range(0, FINITE, c_v=self.c_v, c_pi=self.c_pi, c_ent=self.c_ent, lr=self.lr)
+        require_range(0, math.inf, clip_abs=self.clip_abs, clip_norm=self.clip_norm)
+        require_range(0, 1, lambda_outer=self.lambda_outer, gamma_outer=self.gamma_outer)
 
 
 class ReplayBuffer:
@@ -96,8 +93,7 @@ class ReplayBuffer:
     policy) columns; the n-th pair added lives in slot ``n % capacity``."""
 
     def __init__(self, capacity: int, n_actions: int):
-        if capacity < 1:
-            raise ContractError("capacity must be at least 1")
+        require_range(1, math.inf, capacity=capacity)
         self.states = np.zeros(capacity, dtype=np.intp)
         self.actions = np.zeros(capacity, dtype=np.intp)
         self.targets = np.zeros(capacity)
@@ -111,7 +107,7 @@ class ReplayBuffer:
         n, capacity = len(targets), len(self.targets)
         if len(segment.states) != n:
             raise ContractError("need one target per step")
-        if (np.abs(segment.search_policies.sum(axis=1) - 1.0) > 1e-9).any():
+        if not (np.abs(segment.search_policies.sum(axis=1) - 1.0) <= 1e-9).all():
             raise ContractError("search policies must sum to 1")
         keep = slice(max(n - capacity, 0), n)  # older pairs would be overwritten
         slots = (self._added + np.arange(n)[keep]) % capacity
@@ -148,8 +144,7 @@ def collect_segment(
     call). The model is fixed within a segment, so its planning tables
     are built once.
     """
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
+    require_range(1, math.inf, horizon=horizon)
     tables = plan_tables(mdp, model, planner_config)
     states = np.empty(horizon, dtype=np.intp)
     actions = np.empty(horizon, dtype=np.intp)
@@ -219,15 +214,9 @@ def loss(model: Model, batch, cfg: LossConfig) -> float:
     return float(per_item.mean())
 
 
-@dataclass
-class ModelGrads:
-    policy_logits: np.ndarray
-    v_table: np.ndarray
-    q_table: np.ndarray
-
-
-def grad(model: Model, batch, cfg: LossConfig) -> ModelGrads:
-    """Exact analytic gradient of :func:`loss` for the tabular model.
+def grad(model: Model, batch, cfg: LossConfig) -> Model:
+    """Exact analytic gradient of :func:`loss` for the tabular model, as
+    a :class:`Model` whose tables hold each table's gradient.
 
     Only rows visited by the batch receive gradient; the cross-entropy
     term differentiates to ``c_pi * (pi - search_policy)`` per visited
@@ -251,10 +240,10 @@ def grad(model: Model, batch, cfg: LossConfig) -> ModelGrads:
         log_pi[states] + entropy[states, None]
     )
     g_logits = np.bincount(cells.ravel(), (rows / n).ravel(), pi.size).reshape(pi.shape)
-    return ModelGrads(g_logits, g_v, g_q)
+    return Model(g_logits, g_v, g_q)
 
 
-def sgd_step(model: Model, grads: ModelGrads, cfg: LossConfig) -> Model:
+def sgd_step(model: Model, grads: Model, cfg: LossConfig) -> Model:
     """Clip element-wise, rescale to the global norm cap, then descend."""
     parts = [
         np.clip(grads.policy_logits, -cfg.clip_abs, cfg.clip_abs),
@@ -285,21 +274,15 @@ class TrainConfig:
     eval_horizon: int = 0  # 0 means "use horizon"
 
     def __post_init__(self):
-        require_integers(
+        counts = dict(
             horizon=self.horizon,
-            s0=self.s0,
             buffer_capacity=self.buffer_capacity,
             batch_size=self.batch_size,
             updates_per_iteration=self.updates_per_iteration,
-            eval_horizon=self.eval_horizon,
         )
-        if self.horizon < 1:
-            raise ContractError("horizon must be at least 1")
-        for name in ("buffer_capacity", "batch_size", "updates_per_iteration"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be at least 1")
-        if self.eval_horizon < 0:
-            raise ContractError("eval_horizon must be non-negative (0 means horizon)")
+        require_integers(**counts, s0=self.s0, eval_horizon=self.eval_horizon)
+        require_range(1, math.inf, **counts)
+        require_range(0, math.inf, eval_horizon=self.eval_horizon)
 
 
 @dataclass
@@ -313,8 +296,7 @@ class TrainResult:
 def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> TrainResult:
     """Alternate segment collection and SGD; returns per-iteration
     exact evaluation returns of the greedy and stochastic policies."""
-    if iterations < 1:
-        raise ContractError("iterations must be at least 1")
+    require_range(1, math.inf, iterations=iterations)
     eval_horizon = config.eval_horizon or config.horizon
     model = Model.zeros(mdp.n_states, mdp.n_actions)
     buffer = ReplayBuffer(config.buffer_capacity, mdp.n_actions)

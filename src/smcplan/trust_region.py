@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, require_range
 from .numerics import logsumexp
 
 PRIOR_FLOOR = 1e-12
@@ -66,8 +66,7 @@ def kl_to_prior(dist, prior_row):
 def adaptive_epsilon(prior_row, q_values, alpha: float):
     """Trust-region radius: ``alpha`` times the greedy-to-prior divergence
     (per row for tables)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
+    require_range(0, 1, alpha=alpha)
     return alpha * kl_to_prior(greedy_row(q_values), prior_row)
 
 
@@ -163,7 +162,6 @@ def solve_trust_region(prior_row, q_values, epsilon: float) -> TrustRegionSoluti
     q = np.asarray(q_values, dtype=float)
     if q.shape != prior.shape:
         raise ContractError("prior_row and q_values must have the same length")
-    if epsilon < 0:
-        raise ContractError(f"epsilon must be non-negative, got {epsilon}")
+    require_range(0, math.inf, epsilon=epsilon)
     rows, beta, kl, saturated = trust_region_rows(prior[None], q[None], [epsilon])
     return TrustRegionSolution(rows[0], float(beta[0]), float(kl[0]), epsilon, bool(saturated[0]))

@@ -218,12 +218,7 @@ def _wide_mdps() -> dict:
     return {"grid": grid, "slippery": slippery}
 
 
-@pytest.mark.parametrize(
-    "env,proposal,inference,resample,value",
-    list(product(("grid", "slippery"), PROPOSAL_MODES, INFERENCE_MODES, RESAMPLE_MODES,
-                 VALUE_MODES)),
-)
-def test_wide_planner_outputs_are_pinned(env, proposal, inference, resample, value):
+def _wide_output(env, proposal, inference, resample, value):
     gen = rng_mod.stream(2024)
     model = Model(3.0 * gen.random((64, 4)), gen.random(64), gen.random((64, 4)))
     config = PlannerConfig(
@@ -231,9 +226,44 @@ def test_wide_planner_outputs_are_pinned(env, proposal, inference, resample, val
         gamma=0.9, sigma=0.5, proposal_mode=proposal, inference_mode=inference,
         resample_mode=resample, value_mode=value,
     )
-    out = run_planner(_wide_mdps()[env], 0, model, config, 77)
+    return run_planner(_wide_mdps()[env], 0, model, config, 77)
+
+
+WIDE_CASES = list(product(("grid", "slippery"), PROPOSAL_MODES, INFERENCE_MODES, RESAMPLE_MODES,
+                          VALUE_MODES))
+
+
+@pytest.mark.parametrize("env,proposal,inference,resample,value", WIDE_CASES)
+def test_wide_planner_outputs_are_pinned(env, proposal, inference, resample, value):
+    out = _wide_output(env, proposal, inference, resample, value)
     digest = _sha256(json.dumps(out.to_dict(), sort_keys=True).encode())
     assert digest == GOLDEN_WIDE["/".join((env, proposal, inference, resample, value))]
+
+
+def hand_written_to_dict(out) -> dict:
+    """``PlannerOutput.to_dict`` as it was written out field by field,
+    kept as the reference for the ``asdict`` form."""
+    diagnostics = out.diagnostics
+    return {
+        "root_policy": out.root_policy.tolist(),
+        "root_value": out.root_value,
+        "diagnostics": {
+            "ess": diagnostics.ess.tolist(),
+            "distinct_ancestors": diagnostics.distinct_ancestors.tolist(),
+            "terminal_particles": diagnostics.terminal_particles.tolist(),
+            "resample_steps": list(diagnostics.resample_steps),
+            "value_smc": diagnostics.value_smc,
+            "value_model": diagnostics.value_model,
+        },
+    }
+
+
+@pytest.mark.parametrize("env,proposal,inference,resample,value", WIDE_CASES)
+def test_to_dict_matches_the_hand_written_form(env, proposal, inference, resample, value):
+    out = _wide_output(env, proposal, inference, resample, value)
+    got, want = out.to_dict(), hand_written_to_dict(out)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,20 @@
 """Config loading, experiment drivers, output files, and the CLI."""
 
 import json
+import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smcplan import ConfigError, ContractError, bootstrap_ci
+from smcplan import ConfigError, ContractError, LossConfig, PlannerConfig, bootstrap_ci
 from smcplan import rng as rng_mod
 from smcplan.cli import main
 from smcplan.harness import (
+    POLICY_FLOOR,
+    _apply_sweep_point,
     config_from_dict,
     config_to_dict,
     kl_to_reference,
@@ -59,6 +65,40 @@ def test_kl_to_reference_handles_zero_mass():
     ref = np.array([0.5, 0.5])
     assert kl_to_reference(ref, np.array([1.0, 0.0])) < np.inf
     assert kl_to_reference(ref, ref) == pytest.approx(0.0, abs=1e-9)
+
+
+def kl_over_support(reference, policy) -> float:
+    """The metric's former own divergence, kept as its reference: the
+    sum runs over the reference's support, compressed out of the array."""
+    reference = np.asarray(reference, dtype=float)
+    smoothed = np.maximum(np.asarray(policy, dtype=float), POLICY_FLOOR)
+    smoothed = smoothed / smoothed.sum()
+    support = reference > 0
+    return float(
+        np.sum(reference[support] * (np.log(reference[support]) - np.log(smoothed[support])))
+    )
+
+
+@st.composite
+def policy_pairs(draw):
+    """A reference and a planner policy over 1-300 actions, each with
+    exact zeros (the reference keeps at least one positive entry)."""
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    rows = gen.random((2, n)) ** draw(st.sampled_from([1.0, 4.0, 30.0]))
+    rows[gen.random((2, n)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = 0.0
+    rows[0, gen.integers(n)] += 1.0
+    if not rows[1].any():
+        rows[1, gen.integers(n)] = 1.0
+    return rows[0] / rows[0].sum(), rows[1] / rows[1].sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy_pairs())
+def test_kl_to_reference_matches_the_support_sum_bit_for_bit(pair):
+    reference, policy = pair
+    assert kl_to_reference(reference, policy) == kl_over_support(reference, policy)
 
 
 # ---------------------------------------------------------------- config
@@ -284,13 +324,22 @@ TRAIN_CONFIG = {
         dict(TRAIN_CONFIG, env={"name": "chain", "n": 3}, s0=3),
         dict(TRAIN_CONFIG, env={"name": "chain", "n": 3}, sweep={"s0": [0, 7]}),
         dict(TRAIN_CONFIG, seeds=[0, 0]),
+        dict(TRAIN_CONFIG, loss={"lr": math.nan}),
+        dict(TRAIN_CONFIG, planner={"k": 4, "depth": 2, "temperature": math.inf}),
+        dict(TRAIN_CONFIG, sweep={"loss.c_ent": [0.1, math.nan]}),
+        dict(TRAIN_CONFIG, env={"name": "gridworld", "width": 3, "height": 3,
+                                "traps": [[math.nan, 0]]}),
+        dict(TRAIN_CONFIG, env={"name": "gridworld", "width": 3, "height": 3,
+                                "traps": [[math.inf, 0]]}),
     ],
     ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
          "sweep_gamma_outer", "path_degeneracy_horizon", "planner_k_float",
          "horizon_float", "sweep_planner_depth_float", "seeds_bool", "eval_horizon",
          "env_chain_zero", "env_gridworld_no_height", "env_n_states_float",
          "env_reward_null", "env_transition_nan", "s0_out_of_range", "s0_terminal",
-         "sweep_s0_out_of_range", "seeds_duplicate"],
+         "sweep_s0_out_of_range", "seeds_duplicate", "loss_lr_nan",
+         "planner_temperature_infinity", "sweep_loss_c_ent_nan", "env_trap_nan",
+         "env_trap_infinity"],
 )
 def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     out = tmp_path / "out"
@@ -298,6 +347,57 @@ def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
     config_path.write_text(json.dumps(base_config(out, **overrides)))
     assert main([str(config_path)]) == 2
     assert not out.exists()
+
+
+def test_cli_rejects_an_output_dir_that_is_not_a_string(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a "nan" directory would land here
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(TRAIN_CONFIG, output_dir=math.nan)))
+    assert main([str(config_path)]) == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def _float_fields(section):
+    return [name for name, kind in get_type_hints(section).items() if kind is float]
+
+
+@pytest.mark.parametrize(
+    "section,name,value",
+    [("planner", name, math.nan) for name in _float_fields(PlannerConfig)]
+    + [("loss", name, math.nan) for name in _float_fields(LossConfig)]
+    + [("planner", "temperature", math.inf), ("planner", "temperature", 0.0)]
+    + [("loss", name, math.inf) for name in ("c_v", "c_pi", "c_ent", "lr")],
+)
+def test_cli_rejects_a_non_finite_config_field_before_writing(tmp_path, section, name, value):
+    out = tmp_path / "out"
+    data = base_config(out)
+    data.setdefault(section, {})[name] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    assert main([str(config_path)]) == 2
+    assert not out.exists()
+
+
+def test_config_accepts_unbounded_clipping(tmp_out):
+    data = base_config(tmp_out, loss={"clip_abs": math.inf, "clip_norm": math.inf})
+    assert config_from_dict(data).train.loss.clip_norm == math.inf
+
+
+@pytest.mark.parametrize(
+    "key", ["planner", "loss.", "env.name", "mdp", "train", "output_dir", "seeds",
+            "iterations.k", "horizon.x", "planner.k.x"],
+)
+def test_config_rejects_every_key_that_names_no_sweepable_field(tmp_out, key):
+    with pytest.raises(ConfigError, match="does not name a configurable field"):
+        config_from_dict(base_config(tmp_out, sweep={key: [1]}))
+
+
+def test_config_sweeps_top_level_section_and_scalar_keys(tmp_out):
+    sweep = {"iterations": [1, 2], "horizon": [3], "loss.lr": [0.2], "planner.k": [8]}
+    config = config_from_dict(base_config(tmp_out, sweep=sweep))
+    cell = _apply_sweep_point(config, {k: v[-1] for k, v in sweep.items()})
+    assert (cell.iterations, cell.train.horizon) == (2, 3)
+    assert (cell.train.loss.lr, cell.train.planner.k) == (0.2, 8)
 
 
 @pytest.mark.parametrize("reader", [load_config, main])

@@ -202,6 +202,15 @@ def test_policy_value_matches_enumeration():
     assert policy_value(mdp, policy, horizon)[0] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_policy_value_rejects_a_non_finite_policy(bad):
+    policy = np.full((3, 2), 0.5)
+    policy[1, 0] = bad
+    for table in (policy, np.full((3, 2), bad)):
+        with pytest.raises(ContractError):
+            policy_value(make_chain(2), table, 3)
+
+
 @pytest.mark.parametrize(
     "mdp,depth",
     [

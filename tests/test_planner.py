@@ -54,17 +54,17 @@ def test_init_particles_layout():
 def test_weight_update_arithmetic():
     # proposal equals prior (log ratio 0) and values vanish: the
     # increment is the temperature-scaled reward
-    assert weight_update(0.0, 0.0, 2.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
-    # everything cancels
-    assert weight_update(0.3, 0.0, 0.0, 1.2, 1.2, 1.0, 1.0) == pytest.approx(0.3)
+    assert weight_update(0.0, 2.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
+    # the values cancel, leaving the log ratio
+    assert weight_update(0.3, 0.0, 1.2, 1.2, 1.0, 1.0) == pytest.approx(0.3)
     # pure proposal correction: log(0.5 / 0.25) = log 2
-    got = weight_update(0.0, math.log(0.5) - math.log(0.25), 0.0, 0.0, 0.0, 1.0, 1.0)
+    got = weight_update(math.log(0.5) - math.log(0.25), 0.0, 0.0, 0.0, 1.0, 1.0)
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_weight_update_rejects_nonfinite():
     with pytest.raises(NumericalError):
-        weight_update(0.0, -np.inf, 0.0, 0.0, 0.0, 1.0, 1.0)
+        weight_update(-np.inf, 0.0, 0.0, 0.0, 1.0, 1.0)
 
 
 def test_advance_zero_reward_keeps_weights_flat():

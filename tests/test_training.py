@@ -270,9 +270,7 @@ def test_unvisited_states_get_zero_gradient():
 def test_sgd_zero_gradient_is_identity():
     model = random_model(3, 2, seed=9)
     cfg = LossConfig(lr=0.5)
-    from smcplan.training import ModelGrads
-
-    zeros = ModelGrads(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)))
+    zeros = Model(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)))
     out = sgd_step(model, zeros, cfg)
     assert (out.policy_logits == model.policy_logits).all()
     assert (out.v_table == model.v_table).all()
@@ -289,10 +287,8 @@ def test_sgd_zero_learning_rate_is_identity():
 def test_sgd_norm_rescaling():
     # all-ones gradient over 3*2 + 3 + 3*2 = 15 entries has norm
     # sqrt(15) > 1; with clip_norm=1 every entry becomes 1/sqrt(15)
-    from smcplan.training import ModelGrads
-
     model = Model.zeros(3, 2)
-    ones = ModelGrads(np.ones((3, 2)), np.ones(3), np.ones((3, 2)))
+    ones = Model(np.ones((3, 2)), np.ones(3), np.ones((3, 2)))
     cfg = LossConfig(lr=1.0, clip_abs=10.0, clip_norm=1.0)
     out = sgd_step(model, ones, cfg)
     expected = -1.0 / np.sqrt(15.0)
@@ -301,10 +297,8 @@ def test_sgd_norm_rescaling():
 
 
 def test_sgd_elementwise_clip_applies_before_norm():
-    from smcplan.training import ModelGrads
-
     model = Model.zeros(1, 1)
-    grads = ModelGrads(np.array([[100.0]]), np.array([0.0]), np.array([[0.0]]))
+    grads = Model(np.array([[100.0]]), np.array([0.0]), np.array([[0.0]]))
     cfg = LossConfig(lr=1.0, clip_abs=2.0, clip_norm=10.0)
     out = sgd_step(model, grads, cfg)
     assert out.policy_logits[0, 0] == -2.0
@@ -396,6 +390,14 @@ def test_buffer_sampling_is_uniform_ish():
 def test_add_segment_rejects_unnormalised_search_policy():
     buf = ReplayBuffer(capacity=4, n_actions=2)
     seg = segment([0.0, 0.0], [0.0, 0.0], policies=[[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(ContractError, match="sum to 1"):
+        buf.add_segment(seg, [0.0, 0.0])
+    assert len(buf) == 0
+
+
+def test_add_segment_rejects_a_nan_search_policy():
+    buf = ReplayBuffer(capacity=4, n_actions=2)
+    seg = segment([0.0, 0.0], [0.0, 0.0], policies=[[0.5, 0.5], [np.nan, 0.5]])
     with pytest.raises(ContractError, match="sum to 1"):
         buf.add_segment(seg, [0.0, 0.0])
     assert len(buf) == 0

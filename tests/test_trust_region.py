@@ -275,3 +275,12 @@ def test_rejects_bad_inputs():
         solve_trust_region([0.5, 0.5], [0.0, 1.0], -0.1)
     with pytest.raises(ContractError):
         adaptive_epsilon([0.5, 0.5], [0.0, 1.0], 1.5)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x: solve_trust_region([0.5, 0.5], [0.0, 1.0], x),
+    lambda x: adaptive_epsilon([0.5, 0.5], [0.0, 1.0], x),
+], ids=["solve_trust_region_epsilon", "adaptive_epsilon_alpha"])
+def test_rejects_a_nan_radius(solve):
+    with pytest.raises(ContractError, match="must lie in"):
+        solve(math.nan)
