@@ -44,10 +44,13 @@ def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
     anc = np.asarray(ancestors, dtype=np.intp)
     if anc.ndim != 1:
         raise ContractError("ancestors must be a vector")
-    if anc.size and (anc.min() < 0 or anc.max() >= n_atoms):
+    try:  # bincount rejects a negative id and counts past n_atoms for a large one
+        counts = np.bincount(anc, minlength=n_atoms)
+    except ValueError:
+        counts = None
+    if counts is None or counts.size > n_atoms:
         raise ContractError("ancestor ids out of range")
     # atom j's particles are the j-th run of the sorted order
-    counts = np.bincount(anc, minlength=n_atoms)
     atoms = np.flatnonzero(counts)
     counts = counts[atoms]
     order = np.argsort(anc.astype(np.min_scalar_type(n_atoms)), kind="stable")
@@ -82,10 +85,12 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     exponential. Sampled actions define the support; no atom is ever
     dropped, whether or not its ancestry survived resampling. Averaging
     rather than summing keeps the estimate free of the sampling
-    frequency, so it converges to the exact posterior policy for any
-    prior. Temperature is not reapplied here: it is already inside the
-    accumulated weights. Masses that are all zero, or ``nan`` or ``+inf``
-    anywhere, raise :class:`DegenerateWeightsError`.
+    frequency, so without resampling it converges to the exact posterior
+    policy for any prior (resampling leaves a bias: total variation about
+    0.024 at K=100000, ``resample_period=1``). Temperature is not
+    reapplied here: it is already inside the accumulated weights. Masses
+    that are all zero, or ``nan`` or ``+inf`` anywhere, raise
+    :class:`DegenerateWeightsError`.
     """
     prior = np.asarray(prior_row, dtype=float)
     actions = np.asarray(root_actions, dtype=np.intp)
@@ -98,11 +103,13 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
         raise ContractError("root actions out of range")
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
-    log_mass = np.full(prior.size, -np.inf)
-    for a in range(prior.size):
-        members = logq[actions == a]
-        if members.size:
-            log_mass[a] = log_prior[a] + logsumexp(members) - np.log(members.size)
+    # a stable sort puts each action's atoms in one run, in atom order
+    logq = logq[np.argsort(actions, kind="stable")]
+    log_mass, end = np.full(prior.size, -np.inf), 0
+    for a, count in enumerate(np.bincount(actions, minlength=prior.size).tolist()):
+        if count:
+            end += count
+            log_mass[a] = log_prior[a] + logsumexp(logq[end - count:end]) - np.log(count)
     return normalized_weights(log_mass)
 
 

@@ -12,8 +12,11 @@ a seed list, then writes three files into the output directory:
 * ``config.resolved.json`` capturing every default so the exact run can
   be reproduced by loading it back.
 
-Planner policies can carry exact zeros, so divergence metrics floor the
-compared policy at ``POLICY_FLOOR`` and renormalize before taking logs.
+A planning experiment builds one zero model, prior and set of planning
+tables per sweep point; each cell (one seed) makes its own exact
+reference solve and planner call. Planner policies can carry exact
+zeros, so divergence metrics floor the compared policy at
+``POLICY_FLOOR`` and renormalize before taking logs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from . import rng as rng_mod
 from .errors import ConfigError, ContractError, read_json, require_integers, require_range
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
-from .planner import run_planner
+from .planner import plan_tables, run_planner
 from .training import Model, TrainConfig, train
 from .trust_region import kl_to_prior
 
@@ -257,30 +260,28 @@ _PLAN_METRICS = {
 }
 
 
-def _drive(config: ExperimentConfig, seed: int):
-    """Run one (sweep point, seed) cell; yields (step, metric, value)."""
+def _drive(config: ExperimentConfig, seeds):
+    """Run one sweep point's cell per seed, planning cells sharing one set
+    of planning tables; yields ``(seed, rows)``, rows ``(step, metric, value)``."""
     mdp = config.mdp  # no sweep key reaches the environment
     if config.experiment in _PLAN_METRICS:
         name, divergence = _PLAN_METRICS[config.experiment]
         planner, s0 = config.train.planner, config.train.s0
         model = Model.zeros(mdp.n_states, mdp.n_actions)
-        reference = soft_value_iteration(
-            mdp, model.policy(), planner.depth, planner.temperature
-        ).posterior_policy[s0]
-        out = run_planner(mdp, s0, model, planner, seed)
-        return [(0, name, divergence(reference, out.root_policy))]
-    result = train(mdp, config.train, config.iterations, seed)
-    if config.experiment == "ablation":
-        window = min(10, config.iterations)
-        return [
-            (0, "final_greedy_return", float(result.greedy_returns[-window:].mean())),
-            (0, "final_policy_return", float(result.policy_returns[-window:].mean())),
-        ]
-    rows = []
-    for n in range(config.iterations):
-        rows.append((n, "greedy_return", float(result.greedy_returns[n])))
-        rows.append((n, "policy_return", float(result.policy_returns[n])))
-    return rows
+        prior, tables = model.policy(), plan_tables(mdp, model, planner)
+        for seed in seeds:
+            soft = soft_value_iteration(mdp, prior, planner.depth, planner.temperature)
+            out = run_planner(mdp, s0, model, planner, seed, tables)
+            yield seed, [(0, name, divergence(soft.posterior_policy[s0], out.root_policy))]
+        return
+    for seed in seeds:
+        result = train(mdp, config.train, config.iterations, seed)
+        curves = ("greedy_return", result.greedy_returns), ("policy_return", result.policy_returns)
+        if config.experiment == "ablation":
+            window = min(10, config.iterations)
+            yield seed, [(0, f"final_{m}", float(c[-window:].mean())) for m, c in curves]
+        else:
+            yield seed, [(n, m, float(c[n])) for n in range(config.iterations) for m, c in curves]
 
 
 def _sweep_points(config: ExperimentConfig):
@@ -310,13 +311,11 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     for point in _sweep_points(config):
         cell_config = _apply_sweep_point(config, point)
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
-        for seed in config.seeds:
+        point_values = tuple(point.get(k) for k in sweep_keys)
+        for seed, cell_rows in _drive(cell_config, config.seeds):
             last = {}
-            for step_idx, metric, value in _drive(cell_config, seed):
-                rows.append(
-                    tuple(point.get(k) for k in sweep_keys)
-                    + (seed, step_idx, metric, value)
-                )
+            for step_idx, metric, value in cell_rows:
+                rows.append(point_values + (seed, step_idx, metric, value))
                 last[metric] = value
             for metric, value in last.items():
                 finals.setdefault((point_label, metric), []).append(value)

@@ -9,7 +9,8 @@ makes them usable as oracles in the test-suite.
 
 Conventions: rewards enter likelihoods as ``reward / temperature``, and
 discounting is applied as an explicit ``gamma ** (t - 1)`` factor on the
-reward at step t.
+reward at step t. The soft backups scale the reward once per call and
+form only the posteriors a caller reads (the root's, or every stage's).
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, ContractError, NumericalError, SupportError, require_range
-from .mdp import (
-    TabularMdp,
-    check_policy_table,
-    enumerate_trajectories,
-    stage_policy_tables,
-)
+from .errors import POSITIVE, ContractError, NumericalError, SupportError
+from .errors import require_integers, require_range
+from .mdp import TabularMdp, check_policy_table, enumerate_trajectories, stage_policy_tables
 from .numerics import logsumexp
 
 
@@ -45,25 +42,29 @@ class SoftSolution:
 
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
-    """Yield ``(v, q, posterior)`` per backward sweep, boundary values zero."""
+    """Yield ``(v, q, log_prior)`` per backward sweep, boundary values zero."""
+    require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
     require_range(POSITIVE, math.inf, temperature=temperature)
     table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
     with np.errstate(divide="ignore"):
         log_p = np.log(mdp.transition)
         log_prior = np.log(table)
+    scaled_reward = mdp.reward / temperature
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
-        q = mdp.reward / temperature + mdp.discount * logsumexp(
-            log_p + v[None, None, :], axis=2
-        )
+        q = scaled_reward + mdp.discount * logsumexp(log_p + v[None, None, :], axis=2)
         v = logsumexp(log_prior + q, axis=1)
         if not np.isfinite(v).all():
             raise NumericalError("soft values overflowed; check reward/temperature scale")
-        log_post = log_prior + q - v[:, None]
-        posterior = np.exp(log_post)
-        posterior /= posterior.sum(axis=1, keepdims=True)
-        yield v, q, posterior
+        yield v, q, log_prior
+
+
+def _posterior(v, q, log_prior) -> np.ndarray:
+    """The prior reweighted by ``exp(q)``, each row normalized."""
+    posterior = np.exp(log_prior + q - v[:, None])
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    return posterior
 
 
 def soft_value_iteration(
@@ -75,9 +76,9 @@ def soft_value_iteration(
     ``v[s] = log sum_a prior(a|s) exp q[s, a]``, evaluated exactly over
     the full transition row. Returns the root-stage solution.
     """
-    for v, q, posterior in _soft_backup_sweeps(mdp, prior, horizon, temperature):
+    for v, q, log_prior in _soft_backup_sweeps(mdp, prior, horizon, temperature):
         pass
-    return SoftSolution(v, q, posterior, float(temperature))
+    return SoftSolution(v, q, _posterior(v, q, log_prior), float(temperature))
 
 
 def posterior_policy_stages(
@@ -89,7 +90,7 @@ def posterior_policy_stages(
     stacking them gives the exact (non-stationary) posterior policy for a
     depth-``horizon`` problem.
     """
-    sweeps = [p for _, _, p in _soft_backup_sweeps(mdp, prior, horizon, temperature)]
+    sweeps = [_posterior(*sweep) for sweep in _soft_backup_sweeps(mdp, prior, horizon, temperature)]
     return np.stack(sweeps[::-1], axis=0)
 
 
@@ -178,6 +179,7 @@ def optimal_policy(mdp: TabularMdp, horizon: int):
 
     Returns ``(policy, v_star)`` at the root stage.
     """
+    require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
@@ -195,6 +197,7 @@ def policy_value(mdp: TabularMdp, policy, horizon: int) -> np.ndarray:
     first). Exact dynamic programming, equivalent to enumerating every
     trajectory.
     """
+    require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
     tables = stage_policy_tables(policy, horizon, mdp)
     v = np.zeros(mdp.n_states)

@@ -15,21 +15,23 @@ belonging to particle i, so runs are reproducible under any internal
 parallelism.
 
 The model is fixed for a whole planning call, so everything a step reads
-from it is built once as :class:`PlanTables` (proposal rows and their
-cumulative masses, the log-policy, the value table, and per ``(s, a)``
-the log prior/proposal ratio and its retrace cap), per call or, by a
-caller planning repeatedly against one model, per model. A step reads
-the reward, those ratios and the MDP's support-compressed successor
-rows through one flat ``s * A + a`` index, so it costs K times the
-successor support, not K times S. Each step normalizes its weights
-once, for the ESS, resampling and readout; the particles' grouping by
-root atom is built only at a resample, where ancestors change.
+is built once as :class:`PlanTables`: the proposal rows, the prior,
+per ``(s, a)`` the log prior/proposal ratio and its retrace cap, and
+per ``(s, a, successor)`` the weight increment and the retrace error.
+They are built per call, or once by a caller planning repeatedly
+against one model (per training segment, per sweep point). A step draws
+an action, then a slot of the MDP's support-compressed successor row,
+and reads the next state, increment and error at one flat index, so it
+costs K times the successor support, not K times S. Each step
+normalizes its weights once, for the ESS, resampling and readout; the
+particles' grouping by root atom is built only at a resample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,6 +48,7 @@ PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
 RESAMPLE_MODES = ("baseline", "revived")
 VALUE_MODES = ("sampled", "exact")
+_TABLE_KEY = attrgetter("temperature", "gamma", "value_mode", "proposal_mode", "alpha")
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,7 @@ def weight_update(log_ratio, reward, v_next, v_cur, temperature: float, gamma: f
     increment is exactly the log posterior-over-proposal ratio.
     Broadcasts over scalars and arrays.
     """
-    out = log_ratio + reward / temperature + gamma * v_next - v_cur
-    if not np.isfinite(out).all():
-        raise NumericalError("weight update produced non-finite log weights")
-    return out
+    return log_ratio + reward / temperature + gamma * v_next - v_cur
 
 
 def _require_weights(weights, k: int) -> np.ndarray:
@@ -169,39 +169,60 @@ def _require_weights(weights, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlanTables:
-    """Per-state tables that every step of one planning call reads.
-
-    ``proposal`` is the ``(S, A)`` proposal table, ``log_prior`` the
-    model's log-policy (the prior in the weight update) and ``v_table``
-    its ``(S,)`` state values. Derived per ``(s, a)``: ``proposal_cdf``,
-    the row-wise cumulative masses the action draws read (never a
-    zero-mass action, whose ratios are thus never read), ``log_ratio =
-    log_prior - log(proposal)`` and ``ratio_cap = min(1, exp(log_ratio))``.
-    Construction checks that every proposal row is a distribution, which
-    covers every row a step can gather.
+    """What every step on ``mdp`` under ``config`` (its ``_TABLE_KEY``
+    fields) reads: the ``(S, A)`` ``proposal``, ``log_prior`` (the
+    model's log-policy) and a copy of its ``(S,)`` ``v_table``. Derived
+    per ``(s, a)``: ``proposal_cdf``, the cumulative masses the action
+    draws read (never a zero-mass action, whose entries are thus never
+    read), ``log_ratio = log_prior - log(proposal)`` and ``ratio_cap =
+    min(1, exp(log_ratio))``. Derived per ``(s, a, successor slot)``,
+    flat at ``(s * A + a) * W + slot`` over the MDP's successor rows:
+    ``increment``, the log-weight factor (under ``exact``, each
+    ``(s, a)``'s next value integrated once), and ``delta``, the retrace
+    error ``R + gamma * v(s') - v(s)``; entries no draw reaches may be
+    non-finite. Construction checks that every proposal row is a
+    distribution, which covers every row a step can gather.
     """
 
+    mdp: TabularMdp = field(repr=False)
+    config: PlannerConfig
     proposal: np.ndarray
     log_prior: np.ndarray
     v_table: np.ndarray
     proposal_cdf: np.ndarray = field(init=False, repr=False, compare=False)
     log_ratio: np.ndarray = field(init=False, repr=False, compare=False)
     ratio_cap: np.ndarray = field(init=False, repr=False, compare=False)
+    increment: np.ndarray = field(init=False, repr=False, compare=False)
+    delta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        mdp, config = self.mdp, self.config
+        shape = (mdp.n_states, mdp.n_actions)
         proposal = np.asarray(self.proposal, dtype=float)
-        if proposal.ndim != 2 or proposal.shape != np.shape(self.log_prior):
-            raise ContractError("proposal and log_prior must be (S, A) tables of one shape")
-        if np.shape(self.v_table) != proposal.shape[:1]:
-            raise ContractError(f"v_table must have shape ({len(proposal)},)")
+        shapes = proposal.shape, np.shape(self.log_prior), np.shape(self.v_table)
+        if shapes != (shape, shape, shape[:1]):
+            raise ContractError(f"proposal and log_prior need shape {shape}, v_table {shape[:1]}")
         if not ((proposal >= 0).all() and np.abs(proposal.sum(axis=1) - 1.0).max() <= 1e-6):
             raise ContractError("proposal rows must be probability distributions")
+        # step tables: one row per (s, a), one column per successor slot
+        v = np.array(self.v_table, dtype=float)
+        v_cur, v_sampled = np.repeat(v, mdp.n_actions)[:, None], v[mdp.successor_states]
+        reward, v_next = mdp.reward.reshape(-1, 1), v_sampled
+        if config.value_mode == "exact":
+            with np.errstate(divide="ignore"):
+                log_p = np.log(mdp.transition.reshape(-1, mdp.n_states))
+            v_next = np.broadcast_to(logsumexp(log_p + v, axis=1)[:, None], v_sampled.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_ratio = self.log_prior - np.log(proposal)
-            object.__setattr__(self, "ratio_cap", np.minimum(1.0, np.exp(log_ratio)))
-        object.__setattr__(self, "log_ratio", log_ratio)
-        object.__setattr__(self, "proposal", proposal)
-        object.__setattr__(self, "proposal_cdf", rng_mod.cdf_rows(proposal))
+            derived = dict(
+                proposal=proposal, v_table=v, proposal_cdf=rng_mod.cdf_rows(proposal),
+                log_ratio=log_ratio, ratio_cap=np.minimum(1.0, np.exp(log_ratio)),
+                increment=weight_update(log_ratio.reshape(-1, 1), reward, v_next, v_cur,
+                                        config.temperature, config.gamma).ravel(),
+                delta=(reward + config.gamma * v_sampled - v_cur).ravel(),
+            )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def advance(
@@ -213,38 +234,31 @@ def advance(
 ) -> ParticleSet:
     """Propagate every particle one step and update all statistics.
 
-    Samples an action from each particle's proposal row, steps the MDP,
-    applies the weight update with the model's policy as prior and its
-    value table for bootstrapping, refreshes the last-non-terminal
-    reference states, and feeds the per-step weight ratios into the
+    Samples an action and a successor slot per particle, reads the next
+    state, weight increment and retrace error at that slot, refreshes
+    the last-non-terminal reference states, and feeds the step into the
     retrace traces and, for ``message_passing``, the atom accumulators.
+    A drawn non-finite increment raises :class:`NumericalError`.
     """
+    if tables.mdp is not mdp or (
+        tables.config is not config and _TABLE_KEY(tables.config) != _TABLE_KEY(config)
+    ):
+        raise ContractError("tables were built for another MDP or planner config")
     k = particles.k
-    if tables.proposal.shape != (mdp.n_states, mdp.n_actions):
-        raise ContractError(f"proposal must have shape ({mdp.n_states}, {mdp.n_actions})")
-
     # one draw split in two: the action uniforms, then the state uniforms
     uniforms = rng.random(2 * k)
-    states = particles.states
-    actions = rng_mod.categorical_rows(tables.proposal_cdf, states, uniforms[:k])
-    flat = states * mdp.n_actions + actions
-    successors = rng_mod.categorical_rows(mdp.successor_cdf, flat, uniforms[k:])
-    next_states = mdp.successor_states[flat, successors]
-    rewards = np.take(mdp.reward, flat)
-
-    log_ratio = np.take(tables.log_ratio, flat)
-    v_table = tables.v_table
-    v_cur, v_sampled = v_table[states], v_table[next_states]
-    v_next = v_sampled
-    if config.value_mode == "exact":
-        with np.errstate(divide="ignore"):
-            log_p = np.log(mdp.transition[states, actions])
-        v_next = logsumexp(log_p + v_table[None, :], axis=1)
-    increments = weight_update(log_ratio, rewards, v_next, v_cur, config.temperature, config.gamma)
+    actions = rng_mod.categorical_rows(tables.proposal_cdf, particles.states, uniforms[:k])
+    flat = particles.states * mdp.n_actions + actions
+    j = flat * mdp.successor_states.shape[1]
+    j += rng_mod.categorical_rows(mdp.successor_cdf, flat, uniforms[k:])
+    next_states = mdp.successor_states.take(j)
+    increments = tables.increment.take(j)
+    if not np.isfinite(increments).all():
+        raise NumericalError("weight update produced non-finite log weights")
     log_weights = particles.log_weights + increments
 
-    ref_states = np.where(mdp.terminal[next_states], particles.ref_states, next_states)
-    root_actions = actions.copy() if particles.step == 0 else particles.root_actions
+    ref_states = np.where(mdp.terminal.take(next_states), particles.ref_states, next_states)
+    root_actions = actions if particles.step == 0 else particles.root_actions
     # Atom accumulators estimate per-root-action values, so the root
     # step enters conditioned on its action: its prior/proposal ratio is
     # an importance correction for the atom sampling measure, not part
@@ -253,17 +267,16 @@ def advance(
     # steps keep their full ratios (their actions are marginalized).
     ancestor_logq = particles.ancestor_logq
     if config.inference_mode == "message_passing":
-        backed_up = increments - log_ratio if particles.step == 0 else increments
+        backed_up = increments - tables.log_ratio.take(flat) if particles.step == 0 else increments
         ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
-    delta = rewards + config.gamma * v_sampled - v_cur
+    delta = tables.delta.take(j)
     if particles.step == 0:
-        retrace_decay = np.ones(k)
-        retrace_acc = delta.astype(float)
+        retrace_decay, retrace_acc = np.ones(k), delta
     else:
-        ratio_cap = np.take(tables.ratio_cap, flat)
+        ratio_cap = tables.ratio_cap.take(flat)
         retrace_decay = particles.retrace_decay * config.gamma * config.lambda_smc * ratio_cap
         retrace_acc = particles.retrace_acc + retrace_decay * delta
 
@@ -336,8 +349,7 @@ def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: in
     if (particles.root_actions < 0).any():
         raise ContractError("root actions are recorded by the first advance")
     weights = _require_weights(weights, particles.k)
-    mass = np.zeros(n_root_actions)
-    np.add.at(mass, particles.root_actions[particles.ancestors], weights)
+    mass = np.bincount(particles.root_actions.take(particles.ancestors), weights, n_root_actions)
     return mass / mass.sum()
 
 
@@ -388,7 +400,7 @@ def plan_tables(mdp: TabularMdp, model, config: PlannerConfig) -> PlanTables:
         prior, q_values = proposal[live], model.q_table[live]
         eps = adaptive_epsilon(prior, q_values, config.alpha)
         proposal[live] = trust_region_rows(prior, q_values, eps)[0]
-    return PlanTables(proposal, log_prior, model.v_table)
+    return PlanTables(mdp, config, proposal, log_prior, model.v_table)
 
 
 def run_planner(

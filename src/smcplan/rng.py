@@ -24,6 +24,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEED_SEQUENCE = np.random.SeedSequence(0)
+_ZEROS = (0, 0, 0, 0)  # Philox reads a state given as Python ints as uint64
 
 
 def _splitmix64(value: int) -> int:
@@ -45,10 +46,9 @@ def rekey(gen: np.random.Generator, seed: int, *path: int) -> np.random.Generato
     """Restart ``gen`` (a Philox generator) on the sub-stream addressed by
     ``path`` and return it: it then draws what ``stream(seed, *path)``
     would, for about half the cost of building a new generator."""
-    key = np.array([fold(seed, *path), _GOLDEN], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = (fold(seed, *path), _GOLDEN)
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
 
 

@@ -93,6 +93,7 @@ class ReplayBuffer:
     policy) columns; the n-th pair added lives in slot ``n % capacity``."""
 
     def __init__(self, capacity: int, n_actions: int):
+        require_integers(capacity=capacity)
         require_range(1, math.inf, capacity=capacity)
         self.states = np.zeros(capacity, dtype=np.intp)
         self.actions = np.zeros(capacity, dtype=np.intp)
@@ -144,6 +145,7 @@ def collect_segment(
     call). The model is fixed within a segment, so its planning tables
     are built once.
     """
+    require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
     tables = plan_tables(mdp, model, planner_config)
     states = np.empty(horizon, dtype=np.intp)
@@ -296,6 +298,7 @@ class TrainResult:
 def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> TrainResult:
     """Alternate segment collection and SGD; returns per-iteration
     exact evaluation returns of the greedy and stochastic policies."""
+    require_integers(iterations=iterations)
     require_range(1, math.inf, iterations=iterations)
     eval_horizon = config.eval_horizon or config.horizon
     model = Model.zeros(mdp.n_states, mdp.n_actions)

@@ -25,6 +25,7 @@ from smcplan import (
 )
 from smcplan import rng as rng_mod
 from smcplan.backups import IDENTITY
+from smcplan.numerics import logsumexp
 from smcplan.planner import normalized_weights
 
 
@@ -241,6 +242,34 @@ def test_message_passing_keeps_dead_atoms():
     prior = np.array([0.5, 0.5])
     policy = message_passing_policy(prior, np.array([0, 1]), np.array([0.0, 1.0]))
     assert policy[0] == pytest.approx(1.0 / (1.0 + math.e), abs=1e-12)
+
+
+def message_passing_reference(prior, actions, logq):
+    """The readout's former per-action loop, kept as its reference: one
+    boolean mask per action."""
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+    log_mass = np.full(prior.size, -np.inf)
+    for a in range(prior.size):
+        members = logq[actions == a]
+        if members.size:
+            log_mass[a] = log_prior[a] + logsumexp(members) - np.log(members.size)
+    return normalized_weights(log_mass)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_actions=st.integers(1, 8), k=st.integers(1, 2048), data=st.data())
+def test_message_passing_matches_the_mask_loop_bit_for_bit(n_actions, k, data):
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prior = gen.dirichlet(np.ones(n_actions)) * (gen.random(n_actions) < 0.8)
+    prior[gen.integers(n_actions)] += 0.5
+    prior /= prior.sum()
+    # atoms on the prior's support, some actions with none
+    odds = gen.dirichlet(np.full(n_actions, 0.5)) * (prior > 0)
+    actions = gen.choice(n_actions, size=k, p=odds / odds.sum())
+    logq = gen.normal(scale=data.draw(st.sampled_from([1e-3, 1.0, 30.0])), size=k)
+    out = message_passing_policy(prior, actions, logq)
+    assert out.tobytes() == message_passing_reference(prior, actions, logq).tobytes()
 
 
 def test_message_passing_rejects_empty():

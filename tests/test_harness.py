@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcplan import ConfigError, ContractError, LossConfig, PlannerConfig, bootstrap_ci
+from smcplan import harness
 from smcplan import rng as rng_mod
 from smcplan.cli import main
 from smcplan.harness import (
@@ -174,6 +175,38 @@ def test_run_is_byte_reproducible(tmp_path):
         run(config)
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+def test_run_solves_one_reference_and_plans_once_per_cell(tmp_out, monkeypatch):
+    # the benchmark marks a sweep cell by its soft_value_iteration call
+    # and expects one run_planner call per cell; the planning tables are
+    # built once per sweep point and shared by its cells
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((name, out if name == "plan_tables" else kwargs.get("tables", args[-1])))
+            return out
+
+        return wrapper
+
+    for name in ("soft_value_iteration", "run_planner", "plan_tables"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    config = config_from_dict(
+        base_config(tmp_out, experiment="path_degeneracy",
+                    env={"name": "absorbing_zero", "n_actions": 4},
+                    planner={"k": 4, "depth": 2},
+                    sweep={"planner.depth": [2, 4]},
+                    seeds=3)
+    )
+    assert run(config) == 0
+    assert [name for name, _ in calls] == (
+        ["plan_tables"] + ["soft_value_iteration", "run_planner"] * 3
+    ) * 2
+    for point in (calls[:7], calls[7:]):
+        tables = point[0][1]
+        assert all(arg is tables for _, arg in point[2::2])
 
 
 def test_run_refuses_overwrite_without_force(tmp_out):

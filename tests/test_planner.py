@@ -63,8 +63,17 @@ def test_weight_update_arithmetic():
 
 
 def test_weight_update_rejects_nonfinite():
+    # the prior puts no mass on action 1, so its increment is -inf:
+    # advance raises when a particle draws it, and not before
+    mdp = make_absorbing_zero(2)
+    cfg = PlannerConfig(k=2, depth=1)
+    log_prior = np.array([[0.0, -np.inf]])
+    tables = PlanTables(mdp, cfg, np.full((1, 2), 0.5), log_prior, np.zeros(1))
+    assert np.isneginf(tables.increment[1])
+    out = advance(init_particles(0, cfg), mdp, tables, cfg, FixedUniforms([0.1, 0.2, 0.5, 0.5]))
+    assert out.log_weights.tolist() == [math.log(2.0)] * 2
     with pytest.raises(NumericalError):
-        weight_update(-np.inf, 0.0, 0.0, 0.0, 1.0, 1.0)
+        advance(init_particles(0, cfg), mdp, tables, cfg, FixedUniforms([0.1, 0.7, 0.5, 0.5]))
 
 
 def test_advance_zero_reward_keeps_weights_flat():
@@ -109,25 +118,26 @@ def test_advance_validates_proposal_rows():
     model = uniform_model(mdp)
     bad = np.full((2, 2), 0.4)
     with pytest.raises(ContractError):
-        tables = PlanTables(bad, model.log_policy(), model.v_table)
+        tables = PlanTables(mdp, cfg, bad, model.log_policy(), model.v_table)
         advance(p, mdp, tables, cfg, rng_mod.stream(0, 1))
 
 
 def test_plan_tables_reject_a_value_table_of_the_wrong_shape():
     # make_chain(5) has 6 states: a longer table used to plan silently, a
     # shorter one to fail as an IndexError inside advance
-    mdp = make_chain(5)
-    tables = plan_tables(mdp, uniform_model(mdp), PlannerConfig(k=4, depth=2))
+    mdp, cfg = make_chain(5), PlannerConfig(k=4, depth=2)
+    tables = plan_tables(mdp, uniform_model(mdp), cfg)
     for v_table in (np.zeros(9), np.zeros(2), np.zeros((6, 1))):
         with pytest.raises(ContractError, match="v_table"):
-            PlanTables(tables.proposal, tables.log_prior, v_table)
-    PlanTables(tables.proposal, tables.log_prior, np.zeros(6))
+            PlanTables(mdp, cfg, tables.proposal, tables.log_prior, v_table)
+    PlanTables(mdp, cfg, tables.proposal, tables.log_prior, np.zeros(6))
 
 
 def test_plan_tables_hold_the_per_action_ratios():
     proposal = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
     log_prior = np.log(np.full((2, 3), 1.0 / 3.0))
-    tables = PlanTables(proposal, log_prior, np.zeros(2))
+    mdp = make_random_mdp(2, 3, seed=5)
+    tables = PlanTables(mdp, PlannerConfig(k=1, depth=1), proposal, log_prior, np.zeros(2))
     live = proposal > 0
     with np.errstate(divide="ignore"):
         expected = log_prior - np.log(proposal)
@@ -148,8 +158,8 @@ def test_advance_never_draws_a_zero_mass_action_or_successor():
     mdp = TabularMdp(transition, np.zeros((3, 3)), np.array([False, False, True]))
     proposal = np.full((3, 3), 1.0 / 3.0)
     proposal[0] = [0.5, 0.5 - 5e-7, 0.0]
-    tables = PlanTables(proposal, np.log(np.full((3, 3), 1.0 / 3.0)), np.zeros(3))
     cfg = PlannerConfig(k=2, depth=1)
+    tables = PlanTables(mdp, cfg, proposal, np.log(np.full((3, 3), 1.0 / 3.0)), np.zeros(3))
     p = init_particles(0, cfg)
     out = advance(p, mdp, tables, cfg, FixedUniforms([0.5, 1.0 - 1e-7, 1.0 - 1e-13, 0.25]))
     assert out.root_actions.tolist() == [1, 1]
@@ -404,6 +414,31 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
     for seed in range(3):
         fresh = run_planner(mdp, 0, model, cfg, seed).to_dict()
         assert run_planner(mdp, 0, model, cfg, seed, tables).to_dict() == fresh
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("temperature", 0.5), ("gamma", 0.9), ("value_mode", "exact"),
+     ("proposal_mode", "prior"), ("alpha", 0.3)],
+)
+def test_run_planner_rejects_tables_built_for_another_config(field, value):
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    model = random_model(5, 3, seed=9)
+    cfg = PlannerConfig(k=8, depth=3, proposal_mode="trust_region", alpha=0.6)
+    tables = plan_tables(mdp, model, replace(cfg, **{field: value}))
+    with pytest.raises(ContractError, match="another MDP or planner config"):
+        run_planner(mdp, 0, model, cfg, seed=1, tables=tables)
+    # the tables serve any config that agrees on the fields they are built from
+    run_planner(mdp, 0, model, replace(cfg, k=4, depth=2, sigma=0.5), seed=1,
+                tables=plan_tables(mdp, model, cfg))
+
+
+def test_run_planner_rejects_tables_built_for_another_mdp():
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    twin = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    model, cfg = random_model(5, 3, seed=9), PlannerConfig(k=8, depth=3)
+    with pytest.raises(ContractError, match="another MDP or planner config"):
+        run_planner(mdp, 0, model, cfg, seed=1, tables=plan_tables(twin, model, cfg))
 
 
 def test_run_planner_reads_the_model_once_per_call():

@@ -23,6 +23,7 @@ from smcplan import (
     step,
 )
 from smcplan import rng as rng_mod
+from smcplan.numerics import logsumexp
 from smcplan.planner import RESAMPLE_MODES, VALUE_MODES, normalized_weights
 
 
@@ -149,6 +150,48 @@ def test_readout_policies_live_on_sampled_root_actions(problem):
         assert out.diagnostics.value_smc == value_smc
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=planning_problems(),
+    sparse_seed=st.integers(0, 2**32 - 1),
+    value_mode=st.sampled_from(VALUE_MODES),
+    temperature=st.sampled_from([1.0, 0.1]),
+    gamma=st.sampled_from([1.0, 0.9]),
+)
+def test_step_tables_equal_the_per_particle_arithmetic(
+    problem, sparse_seed, value_mode, temperature, gamma
+):
+    dense, model, config, _ = problem
+    terminal = np.flatnonzero(dense.terminal)
+    mdp = make_random_mdp(*dense.reward.shape, sparse_seed, terminal_states=terminal, sparse=True)
+    config = replace(config, value_mode=value_mode, temperature=temperature, gamma=gamma)
+    tables = plan_tables(mdp, model, config)
+    # one particle per drawable (s, a, successor): positive proposal and
+    # transition mass
+    states, actions, next_states = np.nonzero(
+        (tables.proposal > 0)[:, :, None] & (mdp.transition > 0)
+    )
+    flat = states * mdp.n_actions + actions
+    slots = np.argmax(mdp.successor_states[flat] == next_states[:, None], axis=1)
+    j = flat * mdp.successor_states.shape[1] + slots
+    assert np.array_equal(mdp.successor_states.ravel()[j], next_states)
+    # advance's former per-particle arithmetic, the reference
+    log_ratio = model.log_policy()[states, actions] - np.log(tables.proposal[states, actions])
+    rewards = mdp.reward[states, actions]
+    v_table = model.v_table
+    v_cur, v_sampled = v_table[states], v_table[next_states]
+    v_next = v_sampled
+    if value_mode == "exact":
+        with np.errstate(divide="ignore"):
+            log_p = np.log(mdp.transition[states, actions])
+        v_next = logsumexp(log_p + v_table[None, :], axis=1)
+    increment = log_ratio + rewards / temperature + gamma * v_next - v_cur
+    delta = rewards + gamma * v_sampled - v_cur
+    assert np.isfinite(increment).all()
+    assert tables.increment[j].tolist() == increment.tolist()
+    assert tables.delta[j].tolist() == delta.tolist()
+
+
 def dense_draw(masses, u):
     """The draw on a dense row, the reference for every table-based
     draw: the count of the row's cumulative masses at or below ``u``,
@@ -185,7 +228,8 @@ def sparse_problems(draw):
     proposal /= proposal.sum(axis=1, keepdims=True)
     proposal[gen.random(n_states) < 0.3] *= 1.0 - 5e-7
     log_prior = gen.normal(size=(n_states, n_actions))
-    return mdp, PlanTables(proposal, log_prior, gen.random(n_states)), draw(st.data())
+    tables = PlanTables(mdp, PlannerConfig(k=1, depth=1), proposal, log_prior, gen.random(n_states))
+    return mdp, tables, draw(st.data())
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,8 +23,12 @@ from smcplan import (
     make_chain,
     make_gridworld,
     make_two_arm,
+    optimal_policy,
     outer_targets,
+    policy_value,
+    posterior_policy_stages,
     sgd_step,
+    soft_value_iteration,
     train,
     training,
 )
@@ -541,3 +545,29 @@ def test_loss_config_bounds_outer_trace_and_discount(fields):
         LossConfig(**fields)
     LossConfig(lambda_outer=0.0, gamma_outer=1.0)
     LossConfig(lambda_outer=1.0, gamma_outer=0.0)
+
+
+def _count_entry_points():
+    """Each entry point that takes a count, called with ``n`` as it."""
+    mdp = make_chain(3)
+    cfg = TrainConfig(planner=PlannerConfig(k=4, depth=2), horizon=2, batch_size=4)
+    policy = np.full((mdp.n_states, mdp.n_actions), 0.5)
+    model = Model.zeros(mdp.n_states, mdp.n_actions)
+    return {
+        "train": lambda n: train(mdp, cfg, n, 0),
+        "collect_segment": lambda n: collect_segment(mdp, model, cfg.planner, n, 0),
+        "ReplayBuffer": lambda n: ReplayBuffer(n, mdp.n_actions),
+        "soft_value_iteration": lambda n: soft_value_iteration(mdp, policy, n, 1.0),
+        "posterior_policy_stages": lambda n: posterior_policy_stages(mdp, policy, n, 1.0),
+        "policy_value": lambda n: policy_value(mdp, policy, n),
+        "optimal_policy": lambda n: optimal_policy(mdp, n),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_count_entry_points()))
+@pytest.mark.parametrize("count", [2.5, True, 2.0])
+def test_count_arguments_must_be_integers(entry, count):
+    call = _count_entry_points()[entry]
+    with pytest.raises(ContractError, match="must be an integer"):
+        call(count)
+    call(2)
