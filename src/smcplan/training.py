@@ -6,12 +6,14 @@ converts it into lambda-return targets bootstrapped from the planner's
 own value estimates, writes the (state, action, target, search policy)
 columns into a fixed-capacity ring buffer, and takes clipped SGD steps
 on the joint value/policy loss over batches gathered from those
-columns. The planner always reads the live model, so each iteration
-plans against the freshly updated prior.
+columns, all of an iteration's batches in one draw. The planner always
+reads the live model, so each iteration plans against the freshly
+updated prior.
 
 The model is tabular (logit, value and action-value tables), which keeps
 gradients exact and lets evaluation use exact dynamic programming
-instead of sampled episodes.
+instead of sampled episodes. The three tables are views of one parameter
+vector, so a gradient is one ``bincount`` and an SGD step one update.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import FINITE, ContractError, require_integers, require_range
+from .errors import FINITE, ContractError, NumericalError, require_integers, require_range
 from .mdp import TabularMdp, step
 from .oracle import policy_value
 from .planner import PlannerConfig, plan_tables, run_planner
@@ -32,22 +34,35 @@ _SEGMENT, _UPDATES = 0, 1
 _PLAN, _ACT = 0, 1
 
 
-@dataclass
 class Model:
     """Tabular policy/value model; the policy is the row-softmax of the
-    logits."""
+    logits. The three tables are views of one vector ``params =
+    [policy_logits | v_table | q_table]``, so a write to a table is a
+    write to the model; the constructor copies its arguments."""
 
-    policy_logits: np.ndarray
-    v_table: np.ndarray
-    q_table: np.ndarray
+    def __init__(self, policy_logits, v_table, q_table):
+        shape = np.shape(policy_logits)
+        if len(shape) != 2 or np.shape(v_table) != shape[:1] or np.shape(q_table) != shape:
+            raise ContractError("need (S, A) logits and q_table and an (S,) v_table")
+        self._bind(np.concatenate([np.ravel(t) for t in (policy_logits, v_table, q_table)],
+                                  dtype=float), *shape)
+
+    def _bind(self, params, n_states, n_actions):
+        cells = n_states * n_actions
+        self.params = params
+        self.policy_logits = params[:cells].reshape(n_states, n_actions)
+        self.v_table = params[cells : cells + n_states]
+        self.q_table = params[cells + n_states :].reshape(n_states, n_actions)
+        return self
+
+    @classmethod
+    def of_params(cls, params, n_states: int, n_actions: int) -> "Model":
+        """The model whose tables are views of ``params`` itself."""
+        return cls.__new__(cls)._bind(params, n_states, n_actions)
 
     @classmethod
     def zeros(cls, n_states: int, n_actions: int) -> "Model":
-        return cls(
-            policy_logits=np.zeros((n_states, n_actions)),
-            v_table=np.zeros(n_states),
-            q_table=np.zeros((n_states, n_actions)),
-        )
+        return cls.of_params(np.zeros(n_states * (2 * n_actions + 1)), n_states, n_actions)
 
     def log_policy(self) -> np.ndarray:
         z = self.policy_logits - self.policy_logits.max(axis=1, keepdims=True)
@@ -118,9 +133,11 @@ class ReplayBuffer:
         self.search_policies[slots] = segment.search_policies[keep]
         self._added += n
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batch_size, rng: np.random.Generator):
         """``(states, actions, targets, search_policies)`` of a uniform
-        draw of ``batch_size`` stored pairs, with replacement."""
+        draw of ``batch_size`` stored pairs, with replacement. A shape
+        ``(u, b)`` draws ``u`` batches at once, as ``u`` successive draws
+        of ``b`` would: the columns gain a leading axis of length ``u``."""
         if not len(self):
             raise ContractError("cannot sample from an empty buffer")
         idx = rng.integers(0, len(self), size=batch_size)
@@ -234,32 +251,33 @@ def grad(model: Model, batch, cfg: LossConfig) -> Model:
     entropy = -(pi * log_pi).sum(axis=1)
 
     n_states, n_actions = pi.shape
-    cells = (states * n_actions)[:, None] + np.arange(n_actions)
-    g_v = np.bincount(states, cfg.c_v * (model.v_table[states] - targets) / n, n_states)
-    q_err = cfg.c_v * (model.q_table[states, actions] - targets) / n
-    g_q = np.bincount(states * n_actions + actions, q_err, pi.size).reshape(pi.shape)
-    rows = cfg.c_pi * (pi[states] - search) + cfg.c_ent * pi[states] * (
-        log_pi[states] + entropy[states, None]
-    )
-    g_logits = np.bincount(cells.ravel(), (rows / n).ravel(), pi.size).reshape(pi.shape)
-    return Model(g_logits, g_v, g_q)
+    pi_s = pi[states]
+    rows = cfg.c_pi * (pi_s - search) + cfg.c_ent * pi_s * (log_pi[states] + entropy[states, None])
+    # one bincount: item i adds to its logit row, v_table entry and
+    # q_table entry of params = [policy_logits | v_table | q_table]
+    stride = np.array([n_actions] * n_actions + [1, n_actions])
+    index = states[:, None] * stride + np.array([*range(n_actions), pi.size, pi.size + n_states])
+    index[:, -1] += actions
+    weights = np.empty(index.shape)
+    weights[:, :n_actions] = rows
+    weights[:, n_actions:] = cfg.c_v * (model.params[index[:, n_actions:]] - targets[:, None])
+    weights /= n
+    flat = np.bincount(index.ravel(), weights.ravel(), model.params.size)
+    return Model.of_params(flat, n_states, n_actions)
 
 
 def sgd_step(model: Model, grads: Model, cfg: LossConfig) -> Model:
-    """Clip element-wise, rescale to the global norm cap, then descend."""
-    parts = [
-        np.clip(grads.policy_logits, -cfg.clip_abs, cfg.clip_abs),
-        np.clip(grads.v_table, -cfg.clip_abs, cfg.clip_abs),
-        np.clip(grads.q_table, -cfg.clip_abs, cfg.clip_abs),
-    ]
-    norm = float(np.sqrt(sum(float(np.square(p).sum()) for p in parts)))
+    """Clip element-wise, rescale to the global norm cap, then descend; a
+    clipped gradient whose norm is not finite raises NumericalError."""
+    g = np.clip(grads.params, -cfg.clip_abs, cfg.clip_abs)
+    squares = Model.of_params(np.square(g), *model.policy_logits.shape)
+    tables = squares.policy_logits, squares.v_table, squares.q_table
+    norm = float(np.sqrt(sum(float(t.sum()) for t in tables)))
+    if not math.isfinite(norm):
+        raise NumericalError(f"gradient norm is {norm}")
     if norm > cfg.clip_norm and norm > 0:
-        parts = [p * (cfg.clip_norm / norm) for p in parts]
-    return Model(
-        policy_logits=model.policy_logits - cfg.lr * parts[0],
-        v_table=model.v_table - cfg.lr * parts[1],
-        q_table=model.q_table - cfg.lr * parts[2],
-    )
+        g = g * (cfg.clip_norm / norm)
+    return Model.of_params(model.params - cfg.lr * g, *model.policy_logits.shape)
 
 
 @dataclass(frozen=True)
@@ -318,8 +336,8 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
         targets = outer_targets(segment, config.loss.gamma_outer, config.loss.lambda_outer)
         buffer.add_segment(segment, targets)
         gen = rng_mod.stream(seed, n, _UPDATES)
-        for _ in range(config.updates_per_iteration):
-            batch = buffer.sample(config.batch_size, gen)
+        batches = buffer.sample((config.updates_per_iteration, config.batch_size), gen)
+        for batch in zip(*batches):
             model = sgd_step(model, grad(model, batch, config.loss), config.loss)
         losses[n] = loss(model, batch, config.loss)
         # greedy policy: argmax of the logits, ties split evenly

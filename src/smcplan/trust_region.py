@@ -4,14 +4,14 @@ A proposal row is drawn from the exponential family
 ``q_beta ∝ prior * exp(beta * q_values)``. The divergence
 ``KL(q_beta || prior)`` grows monotonically from 0 with beta, so the
 largest beta whose divergence stays inside a radius ``epsilon`` is found
-by bracketing (doubling beta) and bisection. The radius itself is set
-adaptively as a fraction of the prior-to-greedy divergence, which makes
-the tilt interpolate between the prior (radius 0) and the greedy policy
-(full radius), whatever the scale of the values.
+by a k-section search: a bracket from doubling beta, then bisection, with
+many betas tilted per row at once. The radius itself is set adaptively as
+a fraction of the prior-to-greedy divergence, which makes the tilt
+interpolate between the prior (radius 0) and the greedy policy (full
+radius), whatever the scale of the values.
 
-One kernel, :func:`trust_region_rows`, solves a whole table at once;
-every row follows its own beta sequence, so each row's result is
-bit-identical to solving it alone.
+One kernel, :func:`trust_region_rows`, solves a whole table at once; each
+row's result is bit-identical to a serial search of that row alone.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ PRIOR_FLOOR = 1e-12
 TOL = 1e-4
 MAX_ITERATIONS = 100
 BETA_CAP = 1e6
+TREE_DEPTH = 4  # bisection levels a round evaluates at once
 
 
 def greedy_row(q_values) -> np.ndarray:
@@ -47,10 +48,11 @@ def _kl_rows(dist, log_ref) -> np.ndarray:
     kl = terms.sum(axis=1)
     # numpy sums eight or more entries pairwise, so there the zeros left
     # off the support would regroup the additions: sum those rows over
-    # their support alone
+    # their support alone, all rows of one support size at once
     if dist.shape[1] >= 8:
-        for i in np.flatnonzero(~support.all(axis=1)):
-            kl[i] = terms[i][support[i]].sum()
+        size = support.sum(axis=1)
+        for m in np.unique(size[(size > 0) & (size < dist.shape[1])]):
+            kl[size == m] = terms[size == m][support[size == m]].reshape(-1, m).sum(axis=1)
     return kl
 
 
@@ -94,10 +96,14 @@ def trust_region_rows(prior, q_values, epsilon):
     returns ``(rows, beta, achieved_kl, saturated)``, one entry per row.
     Radius 0 returns the prior row bit-exactly. A radius at or beyond
     the greedy-to-prior divergence returns the greedy-tie row. In
-    between, beta is bracketed by doubling from 1 (capped at
-    ``BETA_CAP``) and bisected until the achieved divergence is within
-    ``TOL`` of the radius or ``MAX_ITERATIONS`` is exhausted; a row is
-    evaluated only while its own search is still running.
+    between, the result is that of a serial search, which doubles beta
+    from 1 (capped at ``BETA_CAP``) until the divergence reaches the
+    radius, then bisects until it is within ``TOL`` of the radius or
+    ``MAX_ITERATIONS`` midpoints are spent. Each round of the search
+    tilts a row at many betas in one evaluation: all the doublings, then
+    the midpoints of the next ``TREE_DEPTH`` bisection levels, which the
+    row walks by the serial rule. Every tilt is computed row by row, so
+    each row's result is bit-identical to solving it alone.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(q_values, dtype=float)
@@ -117,37 +123,53 @@ def trust_region_rows(prior, q_values, epsilon):
     kl[saturated] = kl_greedy[saturated]
 
     def evaluate(idx, b):
-        z = log_prior[idx] + b[:, None] * q[idx]
-        tilted = np.exp(z - logsumexp(z, axis=1)[:, None])
-        rows[idx] = tilted
-        beta[idx] = b
-        kl[idx] = _kl_rows(tilted, log_ref[idx])
+        """Tilts of row ``idx[i]`` at each beta of ``b[i]`` (or ``b``)."""
+        shape = idx.size, b.shape[-1]
+        # a beta past the serial search's stop may overflow; it is never kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (log_prior[idx, None] + b[..., None] * q[idx, None]).reshape(-1, q.shape[1])
+            tilted = np.exp(z - logsumexp(z, axis=1)[:, None])
+        kl_b = _kl_rows(tilted, np.repeat(log_ref[idx], shape[1], axis=0))
+        return tilted.reshape(*shape, q.shape[1]), kl_b.reshape(shape)
 
     idx = np.flatnonzero((epsilon > 0.0) & ~saturated)
     eps = epsilon[idx]
-    hi = np.ones(idx.size)
-    evaluate(idx, hi)
-    grow = (kl[idx] < eps) & (hi < BETA_CAP)
-    while grow.any():
-        hi[grow] = np.minimum(hi[grow] * 2.0, BETA_CAP)
-        evaluate(idx[grow], hi[grow])
-        grow = (kl[idx] < eps) & (hi < BETA_CAP)
+    doublings = np.minimum(2.0 ** np.arange(math.ceil(math.log2(BETA_CAP)) + 1), BETA_CAP)
+    tilted, kl_b = evaluate(idx, doublings)
+    # the doubling stops at the first divergence not below the radius
+    at = (kl_b[:, :-1] < eps[:, None]).cumprod(axis=1).sum(axis=1)
+    r = np.arange(idx.size)
+    rows[idx], beta[idx], kl[idx] = tilted[r, at], doublings[at], kl_b[r, at]
     # a row whose family cannot reach the radius (e.g. ties) keeps the
     # cap, as far as the tilt can go while satisfying the constraint
     capped = kl[idx] < eps
     saturated[idx[capped]] = True
 
-    idx, eps, hi = idx[~capped], eps[~capped], hi[~capped]
-    lo = np.zeros(idx.size)
-    for _ in range(MAX_ITERATIONS):
-        live = ~(np.abs(kl[idx] - eps) <= TOL)
-        if not live.any():
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        evaluate(idx[live], mid)
-        below = kl[idx[live]] < eps[live]
-        lo[live] = np.where(below, mid, lo[live])
-        hi[live] = np.where(below, hi[live], mid)
+    idx, eps, hi = idx[~capped], eps[~capped], doublings[at[~capped]]
+    lo, spent = np.zeros(idx.size), np.zeros(idx.size, dtype=int)
+    live = ~(np.abs(kl[idx] - eps) <= TOL) & (spent < MAX_ITERATIONS)
+    while live.any():
+        idx, eps, lo, hi, spent = idx[live], eps[live], lo[live], hi[live], spent[live]
+        # the bisection tree under [lo, hi], its midpoints formed level by level
+        edges = np.empty((idx.size, 2**TREE_DEPTH + 1))
+        edges[:, 0], edges[:, -1] = lo, hi
+        for width in 2 ** np.arange(TREE_DEPTH, 0, -1):
+            edges[:, width // 2 :: width] = 0.5 * (edges[:, :-1:width] + edges[:, width::width])
+        tilted, kl_b = evaluate(idx, edges[:, 1:-1])
+        # each row walks its tree of midpoints as the serial bisection
+        # would; node, left and right index the row's edges
+        walks = []
+        for kl_row, e, k, n in zip(kl_b.tolist(), eps.tolist(), kl[idx].tolist(), spent.tolist()):
+            left, right, node = 0, 2**TREE_DEPTH, 0
+            while right - left > 1 and not abs(k - e) <= TOL and n < MAX_ITERATIONS:
+                node = (left + right) // 2
+                k, n = kl_row[node - 1], n + 1
+                left, right = (node, right) if k < e else (left, node)
+            walks.append((node, left, right, n, not abs(k - e) <= TOL and n < MAX_ITERATIONS))
+        node, left, right, spent, live = np.array(walks).T
+        r = np.arange(idx.size)
+        rows[idx], beta[idx], kl[idx] = tilted[r, node - 1], edges[r, node], kl_b[r, node - 1]
+        lo, hi, live = edges[r, left], edges[r, right], live.astype(bool)
     return rows, beta, kl, saturated
 
 

@@ -451,7 +451,8 @@ def test_run_planner_reads_the_model_once_per_call():
             return super().log_policy()
 
     mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
-    model = CountingModel(**vars(random_model(5, 3, seed=9)))
+    base = random_model(5, 3, seed=9)
+    model = CountingModel(base.policy_logits, base.v_table, base.q_table)
     for depth in (1, 6):
         for mode in ("dirac", "message_passing"):
             cfg = PlannerConfig(k=8, depth=depth, inference_mode=mode)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedUniforms, make_random_mdp
@@ -12,6 +12,7 @@ from smcplan import (
     ContractError,
     LossConfig,
     Model,
+    NumericalError,
     PlannerConfig,
     ReplayBuffer,
     Segment,
@@ -308,6 +309,47 @@ def test_sgd_elementwise_clip_applies_before_norm():
     assert out.policy_logits[0, 0] == -2.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_sgd_rejects_a_non_finite_gradient_norm(bad):
+    # an infinite entry survives an infinite clip_abs; nan survives any clip
+    model = Model.zeros(2, 2)
+    grads = Model.zeros(2, 2)
+    grads.policy_logits[0, 0] = bad
+    with pytest.raises(NumericalError, match="gradient norm"):
+        sgd_step(model, grads, LossConfig(clip_abs=np.inf))
+    assert (model.params == 0.0).all()
+
+
+# ---------------------------------------------------------------- model
+
+
+def test_model_tables_are_views_of_one_parameter_vector():
+    model = random_model(3, 2, seed=30)
+    batch = random_batch(model, 31)
+    before_policy, before_grad = model.log_policy(), grad(model, batch, LossConfig())
+    model.policy_logits[0, 0] = 2.0
+    assert (model.log_policy()[0] != before_policy[0]).all()
+    assert model.params[0] == 2.0
+    model.v_table[0] = 0.7
+    assert model.params[6] == 0.7
+    assert (batch[0] == 0).any()  # state 0 is in the batch, so its value gradient moves
+    assert grad(model, batch, LossConfig()).v_table[0] != before_grad.v_table[0]
+
+
+def test_model_copies_its_arguments():
+    logits, v, q = np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3))
+    model = Model(logits, v, q)
+    logits[0, 0], v[0], q[0, 0] = 1.0, 1.0, 1.0
+    assert (model.params == 0.0).all()
+    assert model.params.size == logits.size + v.size + q.size
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3,), (2, 3)), ((2, 3), (2,), (3, 2)), ((6,), (1,), (6,))])
+def test_model_rejects_tables_of_mismatched_shapes(shapes):
+    with pytest.raises(ContractError, match="need"):
+        Model(*(np.zeros(shape) for shape in shapes))
+
+
 def test_loss_decreases_on_frozen_batch():
     model = random_model(4, 3, seed=21)
     cfg = LossConfig(c_v=0.5, c_pi=1.0, c_ent=0.05, lr=0.05)
@@ -360,6 +402,8 @@ def random_segment(gen, n, n_actions):
 
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 8), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+# the buffer holds 1, 37, then 49 and 61 pairs, then is full and wraps
+@example(capacity=64, lengths=[1, 36, 12, 12, 12])
 def test_buffer_matches_list_reference(capacity, lengths):
     gen = rng_mod.stream(11)
     buf, ref = ReplayBuffer(capacity, 3), ListReplayBuffer(capacity)
@@ -374,6 +418,14 @@ def test_buffer_matches_list_reference(capacity, lengths):
         for column, expected in zip(got, want):
             assert column.dtype == expected.dtype
             assert column.tobytes() == expected.tobytes()
+        # a (u, b) draw is u successive draws of b from the same stream
+        batches = buf.sample((3, 16), rng_mod.stream(6, i))
+        ref_gen = rng_mod.stream(6, i)
+        for u in range(3):
+            want = ref.sample(16, ref_gen)
+            for column, expected in zip(batches, want):
+                assert column[u].dtype == expected.dtype
+                assert column[u].tobytes() == expected.tobytes()
 
 
 def test_buffer_fifo_eviction():

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from unittest import mock
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -15,13 +17,14 @@ from smcplan import (
     solve_trust_region,
     trust_region_rows,
 )
+from smcplan import numerics, trust_region
 from smcplan.trust_region import BETA_CAP, PRIOR_FLOOR, TOL, kl_to_prior
 
 
 # Reference implementation: the scalar solver, one row at a time, with
 # scipy's log-sum-exp and the divergence summed over the support only.
-# The package solves whole tables in one row-vectorised bisection; the
-# tests below require it to match this bit for bit.
+# The package solves whole tables at once, evaluating many betas per row
+# in each round; the tests below require it to match this bit for bit.
 def reference_kl(dist, prior_row) -> float:
     ref = np.maximum(prior_row, PRIOR_FLOOR)
     support = dist > 0
@@ -124,6 +127,108 @@ def test_kernel_matches_reference_at_intermediate_radii():
             row, b, k, sat = reference_solve(prior[i], q[i], eps[i])
             assert bits(rows[i]) == bits(row)
             assert bits([beta[i], kl[i]]) == bits([b, k]) and saturated[i] == sat
+
+
+# Reference for the round-based search: the serial bracket-and-bisect
+# table solver it replaced, which evaluates one beta per row at a time
+# and only while that row's search runs. Its helpers are the package's
+# own and it reads MAX_ITERATIONS when called, so the property below
+# pins the order of the search alone.
+def serial_trust_region_rows(prior, q_values, epsilon):
+    prior = np.asarray(prior, dtype=float)
+    q = np.asarray(q_values, dtype=float)
+    epsilon = np.asarray(epsilon, dtype=float)
+    log_ref = np.log(np.maximum(prior, PRIOR_FLOOR))
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+    greedy = greedy_row(q)
+    kl_greedy = trust_region._kl_rows(greedy, log_ref)
+
+    rows = prior.copy()
+    beta = np.zeros(len(prior))
+    kl = np.zeros(len(prior))
+    saturated = (epsilon > 0.0) & (epsilon >= kl_greedy)
+    rows[saturated] = greedy[saturated]
+    beta[saturated] = math.inf
+    kl[saturated] = kl_greedy[saturated]
+
+    def evaluate(idx, b):
+        z = log_prior[idx] + b[:, None] * q[idx]
+        tilted = np.exp(z - numerics.logsumexp(z, axis=1)[:, None])
+        rows[idx] = tilted
+        beta[idx] = b
+        kl[idx] = trust_region._kl_rows(tilted, log_ref[idx])
+
+    idx = np.flatnonzero((epsilon > 0.0) & ~saturated)
+    eps = epsilon[idx]
+    hi = np.ones(idx.size)
+    evaluate(idx, hi)
+    grow = (kl[idx] < eps) & (hi < BETA_CAP)
+    while grow.any():
+        hi[grow] = np.minimum(hi[grow] * 2.0, BETA_CAP)
+        evaluate(idx[grow], hi[grow])
+        grow = (kl[idx] < eps) & (hi < BETA_CAP)
+    capped = kl[idx] < eps
+    saturated[idx[capped]] = True
+
+    idx, eps, hi = idx[~capped], eps[~capped], hi[~capped]
+    lo = np.zeros(idx.size)
+    for _ in range(trust_region.MAX_ITERATIONS):
+        live = ~(np.abs(kl[idx] - eps) <= TOL)
+        if not live.any():
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        evaluate(idx[live], mid)
+        below = kl[idx[live]] < eps[live]
+        lo[live] = np.where(below, mid, lo[live])
+        hi[live] = np.where(below, hi[live], mid)
+    return rows, beta, kl, saturated
+
+
+@st.composite
+def search_tables(draw):
+    """A table, its radii and an iteration budget. Priors may have zero
+    entries (with eight or more actions that takes the divergence's
+    support path); small integer values tie often, so some rows can only
+    stop at the cap; radii are 0, inside, or past the greedy divergence;
+    and values of order 1e303 overflow at betas the serial search never
+    reaches."""
+    n_rows, n_actions = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(
+        st.lists(mass, min_size=n_actions, max_size=n_actions), min_size=n_rows, max_size=n_rows)))
+    assume((weights.sum(axis=1) > 0).all())
+    prior = weights / weights.sum(axis=1, keepdims=True)
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-10.0, 10.0))
+    q = np.array(draw(st.lists(
+        st.lists(value, min_size=n_actions, max_size=n_actions), min_size=n_rows, max_size=n_rows)))
+    q *= draw(st.sampled_from([1.0, 1e-3, 1e303]))
+    fraction = st.one_of(st.just(0.0), st.floats(0.0, 1.2))
+    eps = np.array(draw(st.lists(fraction, min_size=n_rows, max_size=n_rows)))
+    eps *= kl_to_prior(greedy_row(q), prior)
+    return prior, q, eps, draw(st.sampled_from([3, 100]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=search_tables())
+# a tie the tilt cannot leave: the row stops at BETA_CAP, saturated
+@example(problem=(np.array([[1 / 3, 2 / 3, 0.0, 0.0, 0.0]]), np.array([[10.0, 10.0, 0, 0, 0]]),
+                  np.array([0.03]), 100))
+# eight actions, one without prior mass, bisected to the tolerance
+@example(problem=(np.array([[0.0] + [1 / 7] * 7]), np.arange(8.0)[None] / 8, np.array([0.3]), 100))
+# the budget runs out before the tolerance is met
+@example(problem=(np.array([[0.5, 0.5]] * 2), np.array([[0.0, 1.0], [0.0, 5.0]]),
+                  np.array([0.1, 0.2]), 3))
+def test_round_search_equals_the_serial_search_bit_for_bit(problem):
+    prior, q, eps, max_iterations = problem
+    with mock.patch.object(trust_region, "MAX_ITERATIONS", max_iterations):
+        got = trust_region_rows(prior, q, eps)
+        # the serial search may itself overflow on values of order 1e303
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = serial_trust_region_rows(prior, q, eps)
+    for name, ours, theirs in zip(("rows", "beta", "kl", "saturated"), got, expected):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
 
 
 def test_greedy_row_unique_argmax():
