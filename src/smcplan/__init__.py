@@ -20,7 +20,7 @@ from .errors import (
     NumericalError,
     SupportError,
 )
-from .harness import ExperimentConfig, bootstrap_ci, load_config, run
+from .harness import ExperimentConfig, bootstrap_ci, run
 from .mdp import (
     TabularMdp,
     Trajectory,

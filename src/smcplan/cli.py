@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError
 from .harness import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
@@ -14,6 +14,19 @@ from .harness import (
     run,
     set_by_path,
 )
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``; a file that cannot be opened or
+    parsed is a :class:`ConfigError` naming ``path`` (and the line of a
+    syntax error)."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
 
 def _parse_override(raw: str):

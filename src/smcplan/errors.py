@@ -1,8 +1,6 @@
-"""Exception types shared across the package, the integer and range
-checks the config classes raise them from, and the JSON file reader the
-loaders share."""
+"""Exception types shared across the package, and the integer and range
+checks the config classes raise them from."""
 
-import json
 import math
 import numbers
 import sys
@@ -50,16 +48,3 @@ def require_range(lo, hi, **fields):
     for name, value in fields.items():
         if not lo <= value <= hi:
             raise ContractError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
-
-
-def read_json(path):
-    """Parse the JSON file at ``path``; a file that cannot be opened or
-    parsed is a :class:`ConfigError` naming ``path`` (and the line of a
-    syntax error)."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc

@@ -33,7 +33,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError, read_json, require_integers, require_range
+from .errors import ConfigError, ContractError, require_integers, require_range
 from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import plan_tables, run_planner
@@ -184,10 +184,6 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
         if mdp.terminal[s0]:
             raise ConfigError(f"{where}: s0: state {s0} is terminal")
     return config
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path), source=str(path))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

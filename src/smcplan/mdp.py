@@ -152,6 +152,7 @@ def make_chain(n: int, goal_reward: float = 1.0) -> TabularMdp:
     action 0 moves left, clamped at the left edge. Rewards are zero
     elsewhere.
     """
+    require_integers(n=n)
     if n < 1:
         raise ContractError("chain length must be at least 1")
     n_states = n + 1
@@ -171,6 +172,7 @@ def make_chain(n: int, goal_reward: float = 1.0) -> TabularMdp:
 def make_absorbing_zero(n_actions: int) -> TabularMdp:
     """Single non-terminal state where every action self-loops with zero
     reward, so the dynamics behave like an absorbing state."""
+    require_integers(n_actions=n_actions)
     if n_actions < 1:
         raise ContractError("need at least one action")
     transition = np.ones((1, n_actions, 1))
@@ -190,6 +192,7 @@ def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
     off the grid stay in place. Entering the goal pays 1 and terminates;
     trap cells terminate with zero reward.
     """
+    require_integers(width=width, height=height)
     if width < 1 or height < 1:
         raise ContractError("grid dimensions must be at least 1")
     n_states = width * height
@@ -293,6 +296,7 @@ def enumerate_trajectories(
     Raises :class:`BudgetError` when ``branching ** depth`` exceeds
     ``budget``, with branching the largest per-state out-degree.
     """
+    require_integers(depth=depth)
     require_range(1, math.inf, depth=depth)
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
@@ -352,6 +356,9 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
         require_integers(n_states=n_states, n_actions=n_actions)
     except ContractError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    discount = data.get("discount", 1.0)
+    if isinstance(discount, bool) or not isinstance(discount, (int, float)):
+        raise ConfigError(f"{source}: discount: must be a number, got {discount!r}")
     try:
         transition = np.asarray(data["transition"], dtype=float)
         reward = np.asarray(data["reward"], dtype=float)
@@ -364,6 +371,7 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
             f"({n_states}, {n_actions}, {n_states}), got {transition.shape}"
         )
     try:
-        return TabularMdp(transition, reward, terminal, float(data.get("discount", 1.0)))
-    except ContractError as exc:
+        return TabularMdp(transition, reward, terminal, discount)
+    # an integer discount too large for a float overflows in float()
+    except (ContractError, OverflowError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc

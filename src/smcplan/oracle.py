@@ -38,7 +38,6 @@ class SoftSolution:
     v_soft: np.ndarray
     q_soft: np.ndarray
     posterior_policy: np.ndarray
-    temperature: float
 
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
@@ -78,7 +77,7 @@ def soft_value_iteration(
     """
     for v, q, log_prior in _soft_backup_sweeps(mdp, prior, horizon, temperature):
         pass
-    return SoftSolution(v, q, _posterior(v, q, log_prior), float(temperature))
+    return SoftSolution(v, q, _posterior(v, q, log_prior))
 
 
 def posterior_policy_stages(
@@ -140,6 +139,8 @@ def elbo_and_gap(
     ``elbo + gap == log_evidence`` is a meaningful check, not an algebraic
     tautology.
     """
+    require_integers(depth=depth)
+    require_range(POSITIVE, math.inf, temperature=temperature)
     prior_table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
     proposal_tables = stage_policy_tables(proposal, depth, mdp, "proposal")
     pairs = enumerate_trajectories(mdp, s0, proposal_tables[:depth], depth)

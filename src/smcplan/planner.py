@@ -30,7 +30,7 @@ particles' grouping by root atom is built only at a resample.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -41,26 +41,19 @@ from .backups import message_passing_policy, mix_value_target
 from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, NumericalError
 from .errors import require_integers, require_range
 from .mdp import TabularMdp
-from .numerics import logsumexp, normalized_weights
+from .numerics import normalized_weights
 from .trust_region import adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
 RESAMPLE_MODES = ("baseline", "revived")
-VALUE_MODES = ("sampled", "exact")
-_TABLE_KEY = attrgetter("temperature", "gamma", "value_mode", "proposal_mode", "alpha")
+_TABLE_KEY = attrgetter("temperature", "gamma", "proposal_mode", "alpha")
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Planner hyperparameters.
-
-    ``value_mode`` selects how the expected exponentiated next value in
-    the weight update is estimated: ``sampled`` plugs in the value at the
-    sampled next state (the forward-simulation default), ``exact``
-    integrates over the full transition row and exists to isolate
-    sampling error in oracle tests.
-    """
+    """Planner hyperparameters. The weight update reads the model value
+    at each particle's sampled successor, never a transition integral."""
 
     k: int
     depth: int
@@ -73,7 +66,6 @@ class PlannerConfig:
     proposal_mode: str = "prior"
     inference_mode: str = "dirac"
     resample_mode: str = "baseline"
-    value_mode: str = "sampled"
 
     def __post_init__(self):
         counts = dict(k=self.k, depth=self.depth, resample_period=self.resample_period)
@@ -87,7 +79,6 @@ class PlannerConfig:
             ("proposal_mode", self.proposal_mode, PROPOSAL_MODES),
             ("inference_mode", self.inference_mode, INFERENCE_MODES),
             ("resample_mode", self.resample_mode, RESAMPLE_MODES),
-            ("value_mode", self.value_mode, VALUE_MODES),
         ):
             if value not in allowed:
                 raise ContractError(f"{name} must be one of {allowed}, got {value!r}")
@@ -177,11 +168,12 @@ class PlanTables:
     read), ``log_ratio = log_prior - log(proposal)`` and ``ratio_cap =
     min(1, exp(log_ratio))``. Derived per ``(s, a, successor slot)``,
     flat at ``(s * A + a) * W + slot`` over the MDP's successor rows:
-    ``increment``, the log-weight factor (under ``exact``, each
-    ``(s, a)``'s next value integrated once), and ``delta``, the retrace
-    error ``R + gamma * v(s') - v(s)``; entries no draw reaches may be
-    non-finite. Construction checks that every proposal row is a
-    distribution, which covers every row a step can gather.
+    ``increment``, the log-weight factor at the successor's model value,
+    and ``delta``, the retrace error ``R + gamma * v(s') - v(s)``; entries
+    no draw reaches may be non-finite. Only the successor tables are
+    read, never the dense ``mdp.transition``. Construction checks that
+    every proposal row is a distribution, which covers every row a step
+    can gather.
     """
 
     mdp: TabularMdp = field(repr=False)
@@ -206,12 +198,8 @@ class PlanTables:
             raise ContractError("proposal rows must be probability distributions")
         # step tables: one row per (s, a), one column per successor slot
         v = np.array(self.v_table, dtype=float)
-        v_cur, v_sampled = np.repeat(v, mdp.n_actions)[:, None], v[mdp.successor_states]
-        reward, v_next = mdp.reward.reshape(-1, 1), v_sampled
-        if config.value_mode == "exact":
-            with np.errstate(divide="ignore"):
-                log_p = np.log(mdp.transition.reshape(-1, mdp.n_states))
-            v_next = np.broadcast_to(logsumexp(log_p + v, axis=1)[:, None], v_sampled.shape)
+        v_cur, v_next = np.repeat(v, mdp.n_actions)[:, None], v[mdp.successor_states]
+        reward = mdp.reward.reshape(-1, 1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_ratio = self.log_prior - np.log(proposal)
             derived = dict(
@@ -219,7 +207,7 @@ class PlanTables:
                 log_ratio=log_ratio, ratio_cap=np.minimum(1.0, np.exp(log_ratio)),
                 increment=weight_update(log_ratio.reshape(-1, 1), reward, v_next, v_cur,
                                         config.temperature, config.gamma).ravel(),
-                delta=(reward + config.gamma * v_sampled - v_cur).ravel(),
+                delta=(reward + config.gamma * v_next - v_cur).ravel(),
             )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -365,22 +353,11 @@ class PlannerDiagnostics:
     value_model: float
 
 
-def _jsonable(items) -> dict:
-    """``asdict`` factory: arrays and tuples become lists."""
-    return {
-        k: np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v for k, v in items
-    }
-
-
 @dataclass(frozen=True)
 class PlannerOutput:
     root_policy: np.ndarray
     root_value: float
     diagnostics: PlannerDiagnostics
-
-    def to_dict(self) -> dict:
-        """Plain lists and numbers, the diagnostics nested, ready for JSON."""
-        return asdict(self, dict_factory=_jsonable)
 
 
 def plan_tables(mdp: TabularMdp, model, config: PlannerConfig) -> PlanTables:

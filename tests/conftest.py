@@ -54,6 +54,24 @@ class FixedUniforms:
         return np.array(out)
 
 
+def output_to_dict(out) -> dict:
+    """A ``PlannerOutput`` as plain lists and numbers, the diagnostics
+    nested: the JSON form the golden digests hash."""
+    diagnostics = out.diagnostics
+    return {
+        "root_policy": out.root_policy.tolist(),
+        "root_value": out.root_value,
+        "diagnostics": {
+            "ess": diagnostics.ess.tolist(),
+            "distinct_ancestors": diagnostics.distinct_ancestors.tolist(),
+            "terminal_particles": diagnostics.terminal_particles.tolist(),
+            "resample_steps": list(diagnostics.resample_steps),
+            "value_smc": diagnostics.value_smc,
+            "value_model": diagnostics.value_model,
+        },
+    }
+
+
 @pytest.fixture
 def tmp_out(tmp_path):
     return tmp_path / "out"

@@ -83,7 +83,7 @@ def test_criterion_2_smc_consistency():
     soft = soft_value_iteration(mdp, prior, 3, 1.0)
     model = Model.zeros(2, 2)
     model.v_table[:] = np.where(mdp.terminal, 0.0, soft.v_soft)
-    config = PlannerConfig(k=100_000, depth=3, resample_period=1, value_mode="exact")
+    config = PlannerConfig(k=100_000, depth=3, resample_period=1)
     worst = 0.0
     for seed in (0, 1, 2):
         out = run_planner(mdp, 0, model, config, seed=seed)

@@ -19,7 +19,6 @@ from smcplan.harness import (
     config_from_dict,
     config_to_dict,
     kl_to_reference,
-    load_config,
     make_env,
     run,
 )
@@ -221,7 +220,7 @@ def test_resolved_config_reproduces_run(tmp_path):
     out_a = tmp_path / "a"
     config = config_from_dict(base_config(out_a, seeds=3))
     run(config)
-    resolved = load_config(out_a / "config.resolved.json")
+    resolved = config_from_dict(json.loads((out_a / "config.resolved.json").read_text()))
     out_b = tmp_path / "b"
     resolved = config_from_dict(dict(config_to_dict(resolved), output_dir=str(out_b)))
     run(resolved)
@@ -333,8 +332,8 @@ TRAIN_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [
+    "overrides,message",
+    [(overrides, "") for overrides in [
         dict(TRAIN_CONFIG, horizon=0),
         dict(TRAIN_CONFIG, batch_size=0),
         dict(TRAIN_CONFIG, iterations=0),
@@ -364,6 +363,17 @@ TRAIN_CONFIG = {
                                 "traps": [[math.nan, 0]]}),
         dict(TRAIN_CONFIG, env={"name": "gridworld", "width": 3, "height": 3,
                                 "traps": [[math.inf, 0]]}),
+    ]]
+    + [(dict(TRAIN_CONFIG, env=dict(INLINE_ENV, discount=bad)), "env: discount: must be a number")
+       for bad in ("abc", None, [0.9], "0.9", True)]
+    + [(dict(TRAIN_CONFIG, env=dict(INLINE_ENV, discount=10**400)), "env: ")]
+    + [
+        (dict(TRAIN_CONFIG, env={"name": "gridworld", "width": True, "height": 2}),
+         "width must be an integer"),
+        (dict(TRAIN_CONFIG, env={"name": "chain", "n": True}), "n must be an integer"),
+        # a config.resolved.json written while planners had a value mode
+        (dict(TRAIN_CONFIG, planner={"k": 4, "depth": 2, "value_mode": "exact"}),
+         "planner.value_mode: unknown field"),
     ],
     ids=["horizon", "batch_size", "iterations", "sweep_planner_k", "sweep_iterations",
          "sweep_gamma_outer", "path_degeneracy_horizon", "planner_k_float",
@@ -372,13 +382,16 @@ TRAIN_CONFIG = {
          "env_reward_null", "env_transition_nan", "s0_out_of_range", "s0_terminal",
          "sweep_s0_out_of_range", "seeds_duplicate", "loss_lr_nan",
          "planner_temperature_infinity", "sweep_loss_c_ent_nan", "env_trap_nan",
-         "env_trap_infinity"],
+         "env_trap_infinity", "env_discount_string", "env_discount_null", "env_discount_list",
+         "env_discount_numeric_string", "env_discount_bool", "env_discount_huge_integer",
+         "env_gridworld_width_bool", "env_chain_n_bool", "planner_value_mode"],
 )
-def test_cli_rejects_bad_values_at_load(tmp_path, overrides):
+def test_cli_rejects_bad_values_at_load(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(base_config(out, **overrides)))
     assert main([str(config_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -433,16 +446,12 @@ def test_config_sweeps_top_level_section_and_scalar_keys(tmp_out):
     assert (cell.train.loss.lr, cell.train.planner.k) == (0.2, 8)
 
 
-@pytest.mark.parametrize("reader", [load_config, main])
+@pytest.mark.parametrize("reader", [main])
 def test_malformed_json_names_file_and_line(tmp_path, capsys, reader):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "experiment": "train",\n  oops\n}\n')
-    if reader is main:
-        assert main([str(path)]) == 2
-        assert "broken.json:3: " in capsys.readouterr().err
-    else:
-        with pytest.raises(ConfigError, match=r"broken\.json:3: "):
-            reader(path)
+    assert reader([str(path)]) == 2
+    assert "broken.json:3: " in capsys.readouterr().err
 
 
 def test_cli_set_seed_and_output_overrides(tmp_path):

@@ -72,6 +72,24 @@ def test_soft_values_reject_bad_arguments():
         soft_value_iteration(mdp, np.full((2, 2), 0.4), 1, 1.0)
 
 
+TEMPERATURE_ORACLES = {
+    "soft_value_iteration": lambda t: soft_value_iteration(make_two_arm(), UNIFORM2, 2, t),
+    "posterior_policy_stages": lambda t: posterior_policy_stages(make_two_arm(), UNIFORM2, 2, t),
+    "exact_posterior_trajectories": lambda t: exact_posterior_trajectories(
+        make_two_arm(), UNIFORM2, 0, 2, t
+    ),
+    "elbo_and_gap": lambda t: elbo_and_gap(make_two_arm(), UNIFORM2, UNIFORM2, 0, 2, t),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(TEMPERATURE_ORACLES))
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan])
+def test_oracles_reject_a_temperature_that_is_not_positive(oracle, temperature):
+    with pytest.raises(ContractError, match="temperature must lie in"):
+        TEMPERATURE_ORACLES[oracle](temperature)
+    TEMPERATURE_ORACLES[oracle](0.5)
+
+
 def test_two_arm_posterior_masses():
     pairs = exact_posterior_trajectories(make_two_arm(), UNIFORM2, 0, 1, 1.0)
     marginal = root_action_marginal(pairs, 2)

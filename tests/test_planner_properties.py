@@ -23,8 +23,7 @@ from smcplan import (
     step,
 )
 from smcplan import rng as rng_mod
-from smcplan.numerics import logsumexp
-from smcplan.planner import RESAMPLE_MODES, VALUE_MODES, normalized_weights
+from smcplan.planner import RESAMPLE_MODES, normalized_weights
 
 
 @st.composite
@@ -51,7 +50,6 @@ def planning_problems(draw):
         gamma=draw(st.sampled_from([0.9, 1.0])),
         proposal_mode=draw(st.sampled_from(["prior", "trust_region"])),
         resample_mode=draw(st.sampled_from(RESAMPLE_MODES)),
-        value_mode=draw(st.sampled_from(VALUE_MODES)),
     )
     return mdp, model, config, seed
 
@@ -154,17 +152,14 @@ def test_readout_policies_live_on_sampled_root_actions(problem):
 @given(
     problem=planning_problems(),
     sparse_seed=st.integers(0, 2**32 - 1),
-    value_mode=st.sampled_from(VALUE_MODES),
     temperature=st.sampled_from([1.0, 0.1]),
     gamma=st.sampled_from([1.0, 0.9]),
 )
-def test_step_tables_equal_the_per_particle_arithmetic(
-    problem, sparse_seed, value_mode, temperature, gamma
-):
+def test_step_tables_equal_the_per_particle_arithmetic(problem, sparse_seed, temperature, gamma):
     dense, model, config, _ = problem
     terminal = np.flatnonzero(dense.terminal)
     mdp = make_random_mdp(*dense.reward.shape, sparse_seed, terminal_states=terminal, sparse=True)
-    config = replace(config, value_mode=value_mode, temperature=temperature, gamma=gamma)
+    config = replace(config, temperature=temperature, gamma=gamma)
     tables = plan_tables(mdp, model, config)
     # one particle per drawable (s, a, successor): positive proposal and
     # transition mass
@@ -179,14 +174,9 @@ def test_step_tables_equal_the_per_particle_arithmetic(
     log_ratio = model.log_policy()[states, actions] - np.log(tables.proposal[states, actions])
     rewards = mdp.reward[states, actions]
     v_table = model.v_table
-    v_cur, v_sampled = v_table[states], v_table[next_states]
-    v_next = v_sampled
-    if value_mode == "exact":
-        with np.errstate(divide="ignore"):
-            log_p = np.log(mdp.transition[states, actions])
-        v_next = logsumexp(log_p + v_table[None, :], axis=1)
+    v_cur, v_next = v_table[states], v_table[next_states]
     increment = log_ratio + rewards / temperature + gamma * v_next - v_cur
-    delta = rewards + gamma * v_sampled - v_cur
+    delta = rewards + gamma * v_next - v_cur
     assert np.isfinite(increment).all()
     assert tables.increment[j].tolist() == increment.tolist()
     assert tables.delta[j].tolist() == delta.tolist()

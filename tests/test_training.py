@@ -18,6 +18,9 @@ from smcplan import (
     Segment,
     TrainConfig,
     collect_segment,
+    elbo_and_gap,
+    enumerate_trajectories,
+    exact_posterior_trajectories,
     grad,
     loss,
     make_absorbing_zero,
@@ -613,6 +616,11 @@ def _count_entry_points():
         "posterior_policy_stages": lambda n: posterior_policy_stages(mdp, policy, n, 1.0),
         "policy_value": lambda n: policy_value(mdp, policy, n),
         "optimal_policy": lambda n: optimal_policy(mdp, n),
+        "enumerate_trajectories": lambda n: enumerate_trajectories(mdp, 0, policy, n),
+        "exact_posterior_trajectories": lambda n: exact_posterior_trajectories(
+            mdp, policy, 0, n, 1.0
+        ),
+        "elbo_and_gap": lambda n: elbo_and_gap(mdp, policy, policy, 0, n, 1.0),
     }
 
 
