@@ -51,10 +51,10 @@ def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
     if counts is None or counts.size > n_atoms:
         raise ContractError("ancestor ids out of range")
     # atom j's particles are the j-th run of the sorted order
-    atoms = np.flatnonzero(counts)
+    atoms = counts.nonzero()[0]
     counts = counts[atoms]
-    order = np.argsort(anc.astype(np.min_scalar_type(n_atoms)), kind="stable")
-    return AncestorGroups(order, np.cumsum(counts) - counts, counts, atoms, np.log(counts))
+    order = anc.astype(np.min_scalar_type(n_atoms)).argsort(kind="stable")
+    return AncestorGroups(order, counts.cumsum() - counts, counts, atoms, np.log(counts))
 
 
 def accumulate_ancestor_q(ancestor_logq, groups: AncestorGroups, log_ratio) -> np.ndarray:
@@ -70,7 +70,7 @@ def accumulate_ancestor_q(ancestor_logq, groups: AncestorGroups, log_ratio) -> n
         return ancestor_logq + log_ratio
     ratio_sorted = log_ratio[groups.order]
     seg_max = np.maximum.reduceat(ratio_sorted, groups.starts)
-    sums = np.add.reduceat(np.exp(ratio_sorted - np.repeat(seg_max, groups.counts)), groups.starts)
+    sums = np.add.reduceat(np.exp(ratio_sorted - seg_max.repeat(groups.counts)), groups.starts)
     out = ancestor_logq.copy()
     out[groups.atoms] += seg_max + np.log(sums) - groups.log_counts
     return out
@@ -104,12 +104,14 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
     # a stable sort puts each action's atoms in one run, in atom order
-    logq = logq[np.argsort(actions, kind="stable")]
+    logq = logq[actions.argsort(kind="stable")]
+    counts = np.bincount(actions, minlength=prior.size)
+    sampled = counts.nonzero()[0]
+    counts = counts[sampled]
     log_mass, end = np.full(prior.size, -np.inf), 0
-    for a, count in enumerate(np.bincount(actions, minlength=prior.size).tolist()):
-        if count:
-            end += count
-            log_mass[a] = log_prior[a] + logsumexp(logq[end - count:end]) - np.log(count)
+    for a, count, log_count in zip(sampled.tolist(), counts.tolist(), np.log(counts).tolist()):
+        end += count
+        log_mass[a] = log_prior[a] + logsumexp(logq[end - count:end]) - log_count
     return normalized_weights(log_mass)
 
 

@@ -200,10 +200,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def make_env(env: dict, source: str = "<config>") -> TabularMdp:
     """Build the experiment environment: a named builtin or inline tensors."""
-    if "name" in env:
-        params = {k: v for k, v in env.items() if k != "name"}
+    if "name" not in env:
+        return mdp_from_dict(env, source=f"{source}: env")
+    params = {k: v for k, v in env.items() if k != "name"}
+    try:
         return builtin_mdp(env["name"], **params)
-    return mdp_from_dict(env, source=f"{source}: env")
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: env: {exc}") from exc
 
 
 def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> None:

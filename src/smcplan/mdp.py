@@ -234,7 +234,7 @@ _BUILTINS = {
 
 def builtin_mdp(name: str, **params) -> TabularMdp:
     """Construct one of the built-in environments by name."""
-    if name not in _BUILTINS:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise ConfigError(
             f"unknown environment {name!r}; choose from {sorted(_BUILTINS)}"
         )

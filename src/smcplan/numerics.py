@@ -9,7 +9,10 @@ A slice whose maximum is not finite (``+inf``, ``nan``, or all ``-inf``)
 falls back to ``log(sum(exp(a)))``, which gives ``inf``, ``nan`` and
 ``-inf`` respectively.
 A full reduction of a vector with a finite maximum, which the planner
-makes every step, takes a one-pass route: same formula, same bits.
+makes every step, takes a one-pass route: same formula, same bits. It
+and :func:`normalized_weights` call the ``np.add``/``np.maximum``
+reductions directly, the same C loops as ``ndarray.sum``/``max``
+without their Python wrappers.
 
 :func:`normalized_weights` is the one place log weights become
 probabilities: the planner's particle weights every step, and the
@@ -37,12 +40,12 @@ def logsumexp(a, axis=None):
     """``log(sum(exp(a)))`` over ``axis`` (all entries when ``None``) of a
     non-empty float64 array; a full reduction returns a numpy scalar."""
     a = np.asarray(a, dtype=float)
-    if axis is None and a.ndim == 1 and math.isfinite(a_max := a.max()):
+    if axis is None and a.ndim == 1 and math.isfinite(a_max := np.maximum.reduce(a)):
         at_max = a == a_max
         m = float(np.count_nonzero(at_max))
         rest = np.exp(a - a_max)
         rest[at_max] = 0.0
-        return np.log1p(rest.sum() / m) + np.log(m) + a_max
+        return np.log1p(np.add.reduce(rest) / m) + np.log(m) + a_max
     a = np.atleast_1d(a)
     axis = tuple(range(a.ndim)) if axis is None else axis
     a_max = a.max(axis=axis, keepdims=True)
@@ -67,4 +70,4 @@ def normalized_weights(log_weights) -> np.ndarray:
     if not math.isfinite(norm):
         raise DegenerateWeightsError("weights are all zero or not finite")
     w = np.exp(log_weights - norm)
-    return w / w.sum()
+    return w / np.add.reduce(w)

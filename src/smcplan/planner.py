@@ -22,9 +22,14 @@ They are built per call, or once by a caller planning repeatedly
 against one model (per training segment, per sweep point). A step draws
 an action, then a slot of the MDP's support-compressed successor row,
 and reads the next state, increment and error at one flat index, so it
-costs K times the successor support, not K times S. Each step
-normalizes its weights once, for the ESS, resampling and readout; the
-particles' grouping by root atom is built only at a resample.
+costs K times the successor support, not K times S. Each draw is one
+gather of the drawn rows' cumulative masses and one comparison
+(``rng.categorical_rows``); on an MDP whose successor rows have one
+slot (a deterministic one) the slot draw is skipped, though its
+uniforms are still drawn, so the stream reads the same either way. Each
+step normalizes its weights once, for the ESS, resampling and readout;
+the particles' grouping by root atom is built only at a resample, and
+the count of distinct root atoms is read off it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +90,7 @@ class PlannerConfig:
                 raise ContractError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ParticleSet:
+class ParticleSet(NamedTuple):
     """K particles with their weights and per-lineage bookkeeping.
 
     ``ancestors[i]`` is particle i's root atom id. ``root_actions`` is
@@ -97,6 +102,7 @@ class ParticleSet:
     at each resample (where ``ancestors`` change), None under ``dirac``.
     ``ref_states`` track each lineage's last non-terminal state, and the
     retrace accumulator/decay pair carries its running return estimate.
+    A named tuple: immutable, and cheap to build twice per step.
     """
 
     states: np.ndarray
@@ -149,11 +155,12 @@ def _require_weights(weights, k: int) -> np.ndarray:
     """``weights`` as K normalized particle weights. The check is O(K):
     a wrong shape is a :class:`ContractError`; negative, non-finite,
     all-zero or unnormalized weights raise :class:`DegenerateWeightsError`
-    (``nan >= 0`` is false and an infinite entry breaks the sum)."""
+    (a ``nan`` minimum is not ``>= 0`` and an infinite entry breaks the
+    sum)."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (k,):
         raise ContractError(f"weights must have shape ({k},)")
-    if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
+    if not (np.minimum.reduce(weights) >= 0 and abs(np.add.reduce(weights) - 1.0) <= 1e-9):
         raise DegenerateWeightsError("weights must be non-negative, finite and sum to 1")
     return weights
 
@@ -237,8 +244,10 @@ def advance(
     uniforms = rng.random(2 * k)
     actions = rng_mod.categorical_rows(tables.proposal_cdf, particles.states, uniforms[:k])
     flat = particles.states * mdp.n_actions + actions
-    j = flat * mdp.successor_states.shape[1]
-    j += rng_mod.categorical_rows(mdp.successor_cdf, flat, uniforms[k:])
+    width = mdp.successor_states.shape[1]
+    j = flat  # a one-slot successor row always draws slot 0
+    if width > 1:
+        j = flat * width + rng_mod.categorical_rows(mdp.successor_cdf, flat, uniforms[k:])
     next_states = mdp.successor_states.take(j)
     increments = tables.increment.take(j)
     if not np.isfinite(increments).all():
@@ -303,7 +312,7 @@ def multinomial_resample(
     weights = _require_weights(weights, k)
     # a lookup in sorted order walks the CDF once; particle i keeps uniform i
     uniforms = rng.random(k)
-    order = np.argsort(uniforms)
+    order = uniforms.argsort()
     idx = np.empty(k, dtype=np.intp)
     idx[order] = rng_mod.categorical(rng_mod.cdf_rows(weights), uniforms[order])
     # indexing by ``idx`` copies; revived references get their own copy
@@ -334,11 +343,11 @@ def multinomial_resample(
 def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: int) -> np.ndarray:
     """Root policy as point masses on surviving root-atom actions, weighted
     by ``weights`` (``normalized_weights(particles.log_weights)``)."""
-    if (particles.root_actions < 0).any():
+    if np.minimum.reduce(particles.root_actions) < 0:
         raise ContractError("root actions are recorded by the first advance")
     weights = _require_weights(weights, particles.k)
     mass = np.bincount(particles.root_actions.take(particles.ancestors), weights, n_root_actions)
-    return mass / mass.sum()
+    return mass / np.add.reduce(mass)
 
 
 @dataclass(frozen=True)
@@ -412,13 +421,18 @@ def run_planner(
         particles = advance(particles, mdp, tables, config, gen)
         # the final step never resamples, so its weights are the final ones
         weights = normalized_weights(particles.log_weights)
-        ess[t - 1] = 1.0 / np.square(weights).sum()
+        ess[t - 1] = 1.0 / np.add.reduce(np.square(weights))
         if t % config.resample_period == 0 and t < config.depth:
             particles = multinomial_resample(particles, weights, gen, config.resample_mode)
             resample_steps.append(t)
-            # ancestors change only at a resample
-            distinct[t - 1:] = np.count_nonzero(np.bincount(particles.ancestors))
-        terminal_counts[t - 1] = np.count_nonzero(mdp.terminal[particles.states])
+            # ancestors change only at a resample; a rebuilt grouping has
+            # one entry per distinct atom
+            groups = particles.ancestor_groups
+            distinct[t - 1:] = (
+                np.count_nonzero(np.bincount(particles.ancestors)) if groups is None
+                else groups.atoms.size
+            )
+        terminal_counts[t - 1] = np.count_nonzero(mdp.terminal.take(particles.states))
 
     if config.inference_mode == "dirac":
         root_policy = dirac_policy(particles, weights, mdp.n_actions)

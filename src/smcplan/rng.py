@@ -14,7 +14,9 @@ table that is sampled many times (the MDP's successor rows, a planning
 call's proposal rows) is summed once by its owner, with :func:`cdf_rows`:
 the index of a uniform is the number of cumulative masses at or below
 it, and no draw lands past a row's last positive mass, even on a row
-that sums to a little less than 1.
+that sums to a little less than 1. A row-wise draw gathers the drawn
+rows' columns in one ``take`` and counts them in one reduction, so its
+cost is a few array calls whatever the number of columns.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 def cdf_rows(masses: np.ndarray) -> np.ndarray:
     """Row-wise cumulative masses (last axis), +inf from the first entry
     that reaches the row's total on, which is its last positive mass."""
-    cdf = np.cumsum(masses, axis=-1)
+    cdf = masses.cumsum(axis=-1)
     cdf[cdf >= cdf[..., -1:]] = np.inf
     return cdf
 
@@ -69,14 +71,12 @@ def cdf_rows(masses: np.ndarray) -> np.ndarray:
 def categorical(cdf, uniforms):
     """Inverse-CDF draw from one distribution, given as its cumulative
     masses, at each of ``uniforms`` (a scalar or an array)."""
-    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+    return np.minimum(cdf.searchsorted(uniforms, side="right"), len(cdf) - 1)
 
 
 def categorical_rows(cdf_table: np.ndarray, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Particle i's draw from row ``rows[i]`` of ``cdf_table`` (rows of
-    cumulative masses) at ``uniforms[i]``: the clamped count, taken one
-    column at a time over all but the last, gathering no whole rows."""
-    idx = np.zeros(len(uniforms), dtype=np.intp)
-    for column in cdf_table.T[:-1]:
-        idx += uniforms >= column[rows]
-    return idx
+    cumulative masses) at ``uniforms[i]``: the clamped count, taken with
+    one gather of all but the last column of the drawn rows and one
+    comparison. A one-column table always draws 0."""
+    return np.add.reduce(cdf_table.T[:-1].take(rows, axis=1) <= uniforms, axis=0)

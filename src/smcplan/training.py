@@ -13,7 +13,9 @@ updated prior.
 The model is tabular (logit, value and action-value tables), which keeps
 gradients exact and lets evaluation use exact dynamic programming
 instead of sampled episodes. The three tables are views of one parameter
-vector, so a gradient is one ``bincount`` and an SGD step one update.
+vector, so a gradient is one ``bincount`` and an SGD step one update;
+where each batch item's gradient lands is worked out once per iteration,
+for all of its batches.
 """
 
 from __future__ import annotations
@@ -233,7 +235,19 @@ def loss(model: Model, batch, cfg: LossConfig) -> float:
     return float(per_item.mean())
 
 
-def grad(model: Model, batch, cfg: LossConfig) -> Model:
+def grad_index(states, actions, n_states: int, n_actions: int) -> np.ndarray:
+    """Where each item's gradient lands in ``params = [policy_logits |
+    v_table | q_table]``: its ``n_actions`` logits, then its v_table and
+    q_table entries, along a new last axis. Takes arrays of any shape,
+    so one call serves all of an iteration's batches."""
+    cells = n_states * n_actions
+    stride = np.array([n_actions] * n_actions + [1, n_actions])
+    index = states[..., None] * stride + np.array([*range(n_actions), cells, cells + n_states])
+    index[..., -1] += actions
+    return index
+
+
+def grad(model: Model, batch, cfg: LossConfig, index=None) -> Model:
     """Exact analytic gradient of :func:`loss` for the tabular model, as
     a :class:`Model` whose tables hold each table's gradient.
 
@@ -241,6 +255,8 @@ def grad(model: Model, batch, cfg: LossConfig) -> Model:
     term differentiates to ``c_pi * (pi - search_policy)`` per visited
     logit row, with the entropy penalty adding
     ``c_ent * pi * (log pi + H)``; each cell sums in batch order from 0.
+    ``index`` is the batch's :func:`grad_index`, built here when not
+    given.
     """
     states, actions, targets, search = batch
     n = len(targets)
@@ -254,10 +270,9 @@ def grad(model: Model, batch, cfg: LossConfig) -> Model:
     pi_s = pi[states]
     rows = cfg.c_pi * (pi_s - search) + cfg.c_ent * pi_s * (log_pi[states] + entropy[states, None])
     # one bincount: item i adds to its logit row, v_table entry and
-    # q_table entry of params = [policy_logits | v_table | q_table]
-    stride = np.array([n_actions] * n_actions + [1, n_actions])
-    index = states[:, None] * stride + np.array([*range(n_actions), pi.size, pi.size + n_states])
-    index[:, -1] += actions
+    # q_table entry
+    if index is None:
+        index = grad_index(states, actions, n_states, n_actions)
     weights = np.empty(index.shape)
     weights[:, :n_actions] = rows
     weights[:, n_actions:] = cfg.c_v * (model.params[index[:, n_actions:]] - targets[:, None])
@@ -337,8 +352,9 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
         buffer.add_segment(segment, targets)
         gen = rng_mod.stream(seed, n, _UPDATES)
         batches = buffer.sample((config.updates_per_iteration, config.batch_size), gen)
-        for batch in zip(*batches):
-            model = sgd_step(model, grad(model, batch, config.loss), config.loss)
+        index = grad_index(batches[0], batches[1], mdp.n_states, mdp.n_actions)
+        for batch, batch_index in zip(zip(*batches), index):
+            model = sgd_step(model, grad(model, batch, config.loss, batch_index), config.loss)
         losses[n] = loss(model, batch, config.loss)
         # greedy policy: argmax of the logits, ties split evenly
         greedy_returns[n] = policy_value(mdp, greedy_row(model.policy_logits), eval_horizon)[

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, require_range
+from .errors import ContractError, NumericalError, require_range
 from .numerics import logsumexp
 
 PRIOR_FLOOR = 1e-12
@@ -103,7 +103,10 @@ def trust_region_rows(prior, q_values, epsilon):
     tilts a row at many betas in one evaluation: all the doublings, then
     the midpoints of the next ``TREE_DEPTH`` bisection levels, which the
     row walks by the serial rule. Every tilt is computed row by row, so
-    each row's result is bit-identical to solving it alone.
+    each row's result is bit-identical to solving it alone. A searched
+    row whose kept tilt or divergence is not finite (``beta * q``
+    overflowed at a beta the serial search visits) raises
+    :class:`NumericalError`.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(q_values, dtype=float)
@@ -132,7 +135,7 @@ def trust_region_rows(prior, q_values, epsilon):
         kl_b = _kl_rows(tilted, np.repeat(log_ref[idx], shape[1], axis=0))
         return tilted.reshape(*shape, q.shape[1]), kl_b.reshape(shape)
 
-    idx = np.flatnonzero((epsilon > 0.0) & ~saturated)
+    idx = searched = np.flatnonzero((epsilon > 0.0) & ~saturated)
     eps = epsilon[idx]
     doublings = np.minimum(2.0 ** np.arange(math.ceil(math.log2(BETA_CAP)) + 1), BETA_CAP)
     tilted, kl_b = evaluate(idx, doublings)
@@ -170,6 +173,8 @@ def trust_region_rows(prior, q_values, epsilon):
         r = np.arange(idx.size)
         rows[idx], beta[idx], kl[idx] = tilted[r, node - 1], edges[r, node], kl_b[r, node - 1]
         lo, hi, live = edges[r, left], edges[r, right], live.astype(bool)
+    if not (np.isfinite(rows[searched]).all() and np.isfinite(kl[searched]).all()):
+        raise NumericalError("a kept tilt overflowed: its row or divergence is not finite")
     return rows, beta, kl, saturated
 
 

@@ -1,7 +1,6 @@
 """Ancestor accumulators, backed-up root policies, and return estimates."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,8 +200,8 @@ def test_grouped_backups_match_reference_across_resamples(n_atoms, k, identity, 
         assert particles.ancestor_groups is IDENTITY
     else:
         ids = random_ids(n_atoms, k, data, gen)
-        particles = replace(particles, ancestors=ids, ancestor_logq=gen.normal(size=n_atoms),
-                            ancestor_groups=group_ancestors(ids, n_atoms))
+        particles = particles._replace(ancestors=ids, ancestor_logq=gen.normal(size=n_atoms),
+                                       ancestor_groups=group_ancestors(ids, n_atoms))
     scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
     for _ in range(steps):
         ratios = gen.normal(scale=scale, size=particles.k)
@@ -210,7 +209,7 @@ def test_grouped_backups_match_reference_across_resamples(n_atoms, k, identity, 
         out = accumulate_ancestor_q(logq, particles.ancestor_groups, ratios)
         assert out.tobytes() == accumulate_reference(logq, particles.ancestors, ratios).tobytes()
         weights = normalized_weights(gen.normal(scale=scale, size=particles.k))
-        particles = multinomial_resample(replace(particles, ancestor_logq=out), weights, gen)
+        particles = multinomial_resample(particles._replace(ancestor_logq=out), weights, gen)
 
 
 def test_message_passing_equal_values_recovers_prior_on_atoms():

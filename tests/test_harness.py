@@ -395,6 +395,19 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("env", [
+    {"name": "gridworld", "width": True, "height": 2},
+    {"name": "chain", "n": 0},
+    {"name": "no_such_env"},
+    {"name": ["chain"]},
+], ids=["gridworld_width_bool", "chain_zero", "unknown_name", "unhashable_name"])
+def test_cli_prefixes_builtin_env_errors_with_the_config_path(tmp_path, capsys, env):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(tmp_path / "out", env=env)))
+    assert main([str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"plan-run: {config_path}: env: ")
+
+
 def test_cli_rejects_an_output_dir_that_is_not_a_string(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a "nan" directory would land here
     config_path = tmp_path / "config.json"

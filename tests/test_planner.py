@@ -31,6 +31,7 @@ from smcplan import (
     solve_trust_region,
     weight_update,
 )
+from smcplan import planner as planner_mod
 from smcplan import rng as rng_mod
 from smcplan.planner import normalized_weights
 
@@ -243,7 +244,7 @@ def test_resample_looks_up_each_particles_own_uniform():
     # uniforms out of order, repeated and on CDF boundaries, and weights
     # with zeros: particle i still gets the index that uniform i selects
     p, _, _ = _advanced_particle_set(k=6)
-    p = replace(p, states=np.arange(6))
+    p = p._replace(states=np.arange(6))
     weights = np.array([0.0, 0.25, 0.25, 0.0, 0.5, 0.0])
     uniforms = [0.9, 0.25, 0.0, 0.25, 0.5, 0.1]
     out = multinomial_resample(p, weights, FixedUniforms(uniforms), "baseline")
@@ -255,7 +256,7 @@ def test_resample_never_copies_a_zero_weight_particle():
     # the weights fall short of 1 by less than the tolerance and end on
     # zero; a uniform past their total still copies particle 0
     p, _, _ = _advanced_particle_set(k=2)
-    p = replace(p, states=np.arange(2))
+    p = p._replace(states=np.arange(2))
     weights = np.array([1.0 - 1e-10, 0.0])
     out = multinomial_resample(p, weights, FixedUniforms([0.5, 1.0 - 1e-11]), "baseline")
     assert out.states.tolist() == [0, 0]
@@ -462,6 +463,36 @@ def test_run_planner_reads_the_model_once_per_call():
             # built in the call: one log_policy() gives the prior and the proposal
             run_planner(mdp, 0, model, cfg, seed=1)
             assert CountingModel.calls == 1
+
+
+@pytest.mark.parametrize("resample_mode", ["baseline", "revived"])
+@pytest.mark.parametrize("inference_mode", ["dirac", "message_passing"])
+def test_distinct_ancestors_count_the_ancestors_at_every_step(
+    monkeypatch, inference_mode, resample_mode
+):
+    # under message passing the count is read off the resample's atom
+    # grouping; it must equal a count of the ancestor ids themselves
+    recorded = {}
+
+    def recording_resample(particles, weights, rng, mode="baseline"):
+        out = multinomial_resample(particles, weights, rng, mode)
+        recorded[out.step] = np.count_nonzero(np.bincount(out.ancestors))
+        return out
+
+    monkeypatch.setattr(planner_mod, "multinomial_resample", recording_resample)
+    for mdp in (make_random_mdp(6, 3, seed=41, terminal_states=(5,)), make_chain(6)):
+        model = random_model(mdp.n_states, mdp.n_actions, seed=42)
+        for seed, (k, period) in enumerate([(16, 1), (8, 2), (32, 3)]):
+            cfg = PlannerConfig(k=k, depth=7, resample_period=period,
+                                inference_mode=inference_mode, resample_mode=resample_mode)
+            recorded.clear()
+            out = run_planner(mdp, 0, model, cfg, seed)
+            assert sorted(recorded) == list(out.diagnostics.resample_steps)
+            expected, count = [], k
+            for t in range(1, cfg.depth + 1):
+                count = recorded.get(t, count)
+                expected.append(count)
+            assert out.diagnostics.distinct_ancestors.tolist() == expected
 
 
 def test_run_planner_normalizes_weights_every_step():

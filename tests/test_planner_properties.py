@@ -103,7 +103,7 @@ def test_resample_leaves_atom_records_alone(problem, log_weights):
         st.one_of(st.just(-np.inf), st.floats(-30.0, 30.0)),
         min_size=config.k, max_size=config.k,
     ).filter(lambda w: max(w) > -np.inf))
-    particles = type(particles)(**{**vars(particles), "log_weights": np.asarray(raw)})
+    particles = particles._replace(log_weights=np.asarray(raw))
     root_actions = particles.root_actions.copy()
     ancestor_logq = particles.ancestor_logq.copy()
     for mode in RESAMPLE_MODES:
@@ -244,7 +244,7 @@ def test_draws_equal_the_dense_draw_below_each_rows_last_mass(problem):
     for s, a, us, nxt in zip(case_states, actions, state_u, successors):
         assert step(mdp, s, a, FixedUniforms([us]))[0] == nxt
     config = PlannerConfig(k=len(case_states), depth=1)
-    particles = replace(init_particles(0, config), states=np.array(case_states))
+    particles = init_particles(0, config)._replace(states=np.array(case_states))
     out = advance(particles, mdp, tables, config, FixedUniforms(action_u + state_u))
     assert out.root_actions.tolist() == actions
     assert out.states.tolist() == successors
@@ -267,7 +267,7 @@ def test_resample_equals_the_unsorted_lookup(masses, data):
         min_size=k, max_size=k,
     ))
     config = PlannerConfig(k=k, depth=1)
-    particles = replace(init_particles(0, config), states=np.arange(k))
+    particles = init_particles(0, config)._replace(states=np.arange(k))
     out = multinomial_resample(particles, weights, FixedUniforms(uniforms), "baseline")
     expected = [dense_draw(weights, u) for u in uniforms]
     assert out.states.tolist() == expected

@@ -2,7 +2,7 @@
 uniforms, and row-wise; the cumulative-mass tables they read."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcplan.rng import _GOLDEN, categorical, categorical_rows, cdf_rows, fold, rekey, stream
@@ -65,6 +65,40 @@ def test_categorical_rows_draws_each_row_at_its_uniform():
     rows = np.array([0, 1, 2, 0, 1, 1])
     uniforms = np.array([0.5, 0.5, 0.99, 0.0, 0.0, 0.25])
     assert categorical_rows(table, rows, uniforms).tolist() == [1, 2, 0, 0, 1, 2]
+
+
+def column_loop_draws(cdf_table, rows, uniforms):
+    """The clamped count taken one column at a time over all but the
+    last column: the reference for the one-gather draw."""
+    idx = np.zeros(len(uniforms), dtype=np.intp)
+    for column in cdf_table.T[:-1]:
+        idx += uniforms >= column[rows]
+    return idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    n_columns=st.integers(1, 8),
+    k=st.one_of(st.integers(1, 16), st.integers(1, 2048)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_categorical_rows_equals_the_column_loop(n_rows, n_columns, k, seed):
+    gen = np.random.default_rng(seed)
+    # masses with exact zeros; every row keeps some mass
+    masses = gen.random((n_rows, n_columns)) * (gen.random((n_rows, n_columns)) < 0.7)
+    masses[:, gen.integers(n_columns)] += 0.5
+    table = cdf_rows(masses / masses.sum(axis=1, keepdims=True))
+    rows = gen.integers(0, n_rows, size=k)
+    # uniforms anywhere in [0, 1) and exactly on the drawn row's boundaries
+    uniforms = gen.random(k)
+    on_edge = gen.random(k) < 0.3
+    edges = np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1)
+    uniforms[on_edge] = edges[rows[on_edge], gen.integers(0, n_columns, size=on_edge.sum())]
+    expected = column_loop_draws(table, rows, uniforms)
+    got = categorical_rows(table, rows, uniforms)
+    assert got.dtype == expected.dtype and got.shape == (k,)
+    assert got.tobytes() == expected.tobytes()
 
 
 def draws(gen) -> list:

@@ -565,6 +565,48 @@ def test_train_is_seed_deterministic():
     assert (a.model.policy_logits == b.model.policy_logits).all()
 
 
+def reference_train(mdp, config, iterations, seed):
+    """``train``'s loop drawing one batch at a time, each ``grad``
+    building its own index: the final model and per-iteration losses."""
+    model = Model.zeros(mdp.n_states, mdp.n_actions)
+    buffer = ReplayBuffer(config.buffer_capacity, mdp.n_actions)
+    losses = []
+    for n in range(iterations):
+        segment = collect_segment(mdp, model, config.planner, config.horizon,
+                                  rng_mod.fold(seed, n, training._SEGMENT), s0=config.s0)
+        lam, gamma = config.loss.lambda_outer, config.loss.gamma_outer
+        buffer.add_segment(segment, outer_targets(segment, gamma, lam))
+        gen = rng_mod.stream(seed, n, training._UPDATES)
+        for _ in range(config.updates_per_iteration):
+            batch = buffer.sample(config.batch_size, gen)
+            model = sgd_step(model, grad(model, batch, config.loss), config.loss)
+        losses.append(loss(model, batch, config.loss))
+    return model, np.array(losses)
+
+
+@pytest.mark.parametrize(
+    "mdp", [make_chain(5), make_random_mdp(6, 3, seed=5, terminal_states=(5,))],
+    ids=["chain5", "random"],
+)
+def test_train_equals_per_batch_grad_and_sgd_bit_for_bit(mdp):
+    cfg = TrainConfig(
+        planner=PlannerConfig(
+            k=4, depth=4, resample_period=3, alpha=0.1, temperature=0.1, sigma=0.5,
+            proposal_mode="trust_region", inference_mode="message_passing",
+        ),
+        loss=LossConfig(c_ent=0.03, gamma_outer=0.97, lr=0.2),
+        horizon=8,
+        buffer_capacity=32,
+        batch_size=16,
+        updates_per_iteration=5,
+    )
+    for seed in range(4):
+        result = train(mdp, cfg, iterations=6, seed=seed)
+        model, losses = reference_train(mdp, cfg, 6, seed)
+        assert result.model.params.tobytes() == model.params.tobytes()
+        assert result.losses.tobytes() == losses.tobytes()
+
+
 def test_policy_return_trend_on_chain():
     # smoothed exact return of the stochastic policy trends upward over
     # a training run, within a 5%-of-optimal slack

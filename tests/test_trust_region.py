@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 
 from smcplan import (
     ContractError,
+    NumericalError,
     adaptive_epsilon,
     greedy_row,
     solve_trust_region,
@@ -214,6 +215,9 @@ def search_tables(draw):
 # a tie the tilt cannot leave: the row stops at BETA_CAP, saturated
 @example(problem=(np.array([[1 / 3, 2 / 3, 0.0, 0.0, 0.0]]), np.array([[10.0, 10.0, 0, 0, 0]]),
                   np.array([0.03]), 100))
+# a tie at values of order 1e303 that the tilt cannot leave: the tilt
+# overflows before the cap, so the search raises
+@example(problem=(np.array([[1.0, 0.0]]), np.array([[1e303, 1e303]]), np.array([1.0]), 100))
 # eight actions, one without prior mass, bisected to the tolerance
 @example(problem=(np.array([[0.0] + [1 / 7] * 7]), np.arange(8.0)[None] / 8, np.array([0.3]), 100))
 # the budget runs out before the tolerance is met
@@ -222,10 +226,16 @@ def search_tables(draw):
 def test_round_search_equals_the_serial_search_bit_for_bit(problem):
     prior, q, eps, max_iterations = problem
     with mock.patch.object(trust_region, "MAX_ITERATIONS", max_iterations):
-        got = trust_region_rows(prior, q, eps)
         # the serial search may itself overflow on values of order 1e303
         with np.errstate(over="ignore", invalid="ignore"):
             expected = serial_trust_region_rows(prior, q, eps)
+        if not (np.isfinite(expected[0]).all() and np.isfinite(expected[2]).all()):
+            # where the serial search keeps an overflowed tilt, the
+            # rounds raise instead of returning it
+            with pytest.raises(NumericalError):
+                trust_region_rows(prior, q, eps)
+            return
+        got = trust_region_rows(prior, q, eps)
     for name, ours, theirs in zip(("rows", "beta", "kl", "saturated"), got, expected):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
         assert ours.tobytes() == theirs.tobytes(), name
