@@ -1,16 +1,21 @@
 """Exact solvers used as ground truth for the sampled planner.
 
-Everything here operates on full transition tensors (no sampling):
-finite-horizon soft values solved backward in log space, posterior
-trajectory distributions by exhaustive enumeration, the evidence
-decomposition into a lower bound plus a non-negative gap, and plain
-value iteration. Outputs are exact up to floating point, which is what
-makes them usable as oracles in the test-suite.
+Everything here is exact (no sampling): finite-horizon soft values
+solved backward in log space, posterior trajectory distributions by
+exhaustive enumeration, the evidence decomposition into a lower bound
+plus a non-negative gap, and plain value iteration. Outputs are exact up
+to floating point, which is what makes them usable as oracles in the
+test-suite. The solvers read the full transition tensor, except that
+the soft backups of a deterministic MDP (one successor per ``(s, a)``)
+read its successor table: there each row's log-expectation is its one
+entry, so a gather gives the same bits as the dense log-sum-exp.
 
-Conventions: rewards enter likelihoods as ``reward / temperature``, and
-discounting is applied as an explicit ``gamma ** (t - 1)`` factor on the
-reward at step t. The soft backups scale the reward once per call and
-form only the posteriors a caller reads (the root's, or every stage's).
+Conventions: rewards enter likelihoods as ``reward / temperature``. The
+enumeration oracles discount the reward at step t by an explicit
+``gamma ** (t - 1)`` factor; the soft backups instead multiply the
+log-expectation by ``gamma`` (see :func:`soft_value_iteration`). The
+soft backups scale the reward once per call and form only the
+posteriors a caller reads (the root's, or every stage's).
 """
 
 from __future__ import annotations
@@ -47,12 +52,26 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
     require_range(POSITIVE, math.inf, temperature=temperature)
     table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
     with np.errstate(divide="ignore"):
-        log_p = np.log(mdp.transition)
         log_prior = np.log(table)
+    if mdp.successor_states.shape[1] == 1:
+        # a row's log-sum-exp over one finite entry returns that entry;
+        # the row's maximum is its one positive mass
+        successors = mdp.successor_states.reshape(mdp.n_states, mdp.n_actions)
+        log_p1 = np.log(mdp.transition.max(axis=2))
+
+        def log_expectation(v):
+            return log_p1 + v.take(successors)
+    else:
+        with np.errstate(divide="ignore"):
+            log_p = np.log(mdp.transition)
+
+        def log_expectation(v):
+            return logsumexp(log_p + v[None, None, :], axis=2)
+
     scaled_reward = mdp.reward / temperature
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
-        q = scaled_reward + mdp.discount * logsumexp(log_p + v[None, None, :], axis=2)
+        q = scaled_reward + mdp.discount * log_expectation(v)
         v = logsumexp(log_prior + q, axis=1)
         if not np.isfinite(v).all():
             raise NumericalError("soft values overflowed; check reward/temperature scale")
@@ -73,7 +92,12 @@ def soft_value_iteration(
 
     The backup is ``q[s, a] = R(s, a)/T + gamma * log Eexp v(s')`` with
     ``v[s] = log sum_a prior(a|s) exp q[s, a]``, evaluated exactly over
-    the full transition row. Returns the root-stage solution.
+    the full transition row (by a gather of the successor's value when
+    the MDP is deterministic). The discount multiplies the whole
+    log-expectation of the next stage's soft value, whereas the
+    enumeration oracles (:func:`exact_posterior_trajectories`,
+    :func:`elbo_and_gap`) discount each reward by ``gamma ** t``; the two
+    agree only at ``gamma == 1``. Returns the root-stage solution.
     """
     for v, q, log_prior in _soft_backup_sweeps(mdp, prior, horizon, temperature):
         pass

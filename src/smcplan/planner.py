@@ -48,7 +48,7 @@ from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, Num
 from .errors import require_integers, require_range
 from .mdp import TabularMdp
 from .numerics import normalized_weights
-from .trust_region import adaptive_epsilon, trust_region_rows
+from .trust_region import DISTRIBUTION_TOL, adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
@@ -201,7 +201,8 @@ class PlanTables:
         shapes = proposal.shape, np.shape(self.log_prior), np.shape(self.v_table)
         if shapes != (shape, shape, shape[:1]):
             raise ContractError(f"proposal and log_prior need shape {shape}, v_table {shape[:1]}")
-        if not ((proposal >= 0).all() and np.abs(proposal.sum(axis=1) - 1.0).max() <= 1e-6):
+        row_gap = np.abs(proposal.sum(axis=1) - 1.0).max()
+        if not ((proposal >= 0).all() and row_gap <= DISTRIBUTION_TOL):
             raise ContractError("proposal rows must be probability distributions")
         # step tables: one row per (s, a), one column per successor slot
         v = np.array(self.v_table, dtype=float)

@@ -29,6 +29,7 @@ TOL = 1e-4
 MAX_ITERATIONS = 100
 BETA_CAP = 1e6
 TREE_DEPTH = 4  # bisection levels a round evaluates at once
+DISTRIBUTION_TOL = 1e-6  # how far a proposal row's sum may stray from 1
 
 
 def greedy_row(q_values) -> np.ndarray:
@@ -104,9 +105,11 @@ def trust_region_rows(prior, q_values, epsilon):
     the midpoints of the next ``TREE_DEPTH`` bisection levels, which the
     row walks by the serial rule. Every tilt is computed row by row, so
     each row's result is bit-identical to solving it alone. A searched
-    row whose kept tilt or divergence is not finite (``beta * q``
-    overflowed at a beta the serial search visits) raises
-    :class:`NumericalError`.
+    row whose kept divergence is not finite, or whose kept tilt is not a
+    distribution (its sum is off 1 by more than ``DISTRIBUTION_TOL``),
+    raises :class:`NumericalError`: ``beta * q`` overflowed at a beta the
+    serial search visits, or values of order 1e303 rounded the prior's
+    log-differences away.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(q_values, dtype=float)
@@ -173,8 +176,10 @@ def trust_region_rows(prior, q_values, epsilon):
         r = np.arange(idx.size)
         rows[idx], beta[idx], kl[idx] = tilted[r, node - 1], edges[r, node], kl_b[r, node - 1]
         lo, hi, live = edges[r, left], edges[r, right], live.astype(bool)
-    if not (np.isfinite(rows[searched]).all() and np.isfinite(kl[searched]).all()):
-        raise NumericalError("a kept tilt overflowed: its row or divergence is not finite")
+    # a nan or infinite entry also puts its row's sum off 1
+    sums = rows[searched].sum(axis=1)
+    if not ((np.abs(sums - 1.0) <= DISTRIBUTION_TOL).all() and np.isfinite(kl[searched]).all()):
+        raise NumericalError("a kept tilt is not a distribution or its divergence is not finite")
     return rows, beta, kl, saturated
 
 

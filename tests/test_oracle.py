@@ -9,6 +9,7 @@ from conftest import make_random_mdp, make_random_policy
 from smcplan import (
     ContractError,
     SupportError,
+    TabularMdp,
     elbo_and_gap,
     enumerate_trajectories,
     exact_posterior_trajectories,
@@ -22,6 +23,7 @@ from smcplan import (
     root_action_marginal,
     soft_value_iteration,
 )
+from smcplan.numerics import logsumexp
 
 UNIFORM2 = np.full((2, 2), 0.5)
 
@@ -244,3 +246,69 @@ def test_posterior_policy_improves_on_prior(mdp, depth):
     prior_return = policy_value(mdp, prior, depth)[0]
     posterior_return = policy_value(mdp, stages, depth)[0]
     assert posterior_return >= prior_return - 1e-10
+
+
+def dense_soft_backups(mdp, prior, horizon, temperature):
+    """``(v, q, posterior)`` per sweep of the soft backup over full
+    transition rows: ``logsumexp(log_p + v)`` on every ``(s, a)`` row."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(mdp.transition)
+        log_prior = np.log(prior)
+    scaled_reward = mdp.reward / temperature
+    v = np.zeros(mdp.n_states)
+    sweeps = []
+    for _ in range(horizon):
+        q = scaled_reward + mdp.discount * logsumexp(log_p + v[None, None, :], axis=2)
+        v = logsumexp(log_prior + q, axis=1)
+        posterior = np.exp(log_prior + q - v[:, None])
+        posterior /= posterior.sum(axis=1, keepdims=True)
+        sweeps.append((v, q, posterior))
+    return sweeps
+
+
+def make_near_one():
+    """Deterministic, but each non-terminal row's one positive transition
+    mass is ``1 - 1e-12``, so its log is not 0."""
+    transition = np.zeros((3, 2, 3))
+    transition[0, 0, 1] = transition[0, 1, 2] = transition[1, 0, 0] = transition[1, 1, 2] = 1 - 1e-12
+    transition[2, :, 2] = 1.0
+    reward = np.array([[0.3, -0.2], [0.5, 1.0], [0.0, 0.0]])
+    return TabularMdp(transition, reward, np.array([False, False, True]))
+
+
+DETERMINISTIC_MDPS = {
+    "chain": lambda: make_chain(4),
+    "gridworld_traps": lambda: make_gridworld(4, 3, traps=[(1, 1), (0, 3)]),
+    "absorbing_zero": lambda: make_absorbing_zero(4),
+    "two_arm": make_two_arm,
+    "near_one": make_near_one,
+}
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+@pytest.mark.parametrize("name", list(DETERMINISTIC_MDPS))
+def test_deterministic_soft_backups_match_the_dense_backup_bit_for_bit(name, discount):
+    base = DETERMINISTIC_MDPS[name]()
+    mdp = TabularMdp(base.transition, base.reward, base.terminal, discount)
+    assert mdp.successor_states.shape[1] == 1
+    gen = np.random.default_rng(len(name))
+    # a prior with zero entries: every row loses a random subset of its
+    # actions and the one after the action it keeps
+    sparse = make_random_policy(mdp.n_states, mdp.n_actions, seed=len(name))
+    rows, kept = np.arange(mdp.n_states), gen.integers(0, mdp.n_actions, mdp.n_states)
+    sparse[gen.random(sparse.shape) < 0.4] = 0.0
+    sparse[rows, (kept + 1) % mdp.n_actions] = 0.0
+    sparse[rows, kept] += 0.1
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    for prior in (uniform_table(mdp), sparse):
+        for temperature in (1.0, 0.5, 0.1):
+            reference = dense_soft_backups(mdp, prior, 16, temperature)
+            for depth in range(1, 17):
+                v, q, posterior = reference[depth - 1]
+                sol = soft_value_iteration(mdp, prior, depth, temperature)
+                assert sol.v_soft.tobytes() == v.tobytes()
+                assert sol.q_soft.tobytes() == q.tobytes()
+                assert sol.posterior_policy.tobytes() == posterior.tobytes()
+                stages = np.stack([sweep[2] for sweep in reference[:depth][::-1]])
+                got = posterior_policy_stages(mdp, prior, depth, temperature)
+                assert got.shape == stages.shape and got.tobytes() == stages.tobytes()

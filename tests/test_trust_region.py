@@ -12,14 +12,18 @@ from scipy.special import logsumexp
 
 from smcplan import (
     ContractError,
+    Model,
     NumericalError,
+    PlannerConfig,
+    TabularMdp,
     adaptive_epsilon,
     greedy_row,
+    plan_tables,
     solve_trust_region,
     trust_region_rows,
 )
 from smcplan import numerics, trust_region
-from smcplan.trust_region import BETA_CAP, PRIOR_FLOOR, TOL, kl_to_prior
+from smcplan.trust_region import BETA_CAP, DISTRIBUTION_TOL, PRIOR_FLOOR, TOL, kl_to_prior
 
 
 # Reference implementation: the scalar solver, one row at a time, with
@@ -218,6 +222,11 @@ def search_tables(draw):
 # a tie at values of order 1e303 that the tilt cannot leave: the tilt
 # overflows before the cap, so the search raises
 @example(problem=(np.array([[1.0, 0.0]]), np.array([[1e303, 1e303]]), np.array([1.0]), 100))
+# a tie at values of order 1e303 that rounds the prior's log-differences
+# away: the serial search keeps the finite row [1, 1, 0], so the search
+# raises
+@example(problem=(np.array([[1 / 3, 2 / 3, 0.0]]), np.array([[1e304, 1e304, 1e304]]),
+                  np.array([1.0]), 100))
 # eight actions, one without prior mass, bisected to the tolerance
 @example(problem=(np.array([[0.0] + [1 / 7] * 7]), np.arange(8.0)[None] / 8, np.array([0.3]), 100))
 # the budget runs out before the tolerance is met
@@ -229,9 +238,11 @@ def test_round_search_equals_the_serial_search_bit_for_bit(problem):
         # the serial search may itself overflow on values of order 1e303
         with np.errstate(over="ignore", invalid="ignore"):
             expected = serial_trust_region_rows(prior, q, eps)
-        if not (np.isfinite(expected[0]).all() and np.isfinite(expected[2]).all()):
-            # where the serial search keeps an overflowed tilt, the
-            # rounds raise instead of returning it
+        sums = expected[0].sum(axis=1)
+        if not ((np.abs(sums - 1.0) <= DISTRIBUTION_TOL).all() and np.isfinite(expected[2]).all()):
+            # where the serial search keeps an overflowed tilt or a row
+            # that is not a distribution, the rounds raise instead of
+            # returning it
             with pytest.raises(NumericalError):
                 trust_region_rows(prior, q, eps)
             return
@@ -239,6 +250,23 @@ def test_round_search_equals_the_serial_search_bit_for_bit(problem):
     for name, ours, theirs in zip(("rows", "beta", "kl", "saturated"), got, expected):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
         assert ours.tobytes() == theirs.tobytes(), name
+
+
+def test_a_kept_row_that_is_not_a_distribution_raises():
+    # values of order 1e303 round the prior's log-differences away, so
+    # the search keeps the row [1, 1, 0]; a proposal table built from it
+    # raises the same error instead of a ContractError from PlanTables
+    prior, q = np.array([[1 / 3, 2 / 3, 0.0]]), np.array([[10.0, 10.0, 10.0]]) * 1e303
+    with pytest.raises(NumericalError, match="not a distribution"):
+        trust_region_rows(prior, q, [1.0])
+    transition = np.zeros((2, 3, 2))
+    transition[:, :, 1] = 1.0
+    mdp = TabularMdp(transition, np.zeros((2, 3)), np.array([False, True]))
+    logits = np.array([[0.0, math.log(2.0), -math.inf], [0.0, 0.0, 0.0]])
+    model = Model(logits, np.zeros(2), np.vstack([q, np.zeros((1, 3))]))
+    config = PlannerConfig(k=2, depth=1, proposal_mode="trust_region", alpha=0.1)
+    with pytest.raises(NumericalError, match="not a distribution"):
+        plan_tables(mdp, model, config)
 
 
 def test_greedy_row_unique_argmax():
