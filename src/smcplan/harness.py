@@ -38,7 +38,6 @@ from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import plan_tables, run_planner
 from .training import Model, TrainConfig, train
-from .trust_region import kl_to_prior
 
 EXPERIMENTS = ("path_degeneracy", "oracle_convergence", "train", "ablation")
 POLICY_FLOOR = 1e-6
@@ -49,11 +48,13 @@ EXIT_RUNTIME = 3
 
 
 def kl_to_reference(reference, policy) -> float:
-    """``KL(reference || policy)`` with the policy floored and renormalized.
-    Every smoothed entry is at least ``POLICY_FLOOR / (1 + A * POLICY_FLOOR)``,
-    far above ``kl_to_prior``'s own floor, so that floor never applies."""
+    """``KL(reference || policy)`` summed over the reference's support,
+    with the policy floored and renormalized."""
+    reference = np.asarray(reference, dtype=float)
     smoothed = np.maximum(np.asarray(policy, dtype=float), POLICY_FLOOR)
-    return kl_to_prior(reference, smoothed / smoothed.sum())
+    support = reference > 0
+    log_ratio = np.log(reference[support]) - np.log((smoothed / smoothed.sum())[support])
+    return float(np.sum(reference[support] * log_ratio))
 
 
 def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator):

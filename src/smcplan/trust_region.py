@@ -2,16 +2,16 @@
 
 A proposal row is drawn from the exponential family
 ``q_beta ∝ prior * exp(beta * q_values)``. The divergence
-``KL(q_beta || prior)`` grows monotonically from 0 with beta, so the
-largest beta whose divergence stays inside a radius ``epsilon`` is found
-by a k-section search: a bracket from doubling beta, then bisection, with
-many betas tilted per row at once. The radius itself is set adaptively as
-a fraction of the prior-to-greedy divergence, which makes the tilt
+``KL(q_beta || prior)`` grows from 0 with beta at the rate
+``beta * Var_{q_beta}(q_values)``, so the beta whose divergence equals a
+radius ``epsilon`` is the root of a one-dimensional equation, found by
+safeguarded Newton steps. The radius itself is set adaptively as a
+fraction of the prior-to-greedy divergence, which makes the tilt
 interpolate between the prior (radius 0) and the greedy policy (full
 radius), whatever the scale of the values.
 
-One kernel, :func:`trust_region_rows`, solves a whole table at once; each
-row's result is bit-identical to a serial search of that row alone.
+One kernel, :func:`trust_region_rows`, solves a whole table at once; a
+row's result never depends on the table's other rows.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError, require_range
-from .numerics import logsumexp
 
 PRIOR_FLOOR = 1e-12
 TOL = 1e-4
 MAX_ITERATIONS = 100
 BETA_CAP = 1e6
-TREE_DEPTH = 4  # bisection levels a round evaluates at once
 DISTRIBUTION_TOL = 1e-6  # how far a proposal row's sum may stray from 1
 
 
@@ -42,27 +40,14 @@ def greedy_row(q_values) -> np.ndarray:
     return mask / mask.sum(axis=-1, keepdims=True)
 
 
-def _kl_rows(dist, log_ref) -> np.ndarray:
-    """Row-wise ``sum(dist * (log(dist) - log_ref))`` over ``dist > 0``."""
-    support = dist > 0
-    terms = np.where(support, dist * (np.log(np.where(support, dist, 1.0)) - log_ref), 0.0)
-    kl = terms.sum(axis=1)
-    # numpy sums eight or more entries pairwise, so there the zeros left
-    # off the support would regroup the additions: sum those rows over
-    # their support alone, all rows of one support size at once
-    if dist.shape[1] >= 8:
-        size = support.sum(axis=1)
-        for m in np.unique(size[(size > 0) & (size < dist.shape[1])]):
-            kl[size == m] = terms[size == m][support[size == m]].reshape(-1, m).sum(axis=1)
-    return kl
-
-
 def kl_to_prior(dist, prior_row):
-    """``KL(dist || prior_row)`` with the prior floored at ``PRIOR_FLOOR``;
-    tables give one divergence per row."""
+    """``KL(dist || prior_row)`` over ``dist > 0``, with the prior floored
+    at ``PRIOR_FLOOR``; tables give one divergence per row."""
     dist = np.asarray(dist, dtype=float)
     log_ref = np.log(np.maximum(np.asarray(prior_row, dtype=float), PRIOR_FLOOR))
-    kl = _kl_rows(np.atleast_2d(dist), np.atleast_2d(log_ref))
+    rows = np.atleast_2d(dist)
+    support = rows > 0
+    kl = np.where(support, rows * (np.log(np.where(support, rows, 1.0)) - log_ref), 0.0).sum(axis=1)
     return float(kl[0]) if dist.ndim == 1 else kl
 
 
@@ -97,28 +82,25 @@ def trust_region_rows(prior, q_values, epsilon):
     returns ``(rows, beta, achieved_kl, saturated)``, one entry per row.
     Radius 0 returns the prior row bit-exactly. A radius at or beyond
     the greedy-to-prior divergence returns the greedy-tie row. In
-    between, the result is that of a serial search, which doubles beta
-    from 1 (capped at ``BETA_CAP``) until the divergence reaches the
-    radius, then bisects until it is within ``TOL`` of the radius or
-    ``MAX_ITERATIONS`` midpoints are spent. Each round of the search
-    tilts a row at many betas in one evaluation: all the doublings, then
-    the midpoints of the next ``TREE_DEPTH`` bisection levels, which the
-    row walks by the serial rule. Every tilt is computed row by row, so
-    each row's result is bit-identical to solving it alone. A searched
-    row whose kept divergence is not finite, or whose kept tilt is not a
-    distribution (its sum is off 1 by more than ``DISTRIBUTION_TOL``),
-    raises :class:`NumericalError`: ``beta * q`` overflowed at a beta the
-    serial search visits, or values of order 1e303 rounded the prior's
-    log-differences away.
+    between, a row's values are centred on their best value inside the
+    prior's support and scaled to ``[-1, 0]`` there, so no tilt
+    overflows. The search starts where ``beta**2 * Var_prior(q) / 2``
+    meets the radius, capped at ``BETA_CAP``, then takes Newton steps
+    for all live rows at once. A step that leaves its row's bracket is
+    replaced by the bracket's midpoint in log beta, or by the cap while
+    no tilt has passed the radius. A row stops within ``TOL`` of its
+    radius, at the cap if that still reads below the radius (the row is
+    then saturated), or after ``MAX_ITERATIONS`` tilts. Every step is
+    computed row by row, so a row's result never depends on the table's
+    other rows. A searched row whose kept divergence is not finite, or
+    whose kept tilt is not a distribution (its sum is off 1 by more than
+    ``DISTRIBUTION_TOL``), raises :class:`NumericalError`.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(q_values, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
-    log_ref = np.log(np.maximum(prior, PRIOR_FLOOR))
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior)
     greedy = greedy_row(q)
-    kl_greedy = _kl_rows(greedy, log_ref)
+    kl_greedy = kl_to_prior(greedy, prior)
 
     rows = prior.copy()
     beta = np.zeros(len(prior))
@@ -128,54 +110,50 @@ def trust_region_rows(prior, q_values, epsilon):
     beta[saturated] = math.inf
     kl[saturated] = kl_greedy[saturated]
 
-    def evaluate(idx, b):
-        """Tilts of row ``idx[i]`` at each beta of ``b[i]`` (or ``b``)."""
-        shape = idx.size, b.shape[-1]
-        # a beta past the serial search's stop may overflow; it is never kept
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (log_prior[idx, None] + b[..., None] * q[idx, None]).reshape(-1, q.shape[1])
-            tilted = np.exp(z - logsumexp(z, axis=1)[:, None])
-        kl_b = _kl_rows(tilted, np.repeat(log_ref[idx], shape[1], axis=0))
-        return tilted.reshape(*shape, q.shape[1]), kl_b.reshape(shape)
-
     idx = searched = np.flatnonzero((epsilon > 0.0) & ~saturated)
-    eps = epsilon[idx]
-    doublings = np.minimum(2.0 ** np.arange(math.ceil(math.log2(BETA_CAP)) + 1), BETA_CAP)
-    tilted, kl_b = evaluate(idx, doublings)
-    # the doubling stops at the first divergence not below the radius
-    at = (kl_b[:, :-1] < eps[:, None]).cumprod(axis=1).sum(axis=1)
-    r = np.arange(idx.size)
-    rows[idx], beta[idx], kl[idx] = tilted[r, at], doublings[at], kl_b[r, at]
-    # a row whose family cannot reach the radius (e.g. ties) keeps the
-    # cap, as far as the tilt can go while satisfying the constraint
-    capped = kl[idx] < eps
-    saturated[idx[capped]] = True
-
-    idx, eps, hi = idx[~capped], eps[~capped], doublings[at[~capped]]
-    lo, spent = np.zeros(idx.size), np.zeros(idx.size, dtype=int)
-    live = ~(np.abs(kl[idx] - eps) <= TOL) & (spent < MAX_ITERATIONS)
-    while live.any():
-        idx, eps, lo, hi, spent = idx[live], eps[live], lo[live], hi[live], spent[live]
-        # the bisection tree under [lo, hi], its midpoints formed level by level
-        edges = np.empty((idx.size, 2**TREE_DEPTH + 1))
-        edges[:, 0], edges[:, -1] = lo, hi
-        for width in 2 ** np.arange(TREE_DEPTH, 0, -1):
-            edges[:, width // 2 :: width] = 0.5 * (edges[:, :-1:width] + edges[:, width::width])
-        tilted, kl_b = evaluate(idx, edges[:, 1:-1])
-        # each row walks its tree of midpoints as the serial bisection
-        # would; node, left and right index the row's edges
-        walks = []
-        for kl_row, e, k, n in zip(kl_b.tolist(), eps.tolist(), kl[idx].tolist(), spent.tolist()):
-            left, right, node = 0, 2**TREE_DEPTH, 0
-            while right - left > 1 and not abs(k - e) <= TOL and n < MAX_ITERATIONS:
-                node = (left + right) // 2
-                k, n = kl_row[node - 1], n + 1
-                left, right = (node, right) if k < e else (left, node)
-            walks.append((node, left, right, n, not abs(k - e) <= TOL and n < MAX_ITERATIONS))
-        node, left, right, spent, live = np.array(walks).T
-        r = np.arange(idx.size)
-        rows[idx], beta[idx], kl[idx] = tilted[r, node - 1], edges[r, node], kl_b[r, node - 1]
-        lo, hi, live = edges[r, left], edges[r, right], live.astype(bool)
+    p, eps = prior[idx], epsilon[idx]
+    support = p > 0
+    # values whose spread overflows leave nan in the tilt, which the
+    # check below reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        top = np.where(support, q[idx], -np.inf).max(axis=1)
+        spread = top - np.where(support, q[idx], np.inf).min(axis=1)
+        scale = np.where(spread > 0, spread, 1.0)
+        u = np.where(support, (q[idx] - top[:, None]) / scale[:, None], 0.0)
+        # log(prior / floored prior), so that log(tilt / floored prior)
+        # is offset + g * u - log(z) for the tilt p * exp(g * u) / z
+        offset = np.where(support, np.log(p) - np.log(np.maximum(p, PRIOR_FLOOR)), 0.0)
+        # the search runs in g = beta * scale; where BETA_CAP * scale
+        # overflows, the largest float tilts as far as BETA_CAP would
+        cap = np.minimum(BETA_CAP * scale, np.finfo(float).max)
+        centred = u - (p * u).sum(axis=1, keepdims=True)
+        g = np.minimum(np.sqrt(2.0 * eps / (p * centred**2).sum(axis=1)), cap)
+        # dKL/dg = g * Var(u) <= g / 4 on [-1, 0], so the root is at
+        # least sqrt(8 eps)
+        lo, hi = np.sqrt(8.0 * eps), np.full(idx.size, np.inf)
+        for _ in range(MAX_ITERATIONS):
+            if not idx.size:
+                break
+            tilted = p * np.exp(g[:, None] * u)
+            z = tilted.sum(axis=1, keepdims=True)
+            tilted /= z
+            log_ratio = offset + g[:, None] * u - np.log(z)
+            divergence = (tilted * log_ratio).sum(axis=1)
+            rows[idx], beta[idx], kl[idx] = tilted, g / scale, divergence
+            miss = divergence - eps
+            capped = (miss < 0) & (g >= cap)
+            saturated[idx[capped]] = True
+            lo, hi = np.where(miss < 0, g, lo), np.where(miss < 0, hi, g)
+            # the divergence's slope in g is Cov_tilt(u, log_ratio)
+            centred = u - (tilted * u).sum(axis=1, keepdims=True)
+            slope = (tilted * centred * log_ratio).sum(axis=1)
+            step = np.minimum(g - miss / slope, cap)
+            bisect = np.where(hi < np.inf, np.sqrt(lo) * np.sqrt(hi), cap)
+            g = np.where((lo < step) & (step < hi), step, bisect)
+            live = ~(np.abs(miss) <= TOL) & ~capped
+            if not live.all():
+                idx, p, eps, u, offset, scale, cap, lo, hi, g = (
+                    a[live] for a in (idx, p, eps, u, offset, scale, cap, lo, hi, g))
     # a nan or infinite entry also puts its row's sum off 1
     sums = rows[searched].sum(axis=1)
     if not ((np.abs(sums - 1.0) <= DISTRIBUTION_TOL).all() and np.isfinite(kl[searched]).all()):

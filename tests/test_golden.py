@@ -8,9 +8,15 @@ per call, one weight normalisation per step). The three
 ``config.resolved.json`` pins were re-recorded when the planner config
 lost its ``value_mode`` field, which removed that one key from the file;
 the wide pins' names still end in ``sampled``, the value mode they were
-recorded under and the only one the planner kept. Refactors that claim
-to keep behaviour must leave every pinned value unchanged; a change that
-is meant to alter results re-records them and says so.
+recorded under and the only one the planner kept. When the trust region
+came to be solved by safeguarded Newton steps instead of a bisection,
+the pins that read trust-region proposals were re-recorded: the eight
+``*/trust_region/*`` wide pins, the policy-return digests and last
+policy returns of criterion 8 (its greedy returns kept their bits), and
+the ``train`` experiment's ``metrics.csv`` and ``summary.json``; the
+``oracle_convergence`` files kept theirs. Refactors that claim to keep
+behaviour must leave every pinned value unchanged; a change that is
+meant to alter results re-records them and says so.
 """
 
 import hashlib
@@ -100,17 +106,17 @@ CRITERION_8 = TrainConfig(
 GOLDEN_CRITERION_8 = {
     0: (
         "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8",
-        "dda525b847ef5584e0d259c1197e29d166ef259284a73d47d97187262a420acb",
+        "e3405acb2e908bf4b5f2c055cdc74c63f78f21e96531ae89d30de7267a975432",
     ),
     1: (
         "f67373b9507568da7d650d8a6283daecf2c9f50cb0d30f4e590da62664ac6562",
-        "cf41dd401db3a2ec7a0fb7aff2d8515eddeb2a44fe15872bb080ed4fe41fbdf9",
+        "de50e89654d436d89ed94e3e30ba1d4bcfef32c8c3369497faef62d63dc68945",
     ),
 }
 # seed -> float.hex of the final (greedy, policy) return
 GOLDEN_CRITERION_8_LAST = {
-    0: ("0x0.0p+0", "0x1.c4667ce25409ap-1"),
-    1: ("0x1.0000000000000p+0", "0x1.e232ab1b0f076p-1"),
+    0: ("0x0.0p+0", "0x1.c466fe837ae4ep-1"),
+    1: ("0x1.0000000000000p+0", "0x1.e23364d95b1d3p-1"),
 }
 GOLDEN_FILES = {
     "readme_sweep": {
@@ -124,8 +130,8 @@ GOLDEN_FILES = {
         "config.resolved.json": "53cfa9d63fe6d67c38e1a660722def158a3ca9c2738666a5a3979074a4589cc1",
     },
     "train": {
-        "metrics.csv": "37abff4e96bb31241cd219513478b7e96d1d4e878df9a3fdf5af09b1decab334",
-        "summary.json": "ec04a6af7728768576da46f2e08f2867f3921bcd08546c2ae2abdc69bbc5b92d",
+        "metrics.csv": "82437472200c2c1c99aebbdff51c4b156c535ea7df83d223c05e9fcd27d7597c",
+        "summary.json": "23b998b72ee52312980d39e4812ecfb27879b2070cd4d135fb0b85cb8bb5242d",
         "config.resolved.json": "056d0156556f54bff207fcca43c586229ed3724d78c6008eced42e4c26f771d9",
     },
 }
@@ -139,18 +145,18 @@ GOLDEN_WIDE = {
     "grid/prior/dirac/revived/sampled": "ba9aa5c348cda98848f252a916ff39840974d5546dad844784a5113849dd98eb",
     "grid/prior/message_passing/baseline/sampled": "dee49dac6a7f4a43d421ed4252e5f70f837ea306f3625a3d25716838abec482a",
     "grid/prior/message_passing/revived/sampled": "d3f9065d134abf2eb64a41e8b1a19a86b1fec96b14a440a64b099fc25dc9ecd1",
-    "grid/trust_region/dirac/baseline/sampled": "0c2f6cba1bfada88ce24898693f087857db4c549651f47e52a101e7eaa190490",
-    "grid/trust_region/dirac/revived/sampled": "e20727b0f046f0801cb07971520817ee983d65718584ecb2e2f7a832ec59c0a3",
-    "grid/trust_region/message_passing/baseline/sampled": "46ff58c7f93741f82749fd236af9eb91f77981b84f055f1feccf4eda24c6607f",
-    "grid/trust_region/message_passing/revived/sampled": "2a09db682666ce3d4beee6b0e319cb6b94e4fc117e50fe531848ed6be63be4aa",
+    "grid/trust_region/dirac/baseline/sampled": "39538acbfc913fb73995f94b52fc4f34dd15a96249afe411d4c004899ccc4a87",
+    "grid/trust_region/dirac/revived/sampled": "8bcaf284966b6d995a284b9e940b108fd33b7d475b9c14b0fc3ceabb823f8110",
+    "grid/trust_region/message_passing/baseline/sampled": "48c1feb0c89cf823a9d58443389f77432f7544f6de34835be0af308ab673a33d",
+    "grid/trust_region/message_passing/revived/sampled": "bfd74665d33b38478f71454979de138300b3a51644a626b73e26cb3e497a1f5e",
     "slippery/prior/dirac/baseline/sampled": "a012b1cb1de44aae3ea985fecd8f6fbb94afa9be76cb73217d82d150525efda6",
     "slippery/prior/dirac/revived/sampled": "318b854580937f728f527ae042d96816576f161daa2ff92d2d0f3177c65cf8f1",
     "slippery/prior/message_passing/baseline/sampled": "94eacfa8f5cf5f147c447477d293c3803527be9f473cdc4fdbd100d611e952b6",
     "slippery/prior/message_passing/revived/sampled": "df7dea65b378e6ca51c708c13830916445376746d5f894668df910eaf5d4c25c",
-    "slippery/trust_region/dirac/baseline/sampled": "8516165c34b93343b9d8821fcb2f24705d083c31c91843c2f3fd99e09065a812",
-    "slippery/trust_region/dirac/revived/sampled": "237b6b7c395952c71e3a1b460703ee2bfc77590ecaf5c2e26caa61fd36164e82",
-    "slippery/trust_region/message_passing/baseline/sampled": "0eebc15b78be357bc00598b57c01479d190c2105f570aafac714c1f261852f56",
-    "slippery/trust_region/message_passing/revived/sampled": "d4a5e85d69f8b85ca1f9dd30520a19aa334297bb32623c386ce3a37c19dc24c6",
+    "slippery/trust_region/dirac/baseline/sampled": "0e8a5671eac63319777a89e2df78c0a82d48cf31cab73031066c312e9ee7fa7f",
+    "slippery/trust_region/dirac/revived/sampled": "4ed89a65856dbbc3eae908a87e8d52bb1391e99080ffe668acce69e6106d9c0d",
+    "slippery/trust_region/message_passing/baseline/sampled": "28ebdb8d92e9b2712113fd5ecddaa998bda875f9a47050a32bf95a6fa04e9e82",
+    "slippery/trust_region/message_passing/revived/sampled": "8ddd695f7cb06fb7a33ba2361c458085584d61d48988d7cf59ffec8e8ec70375",
 }
 
 
