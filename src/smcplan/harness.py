@@ -262,7 +262,10 @@ _PLAN_METRICS = {
 
 def _drive(config: ExperimentConfig, seeds):
     """Run one sweep point's cell per seed, planning cells sharing one set
-    of planning tables; yields ``(seed, rows)``, rows ``(step, metric, value)``."""
+    of planning tables; yields ``(seed, rows)``, rows ``(step, metric, value)``.
+    Planning cells use ``Model.zeros`` (its trust-region radii are 0) and read
+    the root policy only: ``proposal_mode``, ``alpha``, ``sigma`` and ``lambda_smc``
+    leave their metrics unchanged."""
     mdp = config.mdp  # no sweep key reaches the environment
     if config.experiment in _PLAN_METRICS:
         name, divergence = _PLAN_METRICS[config.experiment]

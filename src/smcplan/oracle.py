@@ -51,8 +51,9 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
     require_range(1, math.inf, horizon=horizon)
     require_range(POSITIVE, math.inf, temperature=temperature)
     table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow raises NumericalError below
         log_prior = np.log(table)
+        scaled_reward = mdp.reward / temperature
     if mdp.successor_states.shape[1] == 1:
         # a row's log-sum-exp over one finite entry returns that entry;
         # the row's maximum is its one positive mass
@@ -68,7 +69,6 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
         def log_expectation(v):
             return logsumexp(log_p + v[None, None, :], axis=2)
 
-    scaled_reward = mdp.reward / temperature
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
         q = scaled_reward + mdp.discount * log_expectation(v)

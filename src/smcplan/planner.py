@@ -18,25 +18,24 @@ The model is fixed for a whole planning call, so everything a step reads
 is built once as :class:`PlanTables`: the proposal rows, the prior,
 per ``(s, a)`` the log prior/proposal ratio and its retrace cap, and
 per ``(s, a, successor)`` the weight increment and the retrace error.
-They are built per call, or once by a caller planning repeatedly
-against one model (per training segment, per sweep point). A step draws
-an action, then a slot of the MDP's support-compressed successor row,
-and reads the next state, increment and error at one flat index, so it
-costs K times the successor support, not K times S. Each draw is one
-gather of the drawn rows' cumulative masses and one comparison
-(``rng.categorical_rows``); on an MDP whose successor rows have one
-slot (a deterministic one) the slot draw is skipped, though its
-uniforms are still drawn, so the stream reads the same either way. Each
-step normalizes its weights once, for the ESS, resampling and readout;
-the particles' grouping by root atom is built only at a resample, and
-the count of distinct root atoms is read off it.
+They serve one MDP and config, built per call or once by a caller
+planning repeatedly against one model (per training segment, per sweep
+point). A step draws an action, then a slot of the MDP's
+support-compressed successor row, and reads the next state, increment
+and error at one flat index, so it costs K times the successor support,
+not K times S. Each draw is one gather of the drawn rows' cumulative
+masses and one comparison (``rng.categorical_rows``); on an MDP whose
+successor rows have one slot (a deterministic one) the slot draw is
+skipped, though its uniforms are still drawn, so the stream reads the
+same either way. Each step normalizes its weights once, for the ESS,
+resampling and readout; the particles' grouping by root atom is built
+only at a resample, and the count of distinct root atoms is read off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +52,6 @@ from .trust_region import DISTRIBUTION_TOL, adaptive_epsilon, trust_region_rows
 PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
 RESAMPLE_MODES = ("baseline", "revived")
-_TABLE_KEY = attrgetter("temperature", "gamma", "proposal_mode", "alpha")
 
 
 @dataclass(frozen=True)
@@ -167,8 +165,8 @@ def _require_weights(weights, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlanTables:
-    """What every step on ``mdp`` under ``config`` (its ``_TABLE_KEY``
-    fields) reads: the ``(S, A)`` ``proposal``, ``log_prior`` (the
+    """What every step on ``mdp`` under ``config``, the one pair a table
+    serves, reads: the ``(S, A)`` ``proposal``, ``log_prior`` (the
     model's log-policy) and a copy of its ``(S,)`` ``v_table``. Derived
     per ``(s, a)``: ``proposal_cdf``, the cumulative masses the action
     draws read (never a zero-mass action, whose entries are thus never
@@ -221,14 +219,8 @@ class PlanTables:
             object.__setattr__(self, name, value)
 
 
-def advance(
-    particles: ParticleSet,
-    mdp: TabularMdp,
-    tables: PlanTables,
-    config: PlannerConfig,
-    rng: np.random.Generator,
-) -> ParticleSet:
-    """Propagate every particle one step and update all statistics.
+def advance(particles: ParticleSet, tables: PlanTables, rng: np.random.Generator) -> ParticleSet:
+    """Propagate every particle one step on the MDP and config of ``tables``.
 
     Samples an action and a successor slot per particle, reads the next
     state, weight increment and retrace error at that slot, refreshes
@@ -236,10 +228,7 @@ def advance(
     retrace traces and, for ``message_passing``, the atom accumulators.
     A drawn non-finite increment raises :class:`NumericalError`.
     """
-    if tables.mdp is not mdp or (
-        tables.config is not config and _TABLE_KEY(tables.config) != _TABLE_KEY(config)
-    ):
-        raise ContractError("tables were built for another MDP or planner config")
+    mdp, config = tables.mdp, tables.config
     k = particles.k
     # one draw split in two: the action uniforms, then the state uniforms
     uniforms = rng.random(2 * k)
@@ -402,7 +391,8 @@ def run_planner(
     ``sigma``. Identical ``(config, seed)`` gives bit-identical output.
     ``tables`` is ``plan_tables(mdp, model, config)``, built here when
     not given; callers planning repeatedly against one model pass it in
-    to build it once.
+    to build it once, and one built for another MDP or config raises
+    :class:`ContractError` before any step.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
@@ -411,6 +401,8 @@ def run_planner(
 
     if tables is None:
         tables = plan_tables(mdp, model, config)
+    elif tables.mdp is not mdp or (tables.config is not config and tables.config != config):
+        raise ContractError("tables were built for another MDP or planner config")
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.full(config.depth, config.k, dtype=np.intp)
@@ -419,7 +411,7 @@ def run_planner(
 
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t) if t == 1 else rng_mod.rekey(gen, seed, t)
-        particles = advance(particles, mdp, tables, config, gen)
+        particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
         weights = normalized_weights(particles.log_weights)
         ess[t - 1] = 1.0 / np.add.reduce(np.square(weights))

@@ -53,7 +53,8 @@ def kl_to_prior(dist, prior_row):
 
 def adaptive_epsilon(prior_row, q_values, alpha: float):
     """Trust-region radius: ``alpha`` times the greedy-to-prior divergence
-    (per row for tables)."""
+    (per row for tables), which a greedy action of prior mass below
+    ``PRIOR_FLOOR`` can put out of reach (see :func:`trust_region_rows`)."""
     require_range(0, 1, alpha=alpha)
     return alpha * kl_to_prior(greedy_row(q_values), prior_row)
 
@@ -90,11 +91,14 @@ def trust_region_rows(prior, q_values, epsilon):
     replaced by the bracket's midpoint in log beta, or by the cap while
     no tilt has passed the radius. A row stops within ``TOL`` of its
     radius, at the cap if that still reads below the radius (the row is
-    then saturated), or after ``MAX_ITERATIONS`` tilts. Every step is
-    computed row by row, so a row's result never depends on the table's
-    other rows. A searched row whose kept divergence is not finite, or
-    whose kept tilt is not a distribution (its sum is off 1 by more than
-    ``DISTRIBUTION_TOL``), raises :class:`NumericalError`.
+    then saturated), or after ``MAX_ITERATIONS`` tilts. When the greedy
+    action's prior mass is below ``PRIOR_FLOOR``, the floored divergence
+    need not rise monotonically with beta, so a radius below the greedy
+    divergence can be out of reach: the row saturates below it. Every
+    step is computed row by row, so a row's result never depends on the
+    table's other rows. A searched row whose kept divergence is not
+    finite, or whose kept tilt is not a distribution (its sum is off 1 by
+    more than ``DISTRIBUTION_TOL``), raises :class:`NumericalError`.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(q_values, dtype=float)

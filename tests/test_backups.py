@@ -350,7 +350,7 @@ def test_planner_retrace_matches_reference():
         uniforms = rng_mod.stream(seed, t).random(config.k)
         actions = rng_mod.categorical_rows(np.cumsum(table, axis=1), particles.states, uniforms)
         states = particles.states
-        particles = advance(particles, mdp, tables, config, rng_mod.stream(seed, t))
+        particles = advance(particles, tables, rng_mod.stream(seed, t))
         rewards.append(mdp.reward[states, actions])
         ratios.append(pi[states, actions] / proposal[rows, actions])
         v_next.append(model.v_table[particles.states])

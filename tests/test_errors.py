@@ -1,0 +1,222 @@
+"""Every documented precondition raises its typed error, one case per
+check, and the CLI maps a runtime failure to its exit code."""
+
+import json
+
+import numpy as np
+import pytest
+
+from smcplan import (
+    ConfigError,
+    ContractError,
+    ExperimentConfig,
+    LossConfig,
+    Model,
+    NumericalError,
+    PlannerConfig,
+    ReplayBuffer,
+    Segment,
+    TabularMdp,
+    TrainConfig,
+    Trajectory,
+    bootstrap_ci,
+    enumerate_trajectories,
+    grad,
+    init_particles,
+    loss,
+    make_gridworld,
+    make_two_arm,
+    mdp_from_dict,
+    message_passing_policy,
+    multinomial_resample,
+    root_action_marginal,
+    run_planner,
+    soft_value_iteration,
+    solve_trust_region,
+)
+from smcplan import rng as rng_mod
+from smcplan.cli import main
+from smcplan.harness import EXIT_CONFIG, EXIT_RUNTIME, config_from_dict, set_by_path
+
+PLANNER = PlannerConfig(k=2, depth=1)
+NO_ITEMS = np.zeros(0, dtype=np.intp)
+EMPTY_BATCH = (NO_ITEMS, NO_ITEMS, np.zeros(0), np.zeros((0, 2)))
+# one action; state 0 moves to state 1
+TWO_STATES = [[[0.0, 1.0]], [[0.0, 1.0]]]
+# state 0 pays a reward that overflows once divided by the temperature
+# below; state 1 is terminal
+OVERFLOW_ENV = {
+    "n_states": 2,
+    "n_actions": 1,
+    "transition": TWO_STATES,
+    "reward": [[1e300], [0.0]],
+    "terminal": [False, True],
+}
+TINY_TEMPERATURE = 1e-10
+
+
+def _mdp(transition=TWO_STATES, reward=((0.0,), (0.0,)), terminal=(False, False)):
+    return TabularMdp(np.array(transition, dtype=float), np.array(reward), np.array(terminal))
+
+
+def _segment(n):
+    return Segment(np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.zeros(n),
+                   np.full((n, 2), 0.5), np.zeros(n), np.zeros(n, dtype=bool), 0.0)
+
+
+def _experiment(**overrides):
+    fields = dict(experiment="path_degeneracy", env={"name": "two_arm"}, mdp=make_two_arm(),
+                  train=TrainConfig(planner=PLANNER))
+    return ExperimentConfig(**{**fields, **overrides})
+
+
+CASES = {
+    "planner_config_mode": (
+        lambda: PlannerConfig(k=1, depth=1, proposal_mode="greedy"),
+        ContractError, "proposal_mode must be one of"),
+    "run_planner_s0_range": (
+        lambda: run_planner(make_two_arm(), 5, Model.zeros(2, 2), PLANNER, 0),
+        ContractError, "out of range"),
+    "resample_mode": (
+        lambda: multinomial_resample(init_particles(0, PLANNER), np.full(2, 0.5),
+                                     rng_mod.stream(0), "stratified"),
+        ContractError, "mode must be one of"),
+    "replay_sample_empty": (
+        lambda: ReplayBuffer(4, 2).sample(1, rng_mod.stream(0)),
+        ContractError, "empty buffer"),
+    "replay_add_segment_length": (
+        lambda: ReplayBuffer(4, 2).add_segment(_segment(3), np.zeros(2)),
+        ContractError, "one target per step"),
+    "loss_empty_batch": (
+        lambda: loss(Model.zeros(2, 2), EMPTY_BATCH, LossConfig()),
+        ContractError, "non-empty"),
+    "grad_empty_batch": (
+        lambda: grad(Model.zeros(2, 2), EMPTY_BATCH, LossConfig()),
+        ContractError, "non-empty"),
+    "message_passing_shapes": (
+        lambda: message_passing_policy([0.5, 0.5], [0, 1], [0.0]),
+        ContractError, "equal-length vectors"),
+    "message_passing_action_range": (
+        lambda: message_passing_policy([0.5, 0.5], [0, 2], [0.0, 0.0]),
+        ContractError, "out of range"),
+    "mdp_transition_shape": (
+        lambda: _mdp([[0.0, 1.0], [0.0, 1.0]]),
+        ContractError, "transition must have shape"),
+    "mdp_no_states": (
+        lambda: _mdp(np.zeros((0, 1, 0)), np.zeros((0, 1)), ()),
+        ContractError, "at least one state"),
+    "mdp_reward_shape": (
+        lambda: _mdp(reward=((0.0,),)),
+        ContractError, "reward must have shape"),
+    "mdp_terminal_shape": (
+        lambda: _mdp(terminal=(False,)),
+        ContractError, "terminal must have shape"),
+    "mdp_negative_transition": (
+        lambda: _mdp([[[1.5, -0.5]], [[0.0, 1.0]]]),
+        ContractError, "non-negative"),
+    "mdp_terminal_self_loop": (
+        lambda: _mdp([[[0.0, 1.0]], [[1.0, 0.0]]], terminal=(False, True)),
+        ContractError, "must self-loop"),
+    "trajectory_rewards": (
+        lambda: Trajectory((0, 1), (0,), ()),
+        ContractError, "one reward per action"),
+    "gridworld_trap_outside": (
+        lambda: make_gridworld(2, 2, traps=[(5, 5)]),
+        ContractError, "outside the 2x2 grid"),
+    "gridworld_trap_on_goal": (
+        lambda: make_gridworld(2, 2, traps=[(1, 1)]),
+        ContractError, "goal cell cannot be a trap"),
+    "policy_table_shape": (
+        lambda: soft_value_iteration(make_two_arm(), np.full((2, 3), 1 / 3), 1, 1.0),
+        ContractError, "prior must have shape"),
+    "policy_stages_too_few": (
+        lambda: enumerate_trajectories(make_two_arm(), 0, np.full((1, 2, 2), 0.5), 2),
+        ContractError, "provides 1 stages, need 2"),
+    "policy_stages_ndim": (
+        lambda: enumerate_trajectories(make_two_arm(), 0, [0.5, 0.5], 1),
+        ContractError, "table or a stack"),
+    "enumerate_s0_range": (
+        lambda: enumerate_trajectories(make_two_arm(), 2, np.full((2, 2), 0.5), 1),
+        ContractError, "out of range"),
+    "root_marginal_without_action": (
+        lambda: root_action_marginal([(Trajectory((0,), (), ()), 1.0)], 2),
+        ContractError, "no root action"),
+    "mdp_from_dict_not_object": (
+        lambda: mdp_from_dict([]),
+        ConfigError, "must be an object"),
+    "mdp_from_dict_malformed_tensor": (
+        lambda: mdp_from_dict({**OVERFLOW_ENV, "reward": [[0.0], [0.0, [1.0]]]}),
+        ConfigError, "malformed tensor"),
+    "config_not_object": (
+        lambda: config_from_dict([]),
+        ConfigError, "config must be an object"),
+    "config_env_not_object": (
+        lambda: config_from_dict({"experiment": "path_degeneracy", "env": [],
+                                  "planner": {"k": 2, "depth": 1}}),
+        ConfigError, "env: must be an object"),
+    "config_section_not_object": (
+        lambda: config_from_dict({"experiment": "path_degeneracy", "env": {"name": "two_arm"},
+                                  "planner": 3}),
+        ConfigError, "planner: must be an object"),
+    "experiment_name": (
+        lambda: _experiment(experiment="tune"),
+        ConfigError, "experiment: must be one of"),
+    "experiment_no_seeds": (
+        lambda: _experiment(seeds=()),
+        ConfigError, "at least one seed"),
+    "experiment_repeated_seed": (
+        lambda: _experiment(seeds=(1, 1)),
+        ConfigError, "must not repeat"),
+    "experiment_sweep_values": (
+        lambda: _experiment(sweep={"planner.k": 4}),
+        ConfigError, "non-empty list"),
+    "set_by_path_non_section": (
+        lambda: set_by_path({"planner": 3}, "planner.k", 4),
+        ConfigError, "is not a section"),
+    "bootstrap_level": (
+        lambda: bootstrap_ci([0.0, 1.0], 1.0, 10, rng_mod.stream(0)),
+        ContractError, "level must lie"),
+    "soft_value_overflow": (
+        lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), np.ones((2, 1)), 1,
+                                     TINY_TEMPERATURE),
+        NumericalError, "overflowed"),
+    "trust_region_prior_shape": (
+        lambda: solve_trust_region([[0.5, 0.5]], [0.0, 1.0], 0.1),
+        ContractError, "non-empty vector"),
+    "trust_region_value_shape": (
+        lambda: solve_trust_region([0.5, 0.5], [0.0, 1.0, 2.0], 0.1),
+        ContractError, "same length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_check_raises_its_typed_error(case):
+    call, error, message = CASES[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_cli_exits_3_on_a_runtime_error_without_a_warning(tmp_path, capsys):
+    # the reward overflows when scaled by the temperature; the oracle
+    # reports it as a NumericalError, not as a numpy overflow warning
+    # (which this suite turns into an error)
+    config = {
+        "experiment": "path_degeneracy",
+        "env": OVERFLOW_ENV,
+        "planner": {"k": 2, "depth": 1, "temperature": TINY_TEMPERATURE},
+        "output_dir": str(tmp_path / "out"),
+    }
+    config_path = tmp_path / "overflow.json"
+    config_path.write_text(json.dumps(config))
+    assert main([str(config_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("plan-run: NumericalError: soft values overflowed")
+
+
+def test_cli_exits_2_on_an_override_without_a_value(tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config = {"experiment": "path_degeneracy", "env": {"name": "two_arm"},
+              "planner": {"k": 2, "depth": 1}}
+    config_path.write_text(json.dumps(config))
+    assert main([str(config_path), "--set", "planner.k"]) == EXIT_CONFIG
+    assert "expected key=value" in capsys.readouterr().err

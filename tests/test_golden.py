@@ -14,7 +14,9 @@ the pins that read trust-region proposals were re-recorded: the eight
 ``*/trust_region/*`` wide pins, the policy-return digests and last
 policy returns of criterion 8 (its greedy returns kept their bits), and
 the ``train`` experiment's ``metrics.csv`` and ``summary.json``; the
-``oracle_convergence`` files kept theirs. Refactors that claim to keep
+``oracle_convergence`` files kept theirs: that pin never reaches the
+trust-region search, because its cells plan with the zero model, whose
+tied values give every row radius 0. Refactors that claim to keep
 behaviour must leave every pinned value unchanged; a change that is
 meant to alter results re-records them and says so.
 """
@@ -196,6 +198,17 @@ def test_readme_sweep_files_are_pinned(tmp_path):
 
 def test_oracle_convergence_files_are_pinned(tmp_path):
     assert _run_files(ORACLE_CONVERGENCE, tmp_path, "oracle") == GOLDEN_FILES["oracle_convergence"]
+
+
+def test_oracle_convergence_metrics_ignore_the_proposal_mode(tmp_path):
+    # the zero model's proposal is its prior in either mode; a change
+    # that plans these cells with a learned model fails here and says so
+    digests = []
+    for mode in PROPOSAL_MODES:
+        data = dict(ORACLE_CONVERGENCE, planner=dict(ORACLE_CONVERGENCE["planner"],
+                                                     proposal_mode=mode))
+        digests.append(_run_files(data, tmp_path, mode)["metrics.csv"])
+    assert digests == [GOLDEN_FILES["oracle_convergence"]["metrics.csv"]] * 2
 
 
 def test_train_files_are_pinned(tmp_path):

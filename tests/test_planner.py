@@ -71,10 +71,10 @@ def test_weight_update_rejects_nonfinite():
     log_prior = np.array([[0.0, -np.inf]])
     tables = PlanTables(mdp, cfg, np.full((1, 2), 0.5), log_prior, np.zeros(1))
     assert np.isneginf(tables.increment[1])
-    out = advance(init_particles(0, cfg), mdp, tables, cfg, FixedUniforms([0.1, 0.2, 0.5, 0.5]))
+    out = advance(init_particles(0, cfg), tables, FixedUniforms([0.1, 0.2, 0.5, 0.5]))
     assert out.log_weights.tolist() == [math.log(2.0)] * 2
     with pytest.raises(NumericalError):
-        advance(init_particles(0, cfg), mdp, tables, cfg, FixedUniforms([0.1, 0.7, 0.5, 0.5]))
+        advance(init_particles(0, cfg), tables, FixedUniforms([0.1, 0.7, 0.5, 0.5]))
 
 
 def test_advance_zero_reward_keeps_weights_flat():
@@ -82,7 +82,7 @@ def test_advance_zero_reward_keeps_weights_flat():
     cfg = PlannerConfig(k=64, depth=3, inference_mode="message_passing")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(0, 1))
+    p = advance(p, plan_tables(mdp, model, cfg), rng_mod.stream(0, 1))
     assert np.abs(p.log_weights).max() == 0.0
     assert np.abs(p.ancestor_logq).max() == 0.0
 
@@ -94,7 +94,7 @@ def test_advance_weight_equals_sampled_reward():
     cfg = PlannerConfig(k=256, depth=1, inference_mode="message_passing")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(1, 1))
+    p = advance(p, plan_tables(mdp, model, cfg), rng_mod.stream(1, 1))
     rewards = mdp.reward[0, p.root_actions]
     assert np.abs(p.log_weights - rewards).max() <= 1e-12
     # per-atom accumulators hold exactly the temperature-scaled rewards
@@ -107,7 +107,7 @@ def test_advance_tracks_last_nonterminal_reference():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(2, 1))
+    p = advance(p, plan_tables(mdp, model, cfg), rng_mod.stream(2, 1))
     assert (p.states == 1).all()  # everyone hit the terminal arm end
     assert (p.ref_states == 0).all()  # reference stays at the decision state
 
@@ -120,7 +120,7 @@ def test_advance_validates_proposal_rows():
     bad = np.full((2, 2), 0.4)
     with pytest.raises(ContractError):
         tables = PlanTables(mdp, cfg, bad, model.log_policy(), model.v_table)
-        advance(p, mdp, tables, cfg, rng_mod.stream(0, 1))
+        advance(p, tables, rng_mod.stream(0, 1))
 
 
 def test_plan_tables_reject_a_value_table_of_the_wrong_shape():
@@ -162,7 +162,7 @@ def test_advance_never_draws_a_zero_mass_action_or_successor():
     cfg = PlannerConfig(k=2, depth=1)
     tables = PlanTables(mdp, cfg, proposal, np.log(np.full((3, 3), 1.0 / 3.0)), np.zeros(3))
     p = init_particles(0, cfg)
-    out = advance(p, mdp, tables, cfg, FixedUniforms([0.5, 1.0 - 1e-7, 1.0 - 1e-13, 0.25]))
+    out = advance(p, tables, FixedUniforms([0.5, 1.0 - 1e-7, 1.0 - 1e-13, 0.25]))
     assert out.root_actions.tolist() == [1, 1]
     assert out.states.tolist() == [1, 1]
     assert np.isfinite(out.log_weights).all()
@@ -174,7 +174,7 @@ def _advanced_particle_set(seed=3, k=16):
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
     return (
-        advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(seed, 1)),
+        advance(p, plan_tables(mdp, model, cfg), rng_mod.stream(seed, 1)),
         mdp,
         cfg,
     )
@@ -283,7 +283,7 @@ def test_revived_resample_restores_reference_states():
     cfg = PlannerConfig(k=8, depth=2, resample_mode="revived")
     model = uniform_model(mdp)
     p = init_particles(0, cfg)
-    p = advance(p, mdp, plan_tables(mdp, model, cfg), cfg, rng_mod.stream(4, 1))
+    p = advance(p, plan_tables(mdp, model, cfg), rng_mod.stream(4, 1))
     assert (p.states == 1).all()
     out = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(6), "revived")
     assert (out.states == 0).all()  # moved back to the last non-terminal state
@@ -419,18 +419,26 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
 
 @pytest.mark.parametrize(
     "field,value",
-    [("temperature", 0.5), ("gamma", 0.9), ("proposal_mode", "prior"), ("alpha", 0.3)],
+    [("temperature", 0.5), ("gamma", 0.9), ("proposal_mode", "prior"), ("alpha", 0.3),
+     ("k", 4), ("depth", 2), ("sigma", 0.5), ("inference_mode", "message_passing")],
 )
-def test_run_planner_rejects_tables_built_for_another_config(field, value):
+def test_run_planner_rejects_tables_built_for_another_config(field, value, monkeypatch):
     mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
     model = random_model(5, 3, seed=9)
     cfg = PlannerConfig(k=8, depth=3, proposal_mode="trust_region", alpha=0.6)
     tables = plan_tables(mdp, model, replace(cfg, **{field: value}))
-    with pytest.raises(ContractError, match="another MDP or planner config"):
-        run_planner(mdp, 0, model, cfg, seed=1, tables=tables)
-    # the tables serve any config that agrees on the fields they are built from
-    run_planner(mdp, 0, model, replace(cfg, k=4, depth=2, sigma=0.5), seed=1,
-                tables=plan_tables(mdp, model, cfg))
+    expected = output_to_dict(run_planner(mdp, 0, model, cfg, seed=1))
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the tables were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner_mod, "advance", no_step)
+        with pytest.raises(ContractError, match="another MDP or planner config"):
+            run_planner(mdp, 0, model, cfg, seed=1, tables=tables)
+    # a table serves only its own config: any equal config, but no other
+    tables = plan_tables(mdp, model, cfg)
+    assert output_to_dict(run_planner(mdp, 0, model, replace(cfg), 1, tables)) == expected
 
 
 def test_run_planner_rejects_tables_built_for_another_mdp():

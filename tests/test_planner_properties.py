@@ -64,7 +64,7 @@ def _plan(mdp, model, config, seed, on_step=None):
     particles = init_particles(0, config)
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t)
-        advanced = advance(particles, mdp, tables, config, gen)
+        advanced = advance(particles, tables, gen)
         if on_step:
             on_step(t, particles, advanced)
         particles = advanced
@@ -245,7 +245,7 @@ def test_draws_equal_the_dense_draw_below_each_rows_last_mass(problem):
         assert step(mdp, s, a, FixedUniforms([us]))[0] == nxt
     config = PlannerConfig(k=len(case_states), depth=1)
     particles = init_particles(0, config)._replace(states=np.array(case_states))
-    out = advance(particles, mdp, tables, config, FixedUniforms(action_u + state_u))
+    out = advance(particles, tables, FixedUniforms(action_u + state_u))
     assert out.root_actions.tolist() == actions
     assert out.states.tolist() == successors
 

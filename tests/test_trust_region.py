@@ -210,6 +210,22 @@ def test_a_kept_row_that_is_not_a_distribution_raises():
         plan_tables(mdp, model, config)
 
 
+def test_a_radius_below_the_greedy_divergence_can_be_out_of_reach():
+    # the greedy action's prior mass (4.5e-16) is below PRIOR_FLOOR, so
+    # the floored divergence is not monotone in beta: the greedy row reads
+    # 27.63, yet no tilt up to BETA_CAP passes 5.655, and a radius of 27.2
+    # saturates at the cap far below itself, without an error
+    prior = np.array([0.249, 0.0035, 0.747, 4.5e-16, 0.0])
+    prior /= prior.sum()
+    q = np.array([-1.96e-4, 2.28e-4, -1.18e-4, 2.34e-4, 6.6e-5])
+    assert kl_to_prior(greedy_row(q), prior) > 27.6
+    solved = trust_region_rows(prior[None], q[None], [27.2])
+    check_rows(prior[None], q[None], [27.2], solved)
+    rows, beta, kl, saturated = solved
+    assert saturated[0] and beta[0] == BETA_CAP
+    assert 5.654 < kl[0] < 5.655
+
+
 def test_greedy_row_unique_argmax():
     assert greedy_row([1.0, 2.0]).tolist() == [0.0, 1.0]
     assert greedy_row([0.0, 0.0, 5.0, 0.0]).tolist() == [0.0, 0.0, 1.0, 0.0]
