@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .errors import ConfigError
@@ -11,6 +12,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
     config_from_dict,
+    log,
     run,
     set_by_path,
 )
@@ -58,6 +60,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_with_progress(config, force: bool) -> int:
+    """``run(config)`` with one ``plan-run: cell i/n ...`` line per
+    finished cell on stderr."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("plan-run: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return run(config, force=force)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -70,7 +87,7 @@ def main(argv=None) -> int:
         if args.output is not None:
             data["output_dir"] = args.output
         config = config_from_dict(data, source=args.config)
-        return run(config, force=args.force)
+        return _run_with_progress(config, args.force)
     except ConfigError as exc:
         print(f"plan-run: {exc}", file=sys.stderr)
         return EXIT_CONFIG

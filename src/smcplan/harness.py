@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -41,10 +42,13 @@ from .training import Model, TrainConfig, train
 
 EXPERIMENTS = ("path_degeneracy", "oracle_convergence", "train", "ablation")
 POLICY_FLOOR = 1e-6
+_BOOTSTRAP_DRAWS = 2**15  # resample indices drawn per block
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+log = logging.getLogger(__name__)
 
 
 def kl_to_reference(reference, policy) -> float:
@@ -62,20 +66,33 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
 
     ``level`` is the two-sided coverage; at 0 the interval collapses to
     the bootstrap median. Deterministic for a fixed generator.
+
+    Resamples are drawn and averaged in blocks of ``max(1,
+    _BOOTSTRAP_DRAWS // n)`` rows of ``n`` indices. Besides the
+    ``resamples`` means, a call holds ``16 * max(_BOOTSTRAP_DRAWS, n)``
+    bytes of indices and gathered values (512 KB up to 32768 samples)
+    whatever the resample count. The stream runs on from block to block
+    and each mean reduces its own row, so the result is that of one
+    ``(resamples, n)`` draw, bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ContractError("bootstrap_ci needs at least 2 samples")
     if not 0.0 <= level < 1.0:
         raise ContractError(f"level must lie in [0, 1), got {level}")
-    idx = rng.integers(0, samples.size, size=(resamples, samples.size))
-    means = samples[idx].mean(axis=1)
+    require_integers(resamples=resamples)
+    require_range(1, math.inf, resamples=resamples)
+    n = samples.size
+    rows = max(1, _BOOTSTRAP_DRAWS // n)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        block = means[start:start + rows]
+        samples.take(rng.integers(0, n, size=(block.size, n))).mean(axis=1, out=block)
     if level == 0.0:
         med = float(np.median(means))
         return med, med
-    lo = float(np.percentile(means, 100.0 * (1.0 - level) / 2.0))
-    hi = float(np.percentile(means, 100.0 * (1.0 + level) / 2.0))
-    return lo, hi
+    lo, hi = np.percentile(means, [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0])
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -297,7 +314,8 @@ def _sweep_points(config: ExperimentConfig):
 def run(config: ExperimentConfig, force: bool = False) -> int:
     """Execute the experiment and write metrics, summary, and resolved
     config into ``config.output_dir``. Refuses to overwrite existing
-    results unless ``force``."""
+    results unless ``force``. Logs one INFO record per finished cell on
+    ``smcplan.harness``, e.g. ``cell 37/1600 planner.depth=4 seed 36``."""
     os.makedirs(config.output_dir, exist_ok=True)
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
     summary_path = os.path.join(config.output_dir, "summary.json")
@@ -311,7 +329,9 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     sweep_keys = sorted(config.sweep)
     rows = []  # (sweep values..., seed, step, metric, value)
     finals = {}  # (point key, metric) -> per-seed final values
-    for point in _sweep_points(config):
+    points = _sweep_points(config)
+    cells, done = len(points) * len(config.seeds), 0
+    for point in points:
         cell_config = _apply_sweep_point(config, point)
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
         point_values = tuple(point.get(k) for k in sweep_keys)
@@ -322,6 +342,8 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
                 last[metric] = value
             for metric, value in last.items():
                 finals.setdefault((point_label, metric), []).append(value)
+            done += 1
+            log.info("cell %d/%d %s seed %d", done, cells, point_label, seed)
 
     with open(metrics_path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -175,10 +175,13 @@ class PlanTables:
     flat at ``(s * A + a) * W + slot`` over the MDP's successor rows:
     ``increment``, the log-weight factor at the successor's model value,
     and ``delta``, the retrace error ``R + gamma * v(s') - v(s)``; entries
-    no draw reaches may be non-finite. Only the successor tables are
-    read, never the dense ``mdp.transition``. Construction checks that
-    every proposal row is a distribution, which covers every row a step
-    can gather.
+    no draw reaches may be non-finite. The one ``v_table`` is read in
+    reward/temperature units by ``increment = log_ratio + R / T + gamma *
+    v(s') - v(s)`` and in raw reward units by ``delta``. Only the successor
+    tables are read, never the dense ``mdp.transition``. Construction
+    checks that every proposal row is a distribution, which covers every
+    row a step can gather. ``model`` is the model :func:`plan_tables`
+    built the table from; a hand-built table records none.
     """
 
     mdp: TabularMdp = field(repr=False)
@@ -186,6 +189,7 @@ class PlanTables:
     proposal: np.ndarray
     log_prior: np.ndarray
     v_table: np.ndarray
+    model: object = field(default=None, repr=False, compare=False)
     proposal_cdf: np.ndarray = field(init=False, repr=False, compare=False)
     log_ratio: np.ndarray = field(init=False, repr=False, compare=False)
     ratio_cap: np.ndarray = field(init=False, repr=False, compare=False)
@@ -376,7 +380,7 @@ def plan_tables(mdp: TabularMdp, model, config: PlannerConfig) -> PlanTables:
         prior, q_values = proposal[live], model.q_table[live]
         eps = adaptive_epsilon(prior, q_values, config.alpha)
         proposal[live] = trust_region_rows(prior, q_values, eps)[0]
-    return PlanTables(mdp, config, proposal, log_prior, model.v_table)
+    return PlanTables(mdp, config, proposal, log_prior, model.v_table, model)
 
 
 def run_planner(
@@ -391,8 +395,9 @@ def run_planner(
     ``sigma``. Identical ``(config, seed)`` gives bit-identical output.
     ``tables`` is ``plan_tables(mdp, model, config)``, built here when
     not given; callers planning repeatedly against one model pass it in
-    to build it once, and one built for another MDP or config raises
-    :class:`ContractError` before any step.
+    to build it once, and one built for another MDP, config or model (a
+    hand-built table records none) raises :class:`ContractError` before
+    any step.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
@@ -403,6 +408,8 @@ def run_planner(
         tables = plan_tables(mdp, model, config)
     elif tables.mdp is not mdp or (tables.config is not config and tables.config != config):
         raise ContractError("tables were built for another MDP or planner config")
+    elif tables.model is not model:
+        raise ContractError("tables were built from another model")
     particles = init_particles(s0, config)
     ess = np.empty(config.depth)
     distinct = np.full(config.depth, config.k, dtype=np.intp)

@@ -94,7 +94,9 @@ def trust_region_rows(prior, q_values, epsilon):
     then saturated), or after ``MAX_ITERATIONS`` tilts. When the greedy
     action's prior mass is below ``PRIOR_FLOOR``, the floored divergence
     need not rise monotonically with beta, so a radius below the greedy
-    divergence can be out of reach: the row saturates below it. Every
+    divergence can be out of reach: the row saturates below it. A row
+    whose values tie on the prior's support keeps the prior, saturated
+    at the cap, since every tilt of it is the prior. Every
     step is computed row by row, so a row's result never depends on the
     table's other rows. A searched row whose kept divergence is not
     finite, or whose kept tilt is not a distribution (its sum is off 1 by
@@ -115,13 +117,23 @@ def trust_region_rows(prior, q_values, epsilon):
     kl[saturated] = kl_greedy[saturated]
 
     idx = searched = np.flatnonzero((epsilon > 0.0) & ~saturated)
-    p, eps = prior[idx], epsilon[idx]
-    support = p > 0
+    support = prior[idx] > 0
     # values whose spread overflows leave nan in the tilt, which the
     # check below reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         top = np.where(support, q[idx], -np.inf).max(axis=1)
         spread = top - np.where(support, q[idx], np.inf).min(axis=1)
+        # values tied on the prior's support tilt nowhere: the row keeps
+        # the prior, saturated at the cap, with the prior's own floored
+        # divergence (0 unless it has mass below the floor), never a
+        # rounding residue that a tiny radius would read as met
+        tied = spread == 0
+        if tied.any():
+            rows_tied = idx[tied]
+            beta[rows_tied], saturated[rows_tied] = BETA_CAP, True
+            kl[rows_tied] = kl_to_prior(prior[rows_tied], prior[rows_tied])
+            idx, support, top, spread = (a[~tied] for a in (idx, support, top, spread))
+        p, eps = prior[idx], epsilon[idx]
         scale = np.where(spread > 0, spread, 1.0)
         u = np.where(support, (q[idx] - top[:, None]) / scale[:, None], 0.0)
         # log(prior / floored prior), so that log(tilt / floored prior)

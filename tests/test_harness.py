@@ -1,7 +1,9 @@
 """Config loading, experiment drivers, output files, and the CLI."""
 
 import json
+import logging
 import math
+import tracemalloc
 from typing import get_type_hints
 
 import numpy as np
@@ -59,6 +61,47 @@ def test_bootstrap_ci_binomial_sanity():
 def test_bootstrap_ci_needs_two_samples():
     with pytest.raises(ContractError):
         bootstrap_ci([1.0], 0.99, 100, rng_mod.stream(0))
+
+
+@pytest.mark.parametrize("resamples", [0, -1, 2.5, True])
+def test_bootstrap_ci_needs_a_positive_whole_resample_count(resamples):
+    # 0 used to fail as an IndexError inside np.percentile
+    with pytest.raises(ContractError, match="resamples must"):
+        bootstrap_ci([1.0, 2.0], 0.99, resamples, rng_mod.stream(0))
+
+
+def one_shot_bootstrap_ci(samples, level, resamples, rng):
+    """The interval from one ``(resamples, n)`` draw, kept as the
+    reference for the blocked draw."""
+    samples = np.asarray(samples, dtype=float)
+    means = samples[rng.integers(0, samples.size, size=(resamples, samples.size))].mean(axis=1)
+    if level == 0.0:
+        med = float(np.median(means))
+        return med, med
+    lo = float(np.percentile(means, 100.0 * (1.0 - level) / 2.0))
+    hi = float(np.percentile(means, 100.0 * (1.0 + level) / 2.0))
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 200, 1001])
+@pytest.mark.parametrize("resamples", [1, 500, 2000, 2001])
+@pytest.mark.parametrize("level", [0.0, 0.99])
+def test_bootstrap_ci_equals_the_one_shot_draw_bit_for_bit(n, resamples, level):
+    # blocks hold 32768 // n rows, so most of these counts end in a part block
+    samples = rng_mod.stream(n, 1).normal(size=n)
+    got = bootstrap_ci(samples, level, resamples, rng_mod.stream(0, n))
+    assert got == one_shot_bootstrap_ci(samples, level, resamples, rng_mod.stream(0, n))
+
+
+def test_bootstrap_ci_memory_does_not_grow_with_the_resample_count():
+    # one (2000, 1000) draw of indices and gathered values takes 32 MB
+    tracemalloc.start()
+    try:
+        bootstrap_ci(np.arange(1000.0), 0.99, 2000, rng_mod.stream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_kl_to_reference_handles_zero_mass():
@@ -297,6 +340,24 @@ def test_cli_happy_path(tmp_path):
     config_path.write_text(json.dumps(base_config(out)))
     assert main([str(config_path)]) == 0
     assert (out / "metrics.csv").exists()
+
+
+def test_cli_prints_one_progress_line_per_cell(tmp_path, capsys):
+    data = base_config(tmp_path / "cli", experiment="path_degeneracy",
+                       planner={"k": 4, "depth": 2}, sweep={"planner.depth": [1, 2]}, seeds=3)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(data))
+    assert main([str(config_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"plan-run: cell {i + 1}/6 planner.depth={depth} seed {seed}"
+        for i, (depth, seed) in enumerate((d, s) for d in (1, 2) for s in range(3))
+    ]
+    # the handler lives only for the run, and the outputs do not see it
+    assert not harness.log.handlers and harness.log.level == logging.NOTSET
+    assert run(config_from_dict(dict(data, output_dir=str(tmp_path / "lib")))) == 0
+    for name in ("metrics.csv", "summary.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

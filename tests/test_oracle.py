@@ -133,6 +133,22 @@ def test_posterior_consistency_recursion_vs_enumeration(mdp, depth, temperature)
     assert tv <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "gamma,temperature,gap",
+    [(1.0, 1.0, 0.0), (1.0, 0.5, 0.0), (0.9, 1.0, 9.65842e-5), (0.5, 0.5, 1.36929e-3)],
+)
+def test_recursion_and_enumeration_discount_differently(gamma, temperature, gap):
+    # the convention pinned: the soft backups multiply the next stage's
+    # log-expectation by gamma, the enumeration discounts each reward by
+    # gamma ** t; their root posteriors agree only at gamma == 1
+    mdp = make_random_mdp(4, 2, seed=31, terminal_states=(3,), discount=gamma)
+    prior = uniform_table(mdp)
+    sol = soft_value_iteration(mdp, prior, 3, temperature)
+    marginal = root_action_marginal(exact_posterior_trajectories(mdp, prior, 0, 3, temperature), 2)
+    tv = 0.5 * np.abs(marginal - sol.posterior_policy[0]).sum()
+    assert tv == pytest.approx(gap, rel=1e-6, abs=1e-12)
+
+
 def test_elbo_two_arm_uniform_proposal():
     elbo, gap, log_z = elbo_and_gap(make_two_arm(), UNIFORM2, UNIFORM2, 0, 1, 1.0)
     assert log_z == pytest.approx(TWO_ARM_LOG_EVIDENCE, abs=1e-12)

@@ -17,6 +17,7 @@ from smcplan import (
     TabularMdp,
     adaptive_epsilon,
     advance,
+    collect_segment,
     dirac_policy,
     exact_posterior_trajectories,
     init_particles,
@@ -31,8 +32,10 @@ from smcplan import (
     solve_trust_region,
     weight_update,
 )
+from smcplan import harness as harness_mod
 from smcplan import planner as planner_mod
 from smcplan import rng as rng_mod
+from smcplan import training as training_mod
 from smcplan.planner import normalized_weights
 
 
@@ -145,6 +148,30 @@ def test_plan_tables_hold_the_per_action_ratios():
     assert np.array_equal(tables.log_ratio[live], expected[live])
     assert np.array_equal(tables.ratio_cap[live], np.minimum(1.0, np.exp(tables.log_ratio))[live])
     assert tables.ratio_cap[1].tolist() == [1.0, 1.0, np.exp(tables.log_ratio[1, 2])]
+
+
+def test_step_tables_read_one_value_table_in_two_units():
+    # the convention pinned: the weight increment reads v_table in
+    # reward/temperature units, the retrace error in raw reward units
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,), sparse=True)
+    model = random_model(5, 3, seed=9)
+    cfg = PlannerConfig(k=4, depth=2, proposal_mode="trust_region", alpha=0.6,
+                        temperature=0.5, gamma=0.9)
+    tables = plan_tables(mdp, model, cfg)
+    v, width, checked = model.v_table, mdp.successor_states.shape[1], 0
+    for s in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            for slot in range(width):
+                s_next = mdp.successor_states[s * mdp.n_actions + a, slot]
+                if mdp.transition[s, a, s_next] == 0:
+                    continue  # padding no draw reaches
+                flat, r = (s * mdp.n_actions + a) * width + slot, mdp.reward[s, a]
+                increment = tables.log_ratio[s, a] + r / 0.5 + 0.9 * v[s_next] - v[s]
+                assert tables.increment[flat] == pytest.approx(increment, rel=1e-12, abs=1e-12)
+                assert tables.delta[flat] == pytest.approx(r + 0.9 * v[s_next] - v[s],
+                                                           rel=1e-12, abs=1e-12)
+                checked += 1
+    assert checked > mdp.n_states * mdp.n_actions
 
 
 def test_advance_never_draws_a_zero_mass_action_or_successor():
@@ -447,6 +474,53 @@ def test_run_planner_rejects_tables_built_for_another_mdp():
     model, cfg = random_model(5, 3, seed=9), PlannerConfig(k=8, depth=3)
     with pytest.raises(ContractError, match="another MDP or planner config"):
         run_planner(mdp, 0, model, cfg, seed=1, tables=plan_tables(twin, model, cfg))
+
+
+def test_run_planner_rejects_tables_built_from_another_model(monkeypatch):
+    # a table records its model by identity: an equal copy is another
+    # model, and a hand-built table records none
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    model = random_model(5, 3, seed=9)
+    cfg = PlannerConfig(k=8, depth=3, proposal_mode="trust_region", alpha=0.6)
+    tables = plan_tables(mdp, model, cfg)
+    copy = Model(model.policy_logits, model.v_table, model.q_table)  # copies its arguments
+    others = [
+        plan_tables(mdp, random_model(5, 3, seed=10), cfg),
+        plan_tables(mdp, copy, cfg),
+        PlanTables(mdp, cfg, tables.proposal, tables.log_prior, tables.v_table),
+    ]
+    expected = output_to_dict(run_planner(mdp, 0, model, cfg, seed=1))
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the tables were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner_mod, "advance", no_step)
+        for other in others:
+            with pytest.raises(ContractError, match="tables were built from another model"):
+                run_planner(mdp, 0, model, cfg, seed=1, tables=other)
+    assert output_to_dict(run_planner(mdp, 0, model, cfg, 1, tables)) == expected
+
+
+def test_callers_plan_with_the_model_their_tables_were_built_from(monkeypatch, tmp_path):
+    seen = []
+
+    def recording_run_planner(mdp, s0, model, config, seed, tables=None):
+        seen.append((model, tables.model))
+        return run_planner(mdp, s0, model, config, seed, tables)
+
+    monkeypatch.setattr(training_mod, "run_planner", recording_run_planner)
+    monkeypatch.setattr(harness_mod, "run_planner", recording_run_planner)
+    mdp = make_random_mdp(5, 3, seed=8, terminal_states=(4,))
+    cfg = PlannerConfig(k=8, depth=3, proposal_mode="trust_region", alpha=0.6)
+    collect_segment(mdp, random_model(5, 3, seed=9), cfg, horizon=3, seed=0)
+    config = harness_mod.config_from_dict({
+        "experiment": "path_degeneracy", "env": {"name": "two_arm"},
+        "planner": {"k": 4, "depth": 2}, "output_dir": str(tmp_path),
+    })
+    list(harness_mod._drive(config, (0, 1)))
+    assert len(seen) > 2
+    assert all(model is built_from for model, built_from in seen)
 
 
 def test_run_planner_reads_the_model_once_per_call():

@@ -157,6 +157,9 @@ def search_tables(draw):
                   np.array([20.0])))
 # eight actions, one without prior mass
 @example(problem=(np.array([[0.0] + [1 / 7] * 7]), np.arange(8.0)[None] / 8, np.array([0.3])))
+# a tie under a radius far below rounding, on a prior summing to 1 - 1e-16:
+# the tilt at the cap read a divergence of 1e-16 and the row was not saturated
+@example(problem=(np.array([[0, 0, 0, 4, 3, 2]]) / 9, np.zeros((1, 6)), np.array([8.95906685e-65])))
 def test_search_properties_on_generated_tables(problem):
     prior, q, eps = problem
     check_rows(prior, q, eps, trust_region_rows(prior, q, eps))
