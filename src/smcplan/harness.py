@@ -98,23 +98,27 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. Its JSON form is flat: every ``TrainConfig`` field
-    is a top-level key next to the keys declared here, except ``mdp``,
-    which is ``make_env(env)``: the environment, built once at load."""
+    is a top-level key next to the keys declared here. The MDP comes from
+    ``env`` alone: ``mdp`` is not an argument but ``make_env(env)``, built
+    at construction, so an ``env`` that does not build is refused here."""
 
     experiment: str
     env: dict
-    mdp: TabularMdp = field(repr=False, compare=False)
     train: TrainConfig
     iterations: int = 100
     seeds: tuple = (0,)
     sweep: dict = field(default_factory=dict)
     output_dir: str = "out"
+    mdp: TabularMdp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
+        if not isinstance(self.env, dict):
+            raise ConfigError("env: must be an object")
+        object.__setattr__(self, "mdp", make_env(self.env))
         require_integers(iterations=self.iterations)
         require_range(1, math.inf, iterations=self.iterations)
         if not isinstance(self.output_dir, str):
@@ -171,14 +175,12 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
     env = data["env"]
     if not isinstance(env, dict):
         raise ConfigError(f"{source}: env: must be an object")
-    # built now so that a bad environment fails before any file is written
-    mdp = make_env(env, source)
+    make_env(env, source)  # a bad environment fails with the config's path
     try:
         scalars = {name: data[name] for name in _SCALARS if name in data}
         config = ExperimentConfig(
             experiment=data["experiment"],
             env=env,
-            mdp=mdp,
             train=TrainConfig(**sections, **scalars),
             iterations=data.get("iterations", 100),
             seeds=tuple(seeds),
@@ -197,9 +199,9 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
             s0 = _apply_sweep_point(config, point).train.s0
         except (ConfigError, ContractError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        if not 0 <= s0 < mdp.n_states:
-            raise ConfigError(f"{where}: s0: state {s0} out of range [0, {mdp.n_states})")
-        if mdp.terminal[s0]:
+        if not 0 <= s0 < config.mdp.n_states:
+            raise ConfigError(f"{where}: s0: state {s0} out of range [0, {config.mdp.n_states})")
+        if config.mdp.terminal[s0]:
             raise ConfigError(f"{where}: s0: state {s0} is terminal")
     return config
 

@@ -62,12 +62,14 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def normalized_weights(log_weights) -> np.ndarray:
+def normalized_weights(log_weights, return_log_norm: bool = False):
     """Exponentiate and normalize log weights; rejects degenerate sets
-    (every weight zero, or one ``nan`` or ``+inf``)."""
+    (every weight zero, or one ``nan`` or ``+inf``). With
+    ``return_log_norm``, returns ``(weights, logsumexp(log_weights))``."""
     log_weights = np.asarray(log_weights, dtype=float)
     norm = logsumexp(log_weights)
     if not math.isfinite(norm):
         raise DegenerateWeightsError("weights are all zero or not finite")
     w = np.exp(log_weights - norm)
-    return w / np.add.reduce(w)
+    w /= np.add.reduce(w)
+    return (w, norm) if return_log_norm else w

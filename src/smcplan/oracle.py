@@ -46,7 +46,13 @@ class SoftSolution:
 
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
-    """Yield ``(v, q, log_prior)`` per backward sweep, boundary values zero."""
+    """Yield ``(v, q, log_prior)`` per backward sweep, boundary values zero.
+
+    A sweep is a deterministic function of the value vector it reads, so
+    once one returns its input byte for byte (``-0.0`` and ``0.0``
+    differ) it yields that result for every remaining stage without
+    recomputing it: the output is the same bits the full recursion gives.
+    """
     require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
     require_range(POSITIVE, math.inf, temperature=temperature)
@@ -70,11 +76,17 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
             return logsumexp(log_p + v[None, None, :], axis=2)
 
     v = np.zeros(mdp.n_states)
-    for _ in range(horizon):
+    for stage in range(horizon):
+        prev = v
         q = scaled_reward + mdp.discount * log_expectation(v)
         v = logsumexp(log_prior + q, axis=1)
         if not np.isfinite(v).all():
             raise NumericalError("soft values overflowed; check reward/temperature scale")
+        if v.tobytes() == prev.tobytes():
+            # a sweep is a function of v alone, so every later one repeats these bits
+            for _ in range(stage, horizon):
+                yield v, q, log_prior
+            return
         yield v, q, log_prior
 
 
@@ -98,6 +110,9 @@ def soft_value_iteration(
     enumeration oracles (:func:`exact_posterior_trajectories`,
     :func:`elbo_and_gap`) discount each reward by ``gamma ** t``; the two
     agree only at ``gamma == 1``. Returns the root-stage solution.
+    Sweeping stops once a sweep reproduces its input bit for bit (after
+    one sweep on ``absorbing_zero`` under a uniform prior), which leaves
+    the result unchanged.
     """
     for v, q, log_prior in _soft_backup_sweeps(mdp, prior, horizon, temperature):
         pass

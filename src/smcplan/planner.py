@@ -346,7 +346,14 @@ def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: in
 
 @dataclass(frozen=True)
 class PlannerDiagnostics:
-    """Per-step planner health counters plus the raw value estimates."""
+    """Per-step planner health counters plus the raw value estimates.
+
+    ``log_evidence`` is the SMC estimate of the log normalizing constant:
+    over resample epochs, the sum of ``logsumexp(log_w) - log K`` on each
+    epoch's final weights. With a zero ``v_table``, ``gamma = 1`` and an
+    undiscounted MDP, its exponential is an unbiased estimate of
+    ``exp(v_soft[s0])``, the prior's soft value over ``depth`` steps.
+    """
 
     ess: np.ndarray
     distinct_ancestors: np.ndarray
@@ -354,6 +361,7 @@ class PlannerDiagnostics:
     resample_steps: tuple
     value_smc: float
     value_model: float
+    log_evidence: float
 
 
 @dataclass(frozen=True)
@@ -415,14 +423,16 @@ def run_planner(
     distinct = np.full(config.depth, config.k, dtype=np.intp)
     terminal_counts = np.empty(config.depth, dtype=np.intp)
     resample_steps = []
+    log_k, log_evidence = math.log(config.k), 0.0
 
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t) if t == 1 else rng_mod.rekey(gen, seed, t)
         particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
-        weights = normalized_weights(particles.log_weights)
+        weights, log_norm = normalized_weights(particles.log_weights, return_log_norm=True)
         ess[t - 1] = 1.0 / np.add.reduce(np.square(weights))
         if t % config.resample_period == 0 and t < config.depth:
+            log_evidence += log_norm - log_k
             particles = multinomial_resample(particles, weights, gen, config.resample_mode)
             resample_steps.append(t)
             # ancestors change only at a resample; a rebuilt grouping has
@@ -450,5 +460,6 @@ def run_planner(
         resample_steps=tuple(resample_steps),
         value_smc=value_smc,
         value_model=value_model,
+        log_evidence=float(log_evidence + (log_norm - log_k)),
     )
     return PlannerOutput(root_policy=root_policy, root_value=root_value, diagnostics=diagnostics)

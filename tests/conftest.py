@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from smcplan import TabularMdp
+
+# property tests draw the same examples in every checkout: each test's
+# examples follow from the test itself, and no example database replays
+# a failure saved in one working tree only
+settings.register_profile("smcplan", derandomize=True, database=None)
+settings.load_profile("smcplan")
 
 
 def make_random_mdp(n_states, n_actions, seed, terminal_states=(), discount=1.0, sparse=False):
@@ -54,9 +61,16 @@ class FixedUniforms:
         return np.array(out)
 
 
+# diagnostics added after the golden digests were recorded: left out of
+# the hashed form, so the digests still pin the fields they always did,
+# and pinned by their own tests instead
+UNHASHED_DIAGNOSTICS = frozenset({"log_evidence"})
+
+
 def output_to_dict(out) -> dict:
     """A ``PlannerOutput`` as plain lists and numbers, the diagnostics
-    nested: the JSON form the golden digests hash."""
+    nested: the JSON form the golden digests hash. It holds every field
+    but ``UNHASHED_DIAGNOSTICS``."""
     diagnostics = out.diagnostics
     return {
         "root_policy": out.root_policy.tolist(),

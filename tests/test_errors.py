@@ -65,7 +65,7 @@ def _segment(n):
 
 
 def _experiment(**overrides):
-    fields = dict(experiment="path_degeneracy", env={"name": "two_arm"}, mdp=make_two_arm(),
+    fields = dict(experiment="path_degeneracy", env={"name": "two_arm"},
                   train=TrainConfig(planner=PLANNER))
     return ExperimentConfig(**{**fields, **overrides})
 

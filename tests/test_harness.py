@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcplan import ConfigError, ContractError, LossConfig, PlannerConfig, bootstrap_ci
+from smcplan import ConfigError, ContractError, ExperimentConfig, LossConfig, PlannerConfig
+from smcplan import TrainConfig, bootstrap_ci, make_chain, make_two_arm
 from smcplan import harness
 from smcplan import rng as rng_mod
 from smcplan.cli import main
@@ -185,6 +186,25 @@ def test_config_round_trip(tmp_out):
     )
     again = config_from_dict(config_to_dict(config))
     assert again == config
+
+
+def test_config_builds_its_mdp_from_env_alone(tmp_out):
+    # an MDP can no longer be passed beside an env it does not match
+    train = TrainConfig(planner=PlannerConfig(k=4, depth=2))
+    with pytest.raises(TypeError, match="mdp"):
+        ExperimentConfig(experiment="path_degeneracy", env={}, mdp=make_two_arm(), train=train)
+    with pytest.raises(ConfigError, match="env: missing key 'n_actions'"):
+        ExperimentConfig(experiment="path_degeneracy", env={}, train=train)
+    with pytest.raises(ConfigError, match="env: must be an object"):
+        ExperimentConfig(experiment="path_degeneracy", env=[], train=train)
+    config = ExperimentConfig(
+        experiment="path_degeneracy", env={"name": "chain", "n": 4}, train=train,
+        iterations=3, seeds=(2, 5), sweep={"planner.depth": [1, 3]}, output_dir=str(tmp_out),
+    )
+    assert config.mdp.transition.tobytes() == make_chain(4).transition.tobytes()
+    again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+    assert again == config
+    assert again.mdp.transition.tobytes() == config.mdp.transition.tobytes()
 
 
 # ---------------------------------------------------------------- run

@@ -23,6 +23,7 @@ from smcplan import (
     root_action_marginal,
     soft_value_iteration,
 )
+from smcplan import oracle as oracle_mod
 from smcplan.numerics import logsumexp
 
 UNIFORM2 = np.full((2, 2), 0.5)
@@ -266,7 +267,9 @@ def test_posterior_policy_improves_on_prior(mdp, depth):
 
 def dense_soft_backups(mdp, prior, horizon, temperature):
     """``(v, q, posterior)`` per sweep of the soft backup over full
-    transition rows: ``logsumexp(log_p + v)`` on every ``(s, a)`` row."""
+    transition rows: ``logsumexp(log_p + v)`` on every ``(s, a)`` row.
+    Every sweep is computed: the reference for the oracle's stop at a
+    fixed point."""
     with np.errstate(divide="ignore"):
         log_p = np.log(mdp.transition)
         log_prior = np.log(prior)
@@ -328,3 +331,54 @@ def test_deterministic_soft_backups_match_the_dense_backup_bit_for_bit(name, dis
                 stages = np.stack([sweep[2] for sweep in reference[:depth][::-1]])
                 got = posterior_policy_stages(mdp, prior, depth, temperature)
                 assert got.shape == stages.shape and got.tobytes() == stages.tobytes()
+
+
+STOP_MDPS = {
+    "random_terminal": lambda: make_random_mdp(5, 3, seed=31, terminal_states=(2,)),
+    "random_sparse": lambda: make_random_mdp(5, 3, seed=32, terminal_states=(4,), sparse=True),
+    "chain": lambda: make_chain(3),
+    "two_arm": make_two_arm,
+    "absorbing_zero": lambda: make_absorbing_zero(4),
+    "gridworld": lambda: make_gridworld(4, 3, traps=[(1, 1)]),
+}
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+@pytest.mark.parametrize("name", list(STOP_MDPS))
+def test_soft_backups_that_stop_at_a_fixed_point_match_every_sweep_bit_for_bit(name, discount):
+    base = STOP_MDPS[name]()
+    mdp = TabularMdp(base.transition, base.reward, base.terminal, discount)
+    for prior in (uniform_table(mdp), make_random_policy(mdp.n_states, mdp.n_actions, seed=33)):
+        for temperature in (1.0, 0.5, 0.1):
+            reference = dense_soft_backups(mdp, prior, 20, temperature)
+            for horizon in range(1, 21):
+                v, q, posterior = reference[horizon - 1]
+                sol = soft_value_iteration(mdp, prior, horizon, temperature)
+                assert sol.v_soft.tobytes() == v.tobytes()
+                assert sol.q_soft.tobytes() == q.tobytes()
+                assert sol.posterior_policy.tobytes() == posterior.tobytes()
+                stages = np.stack([sweep[2] for sweep in reference[:horizon][::-1]])
+                got = posterior_policy_stages(mdp, prior, horizon, temperature)
+                assert got.shape == stages.shape and got.tobytes() == stages.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mdp,sweeps",
+    [(make_absorbing_zero(4), 1), (make_two_arm(), 2), (make_chain(3), 16)],
+    ids=["absorbing_zero", "two_arm", "chain3"],
+)
+def test_soft_backups_stop_once_a_sweep_reproduces_its_input(mdp, sweeps, monkeypatch):
+    # every sweep of a deterministic MDP makes one log-sum-exp: the
+    # reduction over actions that forms its value vector
+    axes = []
+
+    def counted(a, axis=None):
+        axes.append(axis)
+        return logsumexp(a, axis)
+
+    monkeypatch.setattr(oracle_mod, "logsumexp", counted)
+    soft_value_iteration(mdp, uniform_table(mdp), 16, 1.0)
+    assert axes == [1] * sweeps
+    axes.clear()
+    assert posterior_policy_stages(mdp, uniform_table(mdp), 16, 1.0).shape[0] == 16
+    assert axes == [1] * sweeps

@@ -1,12 +1,13 @@
 """Particle propagation, weighting, resampling, and root inference."""
 
+import itertools
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import FixedUniforms, make_random_mdp, output_to_dict
+from conftest import UNHASHED_DIAGNOSTICS, FixedUniforms, make_random_mdp, output_to_dict
 from smcplan import (
     ContractError,
     DegenerateWeightsError,
@@ -622,7 +623,8 @@ def test_planner_output_serializes_to_json():
     out = run_planner(mdp, 0, uniform_model(mdp), PlannerConfig(k=8, depth=3), seed=0)
     decoded = json.loads(json.dumps(output_to_dict(out)))
     assert set(decoded) == {f.name for f in fields(out)}
-    assert set(decoded["diagnostics"]) == {f.name for f in fields(out.diagnostics)}
+    assert set(decoded["diagnostics"]) | UNHASHED_DIAGNOSTICS == {
+        f.name for f in fields(out.diagnostics)}
     assert decoded["root_policy"] == out.root_policy.tolist()
     assert decoded["diagnostics"]["resample_steps"] == [1, 2]
 
@@ -665,3 +667,84 @@ def test_root_value_telescopes_to_monte_carlo_return():
     )
     out = run_planner(mdp, 0, model, cfg, seed=0)
     assert out.root_value == pytest.approx(gamma**2 * 1.0, abs=1e-9)
+
+
+def _deterministic_mdp(n_states, n_actions, seed):
+    """Random successors and rewards in [-1, 1]; the last state is terminal."""
+    gen = np.random.default_rng(seed)
+    successors = gen.integers(0, n_states, size=(n_states, n_actions))
+    successors[-1] = n_states - 1
+    transition = np.zeros((n_states, n_actions, n_states))
+    np.put_along_axis(transition, successors[:, :, None], 1.0, axis=2)
+    reward = gen.uniform(-1.0, 1.0, size=(n_states, n_actions))
+    reward[-1] = 0.0
+    terminal = np.arange(n_states) == n_states - 1
+    return TabularMdp(transition, reward, terminal)
+
+
+def _midpoint(masses, j):
+    """The midpoint of outcome j's interval of the inverse-CDF draw."""
+    cum = np.cumsum(masses)
+    return 0.5 * ((cum[j - 1] if j else 0.0) + cum[j])
+
+
+def _planner_outcomes(tables, s0, depth):
+    """``(uniforms, probability)`` of every outcome of the discrete draws
+    of a ``resample_period=1`` call on a deterministic MDP: each action
+    and ancestor uniform is the midpoint of its outcome's interval, and
+    each step's K state uniforms, which a one-slot successor row never
+    reads, are 0.5."""
+    mdp, k = tables.mdp, tables.config.k
+    successors = mdp.successor_states[:, 0]
+
+    def walk(states, t, uniforms, prob):
+        for actions in itertools.product(range(mdp.n_actions), repeat=k):
+            masses = tables.proposal[states, actions]
+            if not masses.all():
+                continue
+            step = uniforms + [_midpoint(tables.proposal[s], a) for s, a in zip(states, actions)]
+            step += [0.5] * k
+            flat, p_step = states * mdp.n_actions + np.array(actions), prob * masses.prod()
+            if t == depth:
+                yield step, p_step
+                continue
+            weights = normalized_weights(tables.increment[flat])
+            for parents in itertools.product(range(k), repeat=k):
+                parents = list(parents)
+                if weights[parents].all():
+                    yield from walk(successors[flat[parents]], t + 1,
+                                    step + [_midpoint(weights, j) for j in parents],
+                                    p_step * weights[parents].prod())
+
+    yield from walk(np.full(k, s0), 1, [], 1.0)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5])
+@pytest.mark.parametrize("proposal_mode", ["prior", "trust_region"])
+def test_log_evidence_is_unbiased_for_the_soft_value(proposal_mode, temperature, monkeypatch):
+    # with a zero v_table the increments are log prior/proposal + R / T,
+    # so over every outcome of the draws E[exp(log_evidence)] is the
+    # prior's expected exp(return / T): exp(v_soft[s0]) at discount 1
+    mdp = _deterministic_mdp(4, 2, seed=7)
+    gen = np.random.default_rng(8)
+    model = Model(gen.normal(size=(4, 2)), np.zeros(4), gen.normal(size=(4, 2)))
+    draws = []
+    monkeypatch.setattr(rng_mod, "stream", lambda seed, *path: draws[-1])
+    monkeypatch.setattr(rng_mod, "rekey", lambda gen, seed, *path: gen)
+    for depth in (1, 2):
+        soft = soft_value_iteration(mdp, model.policy(), depth, temperature)
+        for k in (1, 2, 3):
+            cfg = PlannerConfig(k=k, depth=depth, alpha=0.3, temperature=temperature,
+                                proposal_mode=proposal_mode)
+            tables = plan_tables(mdp, model, cfg)
+            assert (tables.proposal > 0).all()
+            expected, total = 0.0, 0.0
+            for uniforms, prob in _planner_outcomes(tables, 0, depth):
+                draws.append(FixedUniforms(uniforms))
+                out = run_planner(mdp, 0, model, cfg, 0, tables)
+                with pytest.raises(AssertionError, match="0 left"):
+                    draws[-1].random(1)  # the call read every uniform
+                expected += prob * math.exp(out.diagnostics.log_evidence)
+                total += prob
+            assert total == pytest.approx(1.0, rel=1e-12)
+            assert expected == pytest.approx(math.exp(soft.v_soft[0]), rel=1e-12)
