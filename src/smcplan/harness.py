@@ -97,10 +97,14 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment. Its JSON form is flat: every ``TrainConfig`` field
-    is a top-level key next to the keys declared here. The MDP comes from
-    ``env`` alone: ``mdp`` is not an argument but ``make_env(env)``, built
-    at construction, so an ``env`` that does not build is refused here."""
+    """One experiment, and the one place its defaults and checks live: a
+    config built in Python is checked as fully as one loaded from JSON,
+    each sweep point's cell included (its ``s0`` must be a non-terminal
+    state). Its JSON form is flat: every ``TrainConfig`` field is a
+    top-level key next to the keys declared here. ``mdp`` is not an
+    argument but ``make_env(env)``, built once here; no sweep key reaches
+    it. Seeds are kept as a tuple and sweep values as lists, the forms
+    ``config_to_dict`` output loads back to."""
 
     experiment: str
     env: dict
@@ -123,22 +127,43 @@ class ExperimentConfig:
         require_range(1, math.inf, iterations=self.iterations)
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
+        if not self.output_dir:
+            raise ConfigError("output_dir: must not be empty")
+        if not isinstance(self.seeds, (list, tuple)) or not all(type(s) is int for s in self.seeds):
+            raise ConfigError("seeds: must be an integer count or list of integers")
         if not self.seeds:
             raise ConfigError("seeds: must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds: must not repeat a seed, got {list(self.seeds)}")
-        # the loader applies every sweep point, which checks the keys
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if not isinstance(self.sweep, dict):
+            raise ConfigError("sweep: must be an object")
         for key, values in self.sweep.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep.{key}: must be a non-empty list of values")
+            # values are told apart by their point label, as in the summary
+            if len({str(value) for value in values}) != len(values):
+                raise ConfigError(f"sweep.{key}: must not repeat a value, got {list(values)}")
+        object.__setattr__(self, "sweep", {key: list(values) for key, values in self.sweep.items()})
+        for point in _sweep_points(self):
+            try:
+                cell, iterations = _apply_sweep_point(self, point)
+                require_integers(iterations=iterations)
+                require_range(1, math.inf, iterations=iterations)
+                if not 0 <= cell.s0 < self.mdp.n_states:
+                    raise ConfigError(f"s0: state {cell.s0} out of range [0, {self.mdp.n_states})")
+                if self.mdp.terminal[cell.s0]:
+                    raise ConfigError(f"s0: state {cell.s0} is terminal")
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep point {point}: {exc}" if point else str(exc)) from exc
 
 
 # TrainConfig fields: nested config sections, and top-level scalars
 _TRAIN_FIELDS = get_type_hints(TrainConfig)
 _SECTIONS = {name: kind for name, kind in _TRAIN_FIELDS.items() if dataclasses.is_dataclass(kind)}
 _SCALARS = set(_TRAIN_FIELDS) - set(_SECTIONS)
-_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"mdp", "train"}
-_TOP_KEYS |= set(_TRAIN_FIELDS)
+_OWN_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init and f.name != "train"]
+_TOP_KEYS = set(_OWN_KEYS) | set(_TRAIN_FIELDS)
 
 
 def _dataclass_from_dict(cls, data: dict, path: str):
@@ -155,78 +180,44 @@ def _dataclass_from_dict(cls, data: dict, path: str):
 
 
 def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: config must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {sorted(unknown)[0]!r}")
-    for key in ("experiment", "env", "planner"):
-        if key not in data:
-            raise ConfigError(f"{source}: missing key {key!r}")
-    sections = {
-        name: _dataclass_from_dict(kind, data.get(name, {}), f"{source}: {name}")
-        for name, kind in _SECTIONS.items()
-    }
-    seeds = data.get("seeds", [0])
-    if type(seeds) is int:
-        seeds = list(range(seeds))
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-        raise ConfigError(f"{source}: seeds: must be an integer count or list of integers")
-    env = data["env"]
-    if not isinstance(env, dict):
-        raise ConfigError(f"{source}: env: must be an object")
-    make_env(env, source)  # a bad environment fails with the config's path
+    """Map a flat JSON config onto the dataclasses, passing only the keys
+    present, so every default and check is theirs; ``seeds`` may also be
+    a count. Any error is a ``ConfigError`` prefixed with ``source``."""
     try:
-        scalars = {name: data[name] for name in _SCALARS if name in data}
-        config = ExperimentConfig(
-            experiment=data["experiment"],
-            env=env,
-            train=TrainConfig(**sections, **scalars),
-            iterations=data.get("iterations", 100),
-            seeds=tuple(seeds),
-            sweep=dict(data.get("sweep", {})),
-            output_dir=data.get("output_dir", "out"),
-        )
-    except ConfigError:
-        raise
-    except (ContractError, TypeError, ValueError) as exc:
+        if not isinstance(data, dict):
+            raise ConfigError("config must be an object")
+        unknown = set(data) - _TOP_KEYS
+        if unknown:
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
+        for key in ("experiment", "env", "planner"):
+            if key not in data:
+                raise ConfigError(f"missing key {key!r}")
+        train_args = {name: data[name] for name in _SCALARS if name in data}
+        for name, kind in _SECTIONS.items():
+            if name in data:
+                train_args[name] = _dataclass_from_dict(kind, data[name], name)
+        own = {name: data[name] for name in _OWN_KEYS if name in data}
+        if type(own.get("seeds")) is int:
+            own["seeds"] = list(range(own["seeds"]))
+        return ExperimentConfig(**own, train=TrainConfig(**train_args))
+    except (TypeError, ValueError) as exc:  # ConfigError and ContractError are ValueErrors
         raise ConfigError(f"{source}: {exc}") from exc
-    # every cell's config is checked now, so a bad sweep value fails
-    # before any cell runs
-    for point in _sweep_points(config):
-        where = f"{source}: sweep point {point}" if point else source
-        try:
-            s0 = _apply_sweep_point(config, point).train.s0
-        except (ConfigError, ContractError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        if not 0 <= s0 < config.mdp.n_states:
-            raise ConfigError(f"{where}: s0: state {s0} out of range [0, {config.mdp.n_states})")
-        if config.mdp.terminal[s0]:
-            raise ConfigError(f"{where}: s0: state {s0} is terminal")
-    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "env": config.env,
-        **dataclasses.asdict(config.train),
-        "iterations": config.iterations,
-        "seeds": list(config.seeds),
-        "sweep": config.sweep,
-        "output_dir": config.output_dir,
-    }
+    data = {name: getattr(config, name) for name in _OWN_KEYS}
+    return {**data, **dataclasses.asdict(config.train), "seeds": list(config.seeds)}
 
 
-def make_env(env: dict, source: str = "<config>") -> TabularMdp:
+def make_env(env: dict) -> TabularMdp:
     """Build the experiment environment: a named builtin or inline tensors."""
     if "name" not in env:
-        return mdp_from_dict(env, source=f"{source}: env")
+        return mdp_from_dict(env, source="env")
     params = {k: v for k, v in env.items() if k != "name"}
     try:
         return builtin_mdp(env["name"], **params)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: env: {exc}") from exc
+        raise ConfigError(f"env: {exc}") from exc
 
 
 def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> None:
@@ -248,10 +239,11 @@ def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> Non
     node[parts[-1]] = value
 
 
-def _apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
-    """``config`` with each ``key: value`` of ``point`` set, where a key is
+def _apply_sweep_point(config: ExperimentConfig, point: dict) -> tuple[TrainConfig, int]:
+    """The ``(TrainConfig, iterations)`` of the cell at ``point``: those of
+    ``config`` with each ``key: value`` of ``point`` set, where a key is
     ``iterations``, a top-level ``TrainConfig`` scalar or ``section.field``."""
-    section_updates, train_updates, top_updates = {}, {}, {}
+    section_updates, train_updates, iterations = {}, {}, config.iterations
     for key, value in point.items():
         head, _, tail = key.partition(".")
         if head in _SECTIONS and tail in {f.name for f in dataclasses.fields(_SECTIONS[head])}:
@@ -259,12 +251,12 @@ def _apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfi
         elif head in _SCALARS and not tail:
             train_updates[head] = value
         elif key == "iterations":
-            top_updates[head] = value
+            iterations = value
         else:
             raise ConfigError(f"sweep.{key}: does not name a configurable field")
     for head, updates in section_updates.items():
         train_updates[head] = replace(getattr(config.train, head), **updates)
-    return replace(config, train=replace(config.train, **train_updates), **top_updates)
+    return replace(config.train, **train_updates), iterations
 
 
 def _tv_to_reference(reference, policy) -> float:
@@ -279,16 +271,18 @@ _PLAN_METRICS = {
 }
 
 
-def _drive(config: ExperimentConfig, seeds):
-    """Run one sweep point's cell per seed, planning cells sharing one set
-    of planning tables; yields ``(seed, rows)``, rows ``(step, metric, value)``.
-    Planning cells use ``Model.zeros`` (its trust-region radii are 0) and read
-    the root policy only: ``proposal_mode``, ``alpha``, ``sigma`` and ``lambda_smc``
-    leave their metrics unchanged."""
-    mdp = config.mdp  # no sweep key reaches the environment
+def _drive(config: ExperimentConfig, point: dict, seeds):
+    """Run the cell of sweep ``point`` once per seed on ``config.mdp``,
+    planning cells sharing one set of planning tables; yields ``(seed,
+    rows)``, rows ``(step, metric, value)``. Planning cells use
+    ``Model.zeros`` (its trust-region radii are 0) and read the root policy
+    only: ``proposal_mode``, ``alpha``, ``sigma`` and ``lambda_smc`` leave
+    their metrics unchanged."""
+    cell, iterations = _apply_sweep_point(config, point)
+    mdp = config.mdp
     if config.experiment in _PLAN_METRICS:
         name, divergence = _PLAN_METRICS[config.experiment]
-        planner, s0 = config.train.planner, config.train.s0
+        planner, s0 = cell.planner, cell.s0
         model = Model.zeros(mdp.n_states, mdp.n_actions)
         prior, tables = model.policy(), plan_tables(mdp, model, planner)
         for seed in seeds:
@@ -297,13 +291,13 @@ def _drive(config: ExperimentConfig, seeds):
             yield seed, [(0, name, divergence(soft.posterior_policy[s0], out.root_policy))]
         return
     for seed in seeds:
-        result = train(mdp, config.train, config.iterations, seed)
+        result = train(mdp, cell, iterations, seed)
         curves = ("greedy_return", result.greedy_returns), ("policy_return", result.policy_returns)
         if config.experiment == "ablation":
-            window = min(10, config.iterations)
+            window = min(10, iterations)
             yield seed, [(0, f"final_{m}", float(c[-window:].mean())) for m, c in curves]
         else:
-            yield seed, [(n, m, float(c[n])) for n in range(config.iterations) for m, c in curves]
+            yield seed, [(n, m, float(c[n])) for n in range(iterations) for m, c in curves]
 
 
 def _sweep_points(config: ExperimentConfig):
@@ -334,10 +328,9 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     points = _sweep_points(config)
     cells, done = len(points) * len(config.seeds), 0
     for point in points:
-        cell_config = _apply_sweep_point(config, point)
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
         point_values = tuple(point.get(k) for k in sweep_keys)
-        for seed, cell_rows in _drive(cell_config, config.seeds):
+        for seed, cell_rows in _drive(config, point, config.seeds):
             last = {}
             for step_idx, metric, value in cell_rows:
                 rows.append(point_values + (seed, step_idx, metric, value))

@@ -170,6 +170,46 @@ CASES = {
     "experiment_sweep_values": (
         lambda: _experiment(sweep={"planner.k": 4}),
         ConfigError, "non-empty list"),
+    # an ExperimentConfig built in Python is checked as fully as a loaded one
+    "experiment_seed_not_int": (
+        lambda: _experiment(seeds=("a",)),
+        ConfigError, "seeds: must be an integer count or list of integers"),
+    "experiment_seed_float": (
+        lambda: _experiment(seeds=(1.5,)),
+        ConfigError, "seeds: must be an integer count or list of integers"),
+    "experiment_seeds_not_a_list": (
+        lambda: _experiment(seeds=5),
+        ConfigError, "seeds: must be an integer count or list of integers"),
+    "experiment_sweep_not_object": (
+        lambda: _experiment(sweep=[1]),
+        ConfigError, "sweep: must be an object"),
+    "experiment_sweep_unknown_field": (
+        lambda: _experiment(sweep={"planner.warp": [1]}),
+        ConfigError, r"sweep point \{'planner.warp': 1\}: sweep.planner.warp: does not name"),
+    "experiment_sweep_cell": (
+        lambda: _experiment(sweep={"planner.k": [4, 0]}),
+        ConfigError, r"sweep point \{'planner.k': 0\}: k must lie"),
+    "experiment_sweep_iterations": (
+        lambda: _experiment(sweep={"iterations": [2, 0]}),
+        ConfigError, r"sweep point \{'iterations': 0\}: iterations must lie"),
+    "experiment_s0_range": (
+        lambda: _experiment(train=TrainConfig(planner=PLANNER, s0=9)),
+        ConfigError, r"^s0: state 9 out of range \[0, 2\)"),
+    "experiment_s0_terminal": (
+        lambda: _experiment(train=TrainConfig(planner=PLANNER, s0=1)),
+        ConfigError, "^s0: state 1 is terminal"),
+    "experiment_sweep_s0_terminal": (
+        lambda: _experiment(sweep={"s0": [0, 1]}),
+        ConfigError, r"sweep point \{'s0': 1\}: s0: state 1 is terminal"),
+    "experiment_repeated_sweep_value": (
+        lambda: _experiment(sweep={"planner.depth": [2, 2]}),
+        ConfigError, "sweep.planner.depth: must not repeat a value"),
+    "experiment_repeated_sweep_label": (
+        lambda: _experiment(sweep={"planner.inference_mode": ["dirac", "dirac"]}),
+        ConfigError, "sweep.planner.inference_mode: must not repeat a value"),
+    "experiment_empty_output_dir": (
+        lambda: _experiment(output_dir=""),
+        ConfigError, "output_dir: must not be empty"),
     "set_by_path_non_section": (
         lambda: set_by_path({"planner": 3}, "planner.k", 4),
         ConfigError, "is not a section"),

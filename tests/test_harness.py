@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcplan import ConfigError, ContractError, ExperimentConfig, LossConfig, PlannerConfig
-from smcplan import TrainConfig, bootstrap_ci, make_chain, make_two_arm
+from smcplan import TrainConfig, bootstrap_ci, builtin_mdp, make_chain, make_two_arm
 from smcplan import harness
 from smcplan import rng as rng_mod
 from smcplan.cli import main
@@ -177,7 +177,7 @@ def test_config_env_inline_validation(tmp_out):
     with pytest.raises(ConfigError, match="transition"):
         config_from_dict(data, source="cfg.json")
     with pytest.raises(ConfigError, match="transition"):
-        make_env(data["env"], source="cfg.json")
+        make_env(data["env"])
 
 
 def test_config_round_trip(tmp_out):
@@ -205,6 +205,39 @@ def test_config_builds_its_mdp_from_env_alone(tmp_out):
     again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
     assert again == config
     assert again.mdp.transition.tobytes() == config.mdp.transition.tobytes()
+
+
+def test_tuple_sweep_values_and_list_seeds_round_trip(tmp_out):
+    # JSON writes a tuple back as a list, and a list of seeds loads as a tuple
+    config = ExperimentConfig(
+        experiment="path_degeneracy", env={"name": "two_arm"},
+        train=TrainConfig(planner=PlannerConfig(k=4, depth=2)),
+        seeds=[3, 1], sweep={"planner.depth": (1, 3)}, output_dir=str(tmp_out),
+    )
+    assert (config.seeds, config.sweep) == ((3, 1), {"planner.depth": [1, 3]})
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+def test_a_sweep_builds_its_mdp_once(tmp_out, monkeypatch):
+    # no sweep key reaches the environment: loading builds the MDP once
+    # and running the sweep builds it no more
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return builtin_mdp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "builtin_mdp", counted)
+    config = config_from_dict(base_config(
+        tmp_out, experiment="path_degeneracy", env={"name": "absorbing_zero", "n_actions": 4},
+        planner={"k": 4, "depth": 2, "resample_period": 1}, seeds=2,
+        sweep={"planner.depth": [2, 4, 8, 16],
+               "planner.inference_mode": ["dirac", "message_passing"]},
+    ))
+    assert builds == [("absorbing_zero",)]
+    assert run(config) == 0
+    assert builds == [("absorbing_zero",)]
+    assert len(json.loads((tmp_out / "summary.json").read_text())) == 8
 
 
 # ---------------------------------------------------------------- run
@@ -535,9 +568,9 @@ def test_config_rejects_every_key_that_names_no_sweepable_field(tmp_out, key):
 def test_config_sweeps_top_level_section_and_scalar_keys(tmp_out):
     sweep = {"iterations": [1, 2], "horizon": [3], "loss.lr": [0.2], "planner.k": [8]}
     config = config_from_dict(base_config(tmp_out, sweep=sweep))
-    cell = _apply_sweep_point(config, {k: v[-1] for k, v in sweep.items()})
-    assert (cell.iterations, cell.train.horizon) == (2, 3)
-    assert (cell.train.loss.lr, cell.train.planner.k) == (0.2, 8)
+    train, iterations = _apply_sweep_point(config, {k: v[-1] for k, v in sweep.items()})
+    assert (iterations, train.horizon) == (2, 3)
+    assert (train.loss.lr, train.planner.k) == (0.2, 8)
 
 
 @pytest.mark.parametrize("reader", [main])
@@ -546,6 +579,27 @@ def test_malformed_json_names_file_and_line(tmp_path, capsys, reader):
     path.write_text('{\n  "experiment": "train",\n  oops\n}\n')
     assert reader([str(path)]) == 2
     assert "broken.json:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"experiment": "nope"}, "experiment: must be one of"),
+        ({"seeds": [1, 1]}, "seeds: must not repeat a seed"),
+        ({"output_dir": ""}, "output_dir: must not be empty"),
+        ({"sweep": {"planner.depth": [2, 2]}}, "sweep.planner.depth: must not repeat a value"),
+    ],
+)
+def test_cli_names_the_config_file_for_a_bad_experiment_field(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    # the checks of ExperimentConfig itself carry the config path too
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**base_config(tmp_path / "out"), **overrides}))
+    assert main([str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"plan-run: {config_path}: {message}")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_cli_set_seed_and_output_overrides(tmp_path):

@@ -519,7 +519,7 @@ def test_callers_plan_with_the_model_their_tables_were_built_from(monkeypatch, t
         "experiment": "path_degeneracy", "env": {"name": "two_arm"},
         "planner": {"k": 4, "depth": 2}, "output_dir": str(tmp_path),
     })
-    list(harness_mod._drive(config, (0, 1)))
+    list(harness_mod._drive(config, {}, (0, 1)))
     assert len(seen) > 2
     assert all(model is built_from for model, built_from in seen)
 
