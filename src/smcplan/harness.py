@@ -21,6 +21,7 @@ zeros, so divergence metrics floor the compared policy at
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -102,9 +103,9 @@ class ExperimentConfig:
     each sweep point's cell included (its ``s0`` must be a non-terminal
     state). Its JSON form is flat: every ``TrainConfig`` field is a
     top-level key next to the keys declared here. ``mdp`` is not an
-    argument but ``make_env(env)``, built once here; no sweep key reaches
-    it. Seeds are kept as a tuple and sweep values as lists, the forms
-    ``config_to_dict`` output loads back to."""
+    argument but ``make_env`` of a copy of ``env``, built once here; no
+    sweep key reaches it. Seeds are kept as a tuple and sweep values as
+    lists, the forms ``config_to_dict`` output loads back to."""
 
     experiment: str
     env: dict
@@ -122,6 +123,7 @@ class ExperimentConfig:
             )
         if not isinstance(self.env, dict):
             raise ConfigError("env: must be an object")
+        object.__setattr__(self, "env", copy.deepcopy(self.env))
         object.__setattr__(self, "mdp", make_env(self.env))
         require_integers(iterations=self.iterations)
         require_range(1, math.inf, iterations=self.iterations)
@@ -136,8 +138,8 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds: must not repeat a seed, got {list(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not isinstance(self.sweep, dict):
-            raise ConfigError("sweep: must be an object")
+        if not isinstance(self.sweep, dict) or not all(isinstance(k, str) for k in self.sweep):
+            raise ConfigError("sweep: must be an object with string keys")
         for key, values in self.sweep.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep.{key}: must be a non-empty list of values")
@@ -205,7 +207,7 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    data = {name: getattr(config, name) for name in _OWN_KEYS}
+    data = {name: copy.deepcopy(getattr(config, name)) for name in _OWN_KEYS}
     return {**data, **dataclasses.asdict(config.train), "seeds": list(config.seeds)}
 
 

@@ -137,7 +137,9 @@ def test_criterion_4_trust_region_solver():
         q_values = rng.normal(size=n)
         eps = adaptive_epsilon(prior, q_values, 0.1)
         sol = solve_trust_region(prior, q_values, eps)
-        greedy_kl = kl_to_prior(greedy_row(q_values), prior)
+        # the largest radius a tilt can meet: the greedy row over the
+        # prior's support
+        greedy_kl = kl_to_prior(greedy_row(np.where(prior > 0, q_values, -np.inf)), prior)
         violation = sol.achieved_kl - eps
         if eps < greedy_kl:
             violation = max(violation, eps - sol.achieved_kl)

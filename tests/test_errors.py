@@ -183,6 +183,9 @@ CASES = {
     "experiment_sweep_not_object": (
         lambda: _experiment(sweep=[1]),
         ConfigError, "sweep: must be an object"),
+    "experiment_sweep_key_not_a_string": (
+        lambda: _experiment(sweep={1: [2]}),
+        ConfigError, "sweep: must be an object with string keys"),
     "experiment_sweep_unknown_field": (
         lambda: _experiment(sweep={"planner.warp": [1]}),
         ConfigError, r"sweep point \{'planner.warp': 1\}: sweep.planner.warp: does not name"),

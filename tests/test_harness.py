@@ -218,6 +218,24 @@ def test_tuple_sweep_values_and_list_seeds_round_trip(tmp_out):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
+def test_changing_the_env_dict_afterwards_changes_neither_env_nor_mdp():
+    # the config keeps its own copy of env, nested lists included, and
+    # hands out copies, so the MDP it built and the env it writes to
+    # config.resolved.json agree
+    env = {"name": "chain", "n": 4}
+    config = ExperimentConfig(experiment="path_degeneracy", env=env,
+                              train=TrainConfig(planner=PlannerConfig(k=4, depth=2)))
+    env["n"] = 9
+    config_to_dict(config)["env"]["n"] = 9
+    assert config_to_dict(config)["env"] == {"name": "chain", "n": 4}
+    assert config.mdp.n_states == make_env(config_to_dict(config)["env"]).n_states == 5
+    inline = json.loads(json.dumps(INLINE_ENV))
+    config = ExperimentConfig(experiment="path_degeneracy", env=inline,
+                              train=TrainConfig(planner=PlannerConfig(k=4, depth=2)))
+    inline["reward"][0][0] = 7.0
+    assert config.env["reward"][0][0] == config.mdp.reward[0, 0] == 1.0
+
+
 def test_a_sweep_builds_its_mdp_once(tmp_out, monkeypatch):
     # no sweep key reaches the environment: loading builds the MDP once
     # and running the sweep builds it no more

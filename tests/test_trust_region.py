@@ -42,14 +42,26 @@ def tilt(prior, q, beta):
     return w / w.sum()
 
 
+def greedy_on_support(prior, q):
+    """The greedy row over the prior's support: ties split, no mass where
+    the prior has none."""
+    return greedy_row(np.where(prior > 0, q, -np.inf))
+
+
+def greedy_divergence(prior, q):
+    """``KL(greedy || prior)`` for the greedy row over the prior's
+    support, the largest radius a tilt can meet."""
+    return kl_to_prior(greedy_on_support(prior, q), prior)
+
+
 def check_rows(prior, q, eps, solved):
     """The solver's contract on every row of one table: radius 0 (or a
     negative one, which rounding can give) keeps the prior bit-exactly,
-    a radius at or past the greedy divergence returns the greedy row, and
-    every searched row is the family member at its beta, within ``TOL``
-    of its radius unless it is saturated."""
+    a radius at or past the greedy divergence over the prior's support
+    returns that greedy row, and every searched row is the family member
+    at its beta, within ``TOL`` of its radius unless it is saturated."""
     rows, beta, kl, saturated = solved
-    greedy = greedy_row(q)
+    greedy = greedy_on_support(prior, q)
     kl_greedy = kl_to_prior(greedy, prior)
     for i in range(len(prior)):
         if eps[i] <= 0.0:
@@ -59,15 +71,18 @@ def check_rows(prior, q, eps, solved):
             assert bits(rows[i]) == bits(greedy[i]) and beta[i] == math.inf and saturated[i]
             assert kl[i] == kl_greedy[i]
         else:
-            assert 0.0 <= beta[i] <= BETA_CAP * (1 + 1e-15)
+            # the cap is on beta times the spread of the values on the
+            # prior's support, the scale the search runs in
+            spread = np.ptp(q[i][prior[i] > 0])
+            assert 0.0 <= beta[i] * (spread or 1.0) <= BETA_CAP * (1 + 1e-15)
             assert np.abs(rows[i] - tilt(prior[i], q[i], beta[i])).max() <= 1e-9
             assert abs(rows[i].sum() - 1.0) <= 1e-12
-            # the divergence reported is the kept row's, prior floor included
+            # the divergence reported is the kept row's
             assert abs(kl[i] - kl_to_prior(rows[i], prior[i])) <= 1e-9
             assert saturated[i] or abs(kl[i] - eps[i]) <= TOL
             # a row saturates only at the cap, below its radius
             assert not saturated[i] or kl[i] < eps[i]
-            if np.ptp(q[i][prior[i] > 0]) == 0:
+            if spread == 0:
                 # values tied on the support (of any size) leave the
                 # prior wherever beta goes, so the row stops at the cap
                 assert saturated[i] and beta[i] == BETA_CAP
@@ -137,7 +152,7 @@ def search_tables(draw):
     q *= draw(st.sampled_from([1.0, 1e-3, 1e303]))
     fraction = st.one_of(st.just(0.0), st.floats(0.0, 1.2))
     eps = np.array(draw(st.lists(fraction, min_size=n_rows, max_size=n_rows)))
-    eps *= kl_to_prior(greedy_row(q), prior)
+    eps *= greedy_divergence(prior, q)
     return prior, q, eps
 
 
@@ -152,7 +167,7 @@ def search_tables(draw):
 @example(problem=(np.array([[1.0, 0.0]]), np.array([[1e303, 1e303]]), np.array([1.0])))
 @example(problem=(np.array([[1 / 3, 2 / 3, 0.0]]), np.array([[1e304, 1e304, 1e304]]),
                   np.array([1.0])))
-# the best action's prior mass lies below PRIOR_FLOOR
+# the best action's prior mass lies below 1e-12
 @example(problem=(np.array([[1e-20, 0.5, 0.5 - 1e-20]]), np.array([[1.0, 0.0, -1.0]]),
                   np.array([20.0])))
 # eight actions, one without prior mass
@@ -163,6 +178,40 @@ def search_tables(draw):
 def test_search_properties_on_generated_tables(problem):
     prior, q, eps = problem
     check_rows(prior, q, eps, trust_region_rows(prior, q, eps))
+
+
+@st.composite
+def sparse_prior_tables(draw):
+    """Dirichlet(0.01) priors, which hold exact zeros and masses far
+    below 1e-12, integer values in [-3, 3], and radii inside (0, the
+    greedy divergence)."""
+    n_rows, n_actions = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = gen.dirichlet(np.full(n_actions, 0.01), size=n_rows)
+    value = st.integers(-3, 3).map(float)
+    q = np.array(draw(st.lists(
+        st.lists(value, min_size=n_actions, max_size=n_actions), min_size=n_rows, max_size=n_rows)))
+    fraction = st.floats(1e-6, 1.0, exclude_max=True)
+    eps = np.array(draw(st.lists(fraction, min_size=n_rows, max_size=n_rows)))
+    return prior, q, eps * greedy_divergence(prior, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=sparse_prior_tables())
+def test_every_radius_below_the_greedy_divergence_is_met(problem):
+    # the divergence rises with beta to the greedy divergence over the
+    # prior's support, however small the greedy action's prior mass; the
+    # top two integer values on the support lie at least 1/6 of their
+    # spread apart, so the cap separates them and every searched row
+    # whose best value is unique on the support meets its radius
+    prior, q, eps = problem
+    solved = trust_region_rows(prior, q, eps)
+    check_rows(prior, q, eps, solved)
+    _, _, kl, saturated = solved
+    for i in range(len(prior)):
+        on_support = q[i][prior[i] > 0]
+        if eps[i] > 0 and (on_support == on_support.max()).sum() == 1:
+            assert not saturated[i] and abs(kl[i] - eps[i]) <= TOL
 
 
 def test_the_iteration_budget_stops_the_search():
@@ -213,20 +262,20 @@ def test_a_kept_row_that_is_not_a_distribution_raises():
         plan_tables(mdp, model, config)
 
 
-def test_a_radius_below_the_greedy_divergence_can_be_out_of_reach():
-    # the greedy action's prior mass (4.5e-16) is below PRIOR_FLOOR, so
-    # the floored divergence is not monotone in beta: the greedy row reads
-    # 27.63, yet no tilt up to BETA_CAP passes 5.655, and a radius of 27.2
-    # saturates at the cap far below itself, without an error
+def test_a_radius_below_the_greedy_divergence_is_met_under_a_tiny_greedy_mass():
+    # the greedy action's prior mass is 4.5e-16 and its value lies 6e-6
+    # above the next one's: the greedy row diverges by 35.3, and a radius
+    # of 27.2 is met by a tilt beyond beta = BETA_CAP in raw value
+    # units, yet inside the cap on the scaled values
     prior = np.array([0.249, 0.0035, 0.747, 4.5e-16, 0.0])
     prior /= prior.sum()
     q = np.array([-1.96e-4, 2.28e-4, -1.18e-4, 2.34e-4, 6.6e-5])
-    assert kl_to_prior(greedy_row(q), prior) > 27.6
+    assert greedy_divergence(prior, q) > 35.3
     solved = trust_region_rows(prior[None], q[None], [27.2])
     check_rows(prior[None], q[None], [27.2], solved)
     rows, beta, kl, saturated = solved
-    assert saturated[0] and beta[0] == BETA_CAP
-    assert 5.654 < kl[0] < 5.655
+    assert not saturated[0] and abs(kl[0] - 27.2) <= TOL
+    assert BETA_CAP < beta[0] < math.inf
 
 
 def test_greedy_row_unique_argmax():
@@ -340,7 +389,7 @@ def tilt_problems(draw):
     prior = weights / weights.sum()
     q = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n_actions, max_size=n_actions)))
     fractions = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6))
-    eps = np.array([0.0] + fractions) * kl_to_prior(greedy_row(q), prior)
+    eps = np.array([0.0] + fractions) * greedy_divergence(prior, q)
     return prior, q, eps
 
 
