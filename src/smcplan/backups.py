@@ -38,9 +38,10 @@ IDENTITY = AncestorGroups(None, None, None, None, None)
 
 
 def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
-    """Group particles by their root atom ids (each in ``[0, n_atoms)``).
-    The ids are sorted stably in the narrowest type that holds them (a
-    radix sort), so sums over a group run in particle order."""
+    """Group particles by their root atom ids (each in ``[0, n_atoms)``);
+    the readout groups atoms by their root actions the same way. The ids
+    are sorted stably in the narrowest type that holds them (a radix
+    sort), so sums over a group run in particle order."""
     anc = np.asarray(ancestors, dtype=np.intp)
     if anc.ndim != 1:
         raise ContractError("ancestors must be a vector")
@@ -103,15 +104,13 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
         raise ContractError("root actions out of range")
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
-    # a stable sort puts each action's atoms in one run, in atom order
-    logq = logq[actions.argsort(kind="stable")]
-    counts = np.bincount(actions, minlength=prior.size)
-    sampled = counts.nonzero()[0]
-    counts = counts[sampled]
-    log_mass, end = np.full(prior.size, -np.inf), 0
-    for a, count, log_count in zip(sampled.tolist(), counts.tolist(), np.log(counts).tolist()):
-        end += count
-        log_mass[a] = log_prior[a] + logsumexp(logq[end - count:end]) - log_count
+    # grouped by action, each action's atoms form one run, in atom order
+    groups = group_ancestors(actions, prior.size)
+    logq = logq[groups.order]
+    log_mass = np.full(prior.size, -np.inf)
+    for a, start, count, log_count in zip(groups.atoms.tolist(), groups.starts.tolist(),
+                                          groups.counts.tolist(), groups.log_counts.tolist()):
+        log_mass[a] = log_prior[a] + logsumexp(logq[start:start + count]) - log_count
     return normalized_weights(log_mass)
 
 

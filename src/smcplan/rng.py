@@ -16,7 +16,9 @@ the index of a uniform is the number of cumulative masses at or below
 it, and no draw lands past a row's last positive mass, even on a row
 that sums to a little less than 1. A row-wise draw gathers the drawn
 rows' columns in one ``take`` and counts them in one reduction, so its
-cost is a few array calls whatever the number of columns.
+cost is a few array calls whatever the number of columns. The planner's
+small-K loop makes the same counts with ``bisect`` on list copies of the
+same cumulative masses (``planner._TableLists``).
 """
 
 from __future__ import annotations

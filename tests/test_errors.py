@@ -14,6 +14,7 @@ from smcplan import (
     Model,
     NumericalError,
     PlannerConfig,
+    PlanTables,
     ReplayBuffer,
     Segment,
     TabularMdp,
@@ -24,6 +25,7 @@ from smcplan import (
     grad,
     init_particles,
     loss,
+    make_absorbing_zero,
     make_gridworld,
     make_two_arm,
     mdp_from_dict,
@@ -37,6 +39,7 @@ from smcplan import (
 from smcplan import rng as rng_mod
 from smcplan.cli import main
 from smcplan.harness import EXIT_CONFIG, EXIT_RUNTIME, config_from_dict, set_by_path
+from smcplan.planner import _SMALL_K
 
 PLANNER = PlannerConfig(k=2, depth=1)
 NO_ITEMS = np.zeros(0, dtype=np.intp)
@@ -53,6 +56,15 @@ OVERFLOW_ENV = {
     "terminal": [False, True],
 }
 TINY_TEMPERATURE = 1e-10
+
+
+def _plan_off_the_prior(k):
+    """Plan with K particles on a hand-built table whose proposal draws
+    only an action the prior never takes: every increment is -inf."""
+    config = PlannerConfig(k=k, depth=1)
+    tables = PlanTables(make_absorbing_zero(2), config, np.array([[0.0, 1.0]]),
+                        np.array([[0.0, -np.inf]]), np.zeros(1))
+    return run_planner(tables.mdp, 0, None, config, 0, tables)
 
 
 def _mdp(transition=TWO_STATES, reward=((0.0,), (0.0,)), terminal=(False, False)):
@@ -77,6 +89,13 @@ CASES = {
     "run_planner_s0_range": (
         lambda: run_planner(make_two_arm(), 5, Model.zeros(2, 2), PLANNER, 0),
         ContractError, "out of range"),
+    # K <= _SMALL_K steps over lists, larger K through advance
+    "run_planner_nonfinite_increment_lists": (
+        lambda: _plan_off_the_prior(_SMALL_K),
+        NumericalError, "non-finite log weights"),
+    "run_planner_nonfinite_increment_vector": (
+        lambda: _plan_off_the_prior(_SMALL_K + 1),
+        NumericalError, "non-finite log weights"),
     "resample_mode": (
         lambda: multinomial_resample(init_particles(0, PLANNER), np.full(2, 0.5),
                                      rng_mod.stream(0), "stratified"),

@@ -1,7 +1,9 @@
-"""Property tests of the planner's step invariants on random MDPs, and
-of its draws against the dense inverse-CDF draw they replaced."""
+"""Property tests of the planner's step invariants on random MDPs, of
+its draws against the dense inverse-CDF draw they replaced, and of the
+small-K list loop against the vector loop."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,8 +24,18 @@ from smcplan import (
     run_planner,
     step,
 )
+from smcplan import planner as planner_mod
 from smcplan import rng as rng_mod
-from smcplan.planner import RESAMPLE_MODES, normalized_weights
+from smcplan.planner import (
+    INFERENCE_MODES,
+    PROPOSAL_MODES,
+    RESAMPLE_MODES,
+    _SMALL_K,
+    _advance_lists,
+    _init_lists,
+    _resample_lists,
+    normalized_weights,
+)
 
 
 @st.composite
@@ -248,6 +260,10 @@ def test_draws_equal_the_dense_draw_below_each_rows_last_mass(problem):
     out = advance(particles, tables, FixedUniforms(action_u + state_u))
     assert out.root_actions.tolist() == actions
     assert out.states.tolist() == successors
+    particles = _init_lists(0, config)._replace(states=case_states)
+    out = _advance_lists(particles, tables, FixedUniforms(action_u + state_u))
+    assert out.root_actions == actions
+    assert out.states == successors
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,3 +288,78 @@ def test_resample_equals_the_unsorted_lookup(masses, data):
     expected = [dense_draw(weights, u) for u in uniforms]
     assert out.states.tolist() == expected
     assert out.ancestors.tolist() == expected
+    particles = _init_lists(0, config)._replace(states=list(range(k)))
+    out = _resample_lists(particles, weights, FixedUniforms(uniforms), "baseline")
+    assert out.states == expected
+    assert out.ancestors == expected
+
+
+def _deterministic(mdp):
+    """``mdp`` with every row moved onto its most likely successor: one
+    successor slot per row."""
+    transition = np.eye(mdp.n_states)[mdp.transition.argmax(axis=2)]
+    return TabularMdp(transition, mdp.reward, mdp.terminal, mdp.discount)
+
+
+@st.composite
+def small_k_problems(draw):
+    """A deterministic or stochastic random MDP with terminal states, a
+    zero or random model, a config with at most ``_SMALL_K`` particles,
+    temperature != 1 and discount < 1, and a seed."""
+    n_states, n_actions = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    terminal = draw(st.sets(st.integers(1, n_states - 1), min_size=1, max_size=n_states - 1))
+    mdp = make_random_mdp(n_states, n_actions, seed, terminal_states=terminal)
+    if draw(st.booleans()):
+        mdp = _deterministic(mdp)
+    model = Model.zeros(n_states, n_actions)
+    if draw(st.booleans()):
+        gen = rng_mod.stream(seed, 1)
+        model = Model(6.0 * gen.random((n_states, n_actions)) - 3.0, gen.random(n_states),
+                      gen.random((n_states, n_actions)))
+    config = PlannerConfig(
+        k=draw(st.integers(1, _SMALL_K)),
+        depth=draw(st.integers(1, 6)),
+        resample_period=draw(st.integers(1, 3)),
+        alpha=0.3,
+        temperature=draw(st.sampled_from([0.5, 2.0])),
+        lambda_smc=0.8,
+        gamma=draw(st.sampled_from([0.5, 0.9])),
+        sigma=0.3,
+        proposal_mode=draw(st.sampled_from(PROPOSAL_MODES)),
+        inference_mode=draw(st.sampled_from(INFERENCE_MODES)),
+        resample_mode=draw(st.sampled_from(RESAMPLE_MODES)),
+    )
+    return mdp, model, config, seed
+
+
+def _output_bits(out):
+    """Every field of a ``PlannerOutput`` as bytes or exact hex floats."""
+    d = out.diagnostics
+    arrays = (out.root_policy, d.ess, d.distinct_ancestors, d.terminal_particles)
+    floats = (out.root_value, d.value_smc, d.value_model, d.log_evidence)
+    return ([(a.dtype.str, a.tobytes()) for a in arrays], [float(x).hex() for x in floats],
+            d.resample_steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=small_k_problems())
+def test_list_loop_reproduces_the_vector_loop_bit_for_bit(problem):
+    mdp, model, config, seed = problem
+    tables = plan_tables(mdp, model, config)
+    lists = run_planner(mdp, 0, model, config, seed, tables)
+    with mock.patch.object(planner_mod, "_SMALL_K", 0):
+        vector = run_planner(mdp, 0, model, config, seed, tables)
+    assert _output_bits(lists) == _output_bits(vector)
+
+
+def test_particle_sets_up_to_small_k_step_over_lists():
+    mdp = make_random_mdp(4, 2, seed=3, terminal_states=(3,))
+    model = Model.zeros(4, 2)
+    kernels = {"_advance_lists": _advance_lists, "advance": advance}
+    for k, loop in ((_SMALL_K, "_advance_lists"), (_SMALL_K + 1, "advance")):
+        with mock.patch.multiple(planner_mod, **{name: mock.Mock(side_effect=kernel)
+                                                 for name, kernel in kernels.items()}):
+            run_planner(mdp, 0, model, PlannerConfig(k=k, depth=3), seed=0)
+            steps = {name: getattr(planner_mod, name).call_count for name in kernels}
+        assert steps == {"_advance_lists": 0, "advance": 0, loop: 3}
