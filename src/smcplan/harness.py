@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .errors import ConfigError, ContractError, require_integers, require_range
-from .mdp import TabularMdp, builtin_mdp, mdp_from_dict
+from .mdp import TabularMdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import plan_tables, run_planner
 from .training import Model, TrainConfig, train
@@ -103,7 +103,7 @@ class ExperimentConfig:
     each sweep point's cell included (its ``s0`` must be a non-terminal
     state). Its JSON form is flat: every ``TrainConfig`` field is a
     top-level key next to the keys declared here. ``mdp`` is not an
-    argument but ``make_env`` of a copy of ``env``, built once here; no
+    argument but ``mdp_from_dict`` of a copy of ``env``, built once here; no
     sweep key reaches it. Seeds are kept as a tuple and sweep values as
     lists, the forms ``config_to_dict`` output loads back to."""
 
@@ -124,7 +124,7 @@ class ExperimentConfig:
         if not isinstance(self.env, dict):
             raise ConfigError("env: must be an object")
         object.__setattr__(self, "env", copy.deepcopy(self.env))
-        object.__setattr__(self, "mdp", make_env(self.env))
+        object.__setattr__(self, "mdp", mdp_from_dict(self.env, source="env"))
         require_integers(iterations=self.iterations)
         require_range(1, math.inf, iterations=self.iterations)
         if not isinstance(self.output_dir, str):
@@ -209,17 +209,6 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     data = {name: copy.deepcopy(getattr(config, name)) for name in _OWN_KEYS}
     return {**data, **dataclasses.asdict(config.train), "seeds": list(config.seeds)}
-
-
-def make_env(env: dict) -> TabularMdp:
-    """Build the experiment environment: a named builtin or inline tensors."""
-    if "name" not in env:
-        return mdp_from_dict(env, source="env")
-    params = {k: v for k, v in env.items() if k != "name"}
-    try:
-        return builtin_mdp(env["name"], **params)
-    except ConfigError as exc:
-        raise ConfigError(f"env: {exc}") from exc
 
 
 def set_by_path(data: dict, dotted: str, value, source: str = "<config>") -> None:

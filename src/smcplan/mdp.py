@@ -132,17 +132,23 @@ def step(mdp: TabularMdp, state: int, action: int, rng: np.random.Generator):
     return nxt, float(mdp.reward[state, action]), bool(mdp.terminal[nxt])
 
 
+def _deterministic_mdp(next_state, reward, terminal) -> TabularMdp:
+    """The undiscounted MDP in which action ``a`` moves state ``s`` to
+    ``next_state[s, a]`` for ``reward[s, a]``, except that every terminal
+    state absorbs: each action loops back to it with zero reward, whatever
+    its rows say."""
+    terminal = np.asarray(terminal, dtype=bool)
+    absorbing = terminal[:, None]
+    next_state = np.where(absorbing, np.arange(terminal.size)[:, None], next_state)
+    return TabularMdp(np.eye(terminal.size)[next_state], np.where(absorbing, 0.0, reward), terminal)
+
+
 def make_two_arm() -> TabularMdp:
     """One decision state with two arms: arm 1 pays 1, arm 0 pays 0.
 
     Both arms lead straight to the single terminal state.
     """
-    transition = np.zeros((2, 2, 2))
-    transition[0, :, 1] = 1.0
-    transition[1, :, 1] = 1.0
-    reward = np.array([[0.0, 1.0], [0.0, 0.0]])
-    terminal = np.array([False, True])
-    return TabularMdp(transition, reward, terminal, discount=1.0)
+    return _deterministic_mdp([[1, 1], [1, 1]], [[0.0, 1.0], [0.0, 0.0]], [False, True])
 
 
 def make_chain(n: int, goal_reward: float = 1.0) -> TabularMdp:
@@ -155,18 +161,10 @@ def make_chain(n: int, goal_reward: float = 1.0) -> TabularMdp:
     require_integers(n=n)
     if n < 1:
         raise ContractError("chain length must be at least 1")
-    n_states = n + 1
-    transition = np.zeros((n_states, 2, n_states))
-    reward = np.zeros((n_states, 2))
-    terminal = np.zeros(n_states, dtype=bool)
-    terminal[n] = True
-    for s in range(n):
-        transition[s, 0, max(s - 1, 0)] = 1.0
-        transition[s, 1, s + 1] = 1.0
-        if s + 1 == n:
-            reward[s, 1] = float(goal_reward)
-    transition[n, :, n] = 1.0
-    return TabularMdp(transition, reward, terminal, discount=1.0)
+    reward = np.zeros((n + 1, 2))
+    reward[n - 1, 1] = float(goal_reward)
+    next_state = [[max(s - 1, 0), min(s + 1, n)] for s in range(n + 1)]
+    return _deterministic_mdp(next_state, reward, np.arange(n + 1) == n)
 
 
 def make_absorbing_zero(n_actions: int) -> TabularMdp:
@@ -175,14 +173,12 @@ def make_absorbing_zero(n_actions: int) -> TabularMdp:
     require_integers(n_actions=n_actions)
     if n_actions < 1:
         raise ContractError("need at least one action")
-    transition = np.ones((1, n_actions, 1))
-    reward = np.zeros((1, n_actions))
-    terminal = np.array([False])
-    return TabularMdp(transition, reward, terminal, discount=1.0)
+    stay = np.zeros((1, n_actions), dtype=int)  # next state 0, and reward 0
+    return _deterministic_mdp(stay, stay, [False])
 
 
 # Row/column moves for gridworld actions 0..3: up, right, down, left.
-_GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
+_GRID_MOVES = np.array(((-1, 0), (0, 1), (1, 0), (0, -1)))
 
 
 def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
@@ -197,9 +193,8 @@ def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
         raise ContractError("grid dimensions must be at least 1")
     n_states = width * height
     goal = (height - 1, width - 1)
-    goal_id = goal[0] * width + goal[1]
     terminal = np.zeros(n_states, dtype=bool)
-    terminal[goal_id] = True
+    terminal[n_states - 1] = True  # the goal's id
     for cell in traps:
         row, col = int(cell[0]), int(cell[1])
         if not (0 <= row < height and 0 <= col < width):
@@ -207,21 +202,12 @@ def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
         if (row, col) == goal:
             raise ContractError("the goal cell cannot be a trap")
         terminal[row * width + col] = True
-    transition = np.zeros((n_states, 4, n_states))
-    reward = np.zeros((n_states, 4))
-    for s in range(n_states):
-        if terminal[s]:
-            transition[s, :, s] = 1.0
-            continue
-        row, col = divmod(s, width)
-        for a, (dr, dc) in enumerate(_GRID_MOVES):
-            nr = min(max(row + dr, 0), height - 1)
-            nc = min(max(col + dc, 0), width - 1)
-            nxt = nr * width + nc
-            transition[s, a, nxt] = 1.0
-            if nxt == goal_id:
-                reward[s, a] = 1.0
-    return TabularMdp(transition, reward, terminal, discount=1.0)
+    rows, cols = np.divmod(np.arange(n_states)[:, None], width)
+    next_state = (
+        np.clip(rows + _GRID_MOVES[:, 0], 0, height - 1) * width
+        + np.clip(cols + _GRID_MOVES[:, 1], 0, width - 1)
+    )
+    return _deterministic_mdp(next_state, next_state == n_states - 1, terminal)
 
 
 _BUILTINS = {
@@ -338,13 +324,21 @@ _ENV_KEYS = {"n_states", "n_actions", "transition", "reward", "terminal", "disco
 
 
 def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
-    """Build a validated MDP from its JSON-style description.
+    """Build a validated MDP from its JSON-style description: a builtin,
+    ``{"name": ..., **params}`` (see :func:`builtin_mdp`), or inline
+    tensors, the keys of ``_ENV_KEYS``.
 
     Every violation is reported with the offending key path, prefixed by
     ``source`` (typically the file name).
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: environment description must be an object")
+    if "name" in data:
+        params = {k: v for k, v in data.items() if k != "name"}
+        try:
+            return builtin_mdp(data["name"], **params)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     unknown = set(data) - _ENV_KEYS
     if unknown:
         raise ConfigError(f"{source}: unknown key {sorted(unknown)[0]!r}")

@@ -8,17 +8,26 @@ output bit-reproducible under any execution order. A loop over
 sub-streams re-keys one generator (:func:`rekey`) instead of building one
 per sub-stream.
 
-Every draw from a categorical distribution goes through the inverse-CDF
-helpers below. They take cumulative masses, not probabilities, so a
-table that is sampled many times (the MDP's successor rows, a planning
-call's proposal rows) is summed once by its owner, with :func:`cdf_rows`:
-the index of a uniform is the number of cumulative masses at or below
-it, and no draw lands past a row's last positive mass, even on a row
-that sums to a little less than 1. A row-wise draw gathers the drawn
-rows' columns in one ``take`` and counts them in one reduction, so its
-cost is a few array calls whatever the number of columns. The planner's
-small-K loop makes the same counts with ``bisect`` on list copies of the
-same cumulative masses (``planner._TableLists``).
+Every categorical draw is an inverse-CDF draw: the index of a uniform is
+the number of cumulative masses at or below it, and no draw lands past
+a row's last positive mass, even on a row that sums to a little less
+than 1. The helpers below take cumulative masses, not probabilities, so
+a table that is sampled many times (the MDP's successor rows, a planning
+call's proposal rows) is summed once by its owner, with :func:`cdf_rows`.
+A row-wise draw gathers the drawn rows' columns in one ``take`` and
+counts them in one reduction, so its cost is a few array calls whatever
+the number of columns. ``mdp.step``, the planner's array step and its
+resampling, and training's action draws use these helpers.
+
+The planner's small-K loop (``planner._SMALL_K``) does not, because at
+a few particles numpy's per-call cost would set its time. It counts
+with ``bisect`` on list copies of the same cumulative masses
+(``planner._TableLists``). Its resampling (``planner._resample_lists``)
+sums the weights itself with ``itertools.accumulate``, in the same
+sequential order as :func:`cdf_rows`, and cuts the sum with
+``bisect_left`` where :func:`cdf_rows` would write +inf; calling
+:func:`cdf_rows` there costs 2.5-4 µs more per four-particle resample
+on a 2-vCPU Xeon. Both forms make the same draws, bit for bit.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcplan import ConfigError, ContractError, ExperimentConfig, LossConfig, PlannerConfig
-from smcplan import TrainConfig, bootstrap_ci, builtin_mdp, make_chain, make_two_arm
+from smcplan import TrainConfig, bootstrap_ci, builtin_mdp, make_chain, make_two_arm, mdp_from_dict
 from smcplan import harness
+from smcplan import mdp as mdp_mod
 from smcplan import rng as rng_mod
 from smcplan.cli import main
 from smcplan.harness import (
@@ -22,7 +23,6 @@ from smcplan.harness import (
     config_from_dict,
     config_to_dict,
     kl_to_reference,
-    make_env,
     run,
 )
 
@@ -177,7 +177,7 @@ def test_config_env_inline_validation(tmp_out):
     with pytest.raises(ConfigError, match="transition"):
         config_from_dict(data, source="cfg.json")
     with pytest.raises(ConfigError, match="transition"):
-        make_env(data["env"])
+        mdp_from_dict(data["env"], source="env")
 
 
 def test_config_round_trip(tmp_out):
@@ -228,7 +228,7 @@ def test_changing_the_env_dict_afterwards_changes_neither_env_nor_mdp():
     env["n"] = 9
     config_to_dict(config)["env"]["n"] = 9
     assert config_to_dict(config)["env"] == {"name": "chain", "n": 4}
-    assert config.mdp.n_states == make_env(config_to_dict(config)["env"]).n_states == 5
+    assert config.mdp.n_states == mdp_from_dict(config_to_dict(config)["env"]).n_states == 5
     inline = json.loads(json.dumps(INLINE_ENV))
     config = ExperimentConfig(experiment="path_degeneracy", env=inline,
                               train=TrainConfig(planner=PlannerConfig(k=4, depth=2)))
@@ -245,7 +245,7 @@ def test_a_sweep_builds_its_mdp_once(tmp_out, monkeypatch):
         builds.append(args)
         return builtin_mdp(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "builtin_mdp", counted)
+    monkeypatch.setattr(mdp_mod, "builtin_mdp", counted)
     config = config_from_dict(base_config(
         tmp_out, experiment="path_degeneracy", env={"name": "absorbing_zero", "n_actions": 4},
         planner={"k": 4, "depth": 2, "resample_period": 1}, seeds=2,
@@ -635,6 +635,8 @@ def test_cli_set_seed_and_output_overrides(tmp_path):
             "planner.depth=3",
             "--set",
             "loss.lr=0.05",
+            "--set",
+            "planner.proposal_mode=trust_region",  # not JSON: kept as the bare string
         ]
     )
     assert code == 0
@@ -642,6 +644,7 @@ def test_cli_set_seed_and_output_overrides(tmp_path):
     assert resolved["seeds"] == [7]
     assert resolved["planner"]["depth"] == 3
     assert resolved["loss"]["lr"] == 0.05
+    assert resolved["planner"]["proposal_mode"] == "trust_region"
 
 
 def test_cli_set_overrides_a_sweep_entry(tmp_path):

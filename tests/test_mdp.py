@@ -1,5 +1,6 @@
 """Environment construction, stepping, and trajectory enumeration."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -43,6 +44,81 @@ ALL_BUILTINS = [
     make_absorbing_zero(4),
     make_gridworld(3, 3, traps=[(1, 1)]),
 ]
+
+
+# builder, arguments -> sha256 over the dtype, shape and bytes of each
+# table an MDP holds (transition, reward, terminal, successor_states,
+# successor_cdf) and then the discount's repr; recorded from the code
+# that wrote each builtin's transition tensor by hand
+GOLDEN_BUILTINS = [
+    (make_two_arm, dict(),
+     "79ccfd1978100dd0f0184ce00c92faeb69790f5fb8ccc2250ddff4d49add197d"),
+    (make_chain, dict(n=1, goal_reward=1.0),
+     "510bc44956713aaa47efc6823b956b025c98b1b15bb45862c1b4ac025a1811d2"),
+    (make_chain, dict(n=1, goal_reward=2.5),
+     "7525e3095eab9ffc10d22b0e54cb4c650b166eff94a308dec7f8a9cdf7503ff8"),
+    (make_chain, dict(n=2, goal_reward=1.0),
+     "897f43362ce3f069a43ef1ca14e0045de778fee46a39c6969024a27ec7142593"),
+    (make_chain, dict(n=2, goal_reward=2.5),
+     "c425cdcf2b9581d3022531391b0efef2705ebd46b0e0f21499b1c5ee2f2bd414"),
+    (make_chain, dict(n=3, goal_reward=1.0),
+     "d9478dd7ac05c42b88a9be77bbd26ad29da453ae9f2bb272b6293db0ef2e8992"),
+    (make_chain, dict(n=3, goal_reward=2.5),
+     "05025395727ab90466db08808634696dd99b9e8f969601d9fbd57c86252c487b"),
+    (make_chain, dict(n=5, goal_reward=1.0),
+     "5f5661d5adcfe7c28dbd863006769914ac13937bbbb92e612b21b4a556550bd2"),
+    (make_chain, dict(n=5, goal_reward=2.5),
+     "4296c449e51a6fda82bcc6f3a04517c2c2ebca43d212847cba11ab1d588cd304"),
+    (make_chain, dict(n=9, goal_reward=1.0),
+     "92d7e978bd96037cca5f28c4030bc48083fe9218dc3aa4e9d3445fd51a759cf9"),
+    (make_chain, dict(n=9, goal_reward=2.5),
+     "4736ded70e208f22a570c13eb02b64b81cfc222fe747a5b40aeccbe69fb51919"),
+    (make_absorbing_zero, dict(n_actions=1),
+     "c4f60eeb387793964f5a9c087fd429c7930210ad2cddc798377e2a05c5eb8704"),
+    (make_absorbing_zero, dict(n_actions=2),
+     "f7121dfd840d97af928871d50fd8a3893566f0a33a29e190094267c5df3384db"),
+    (make_absorbing_zero, dict(n_actions=3),
+     "7e85206095c9057243f14505c5fc3bda36b2c215144dc8502d649e25531640ca"),
+    (make_absorbing_zero, dict(n_actions=4),
+     "64feb0184e3bc66cd51589721250da7a6b541c9d290b4fbaf0e0d86d7002e41f"),
+    (make_absorbing_zero, dict(n_actions=5),
+     "61c8e11e090bc5a4f594e3c87159873c402f10852f816195b81ecf6b3600dff6"),
+    (make_absorbing_zero, dict(n_actions=6),
+     "440495989e5460c4be7a3cef4826a0d2ffd15e3550e22dde588d4f485aec3e4a"),
+    (make_absorbing_zero, dict(n_actions=7),
+     "f1ad080a001e7b8c54b21fd4d3956d1a5b8cb38e0c0dcd6794df47fd151a6941"),
+    (make_gridworld, dict(width=1, height=1),
+     "9eb8f5aa57b66f02c478593e7d5041e6cdb06c7d7ac4ef2027d75bd5110aa8ff"),
+    (make_gridworld, dict(width=3, height=1),
+     "648a26b45e655fb2e77185b77c8744369c97cf6659f880aa4e2aed84dc6d05a5"),
+    (make_gridworld, dict(width=1, height=3),
+     "d3cee2b5473effbb0e014b55c5085c054b85522f13af67f0c5abafbfc3acb2cd"),
+    (make_gridworld, dict(width=2, height=2),
+     "d95131d24441886a030cebfcbe1b6b3f22730f86d2f75c3f5f7f365c1b2e0457"),
+    (make_gridworld, dict(width=8, height=8),
+     "fee8dbcdfa2a3d44d42b42e3f775ba86fc76f07816d6a0ba93f749aab935248a"),
+    (make_gridworld, dict(width=3, height=3, traps=[(1, 1)]),
+     "7858e346483bd1fb7bbfac23d885843f6ad9c3716def3babb41d9507de17e601"),
+    (make_gridworld, dict(width=4, height=3, traps=[[0, 2], [2, 1], [0, 2]]),
+     "c891a28301e4209998a1eb7f87a5c83abd7382fff3c90093274124d609525a32"),
+    (make_gridworld, dict(width=8, height=8, traps=[(0, 7), (3, 3), (7, 0)]),
+     "8425634dccb310df6baa4108195c66536393b609936e8150870119dccee5f5e0"),
+]
+
+
+def _tables_digest(mdp):
+    digest = hashlib.sha256()
+    for name in ("transition", "reward", "terminal", "successor_states", "successor_cdf"):
+        table = getattr(mdp, name)
+        digest.update(f"{name} {table.dtype.str} {table.shape}".encode())
+        digest.update(table.tobytes())
+    digest.update(repr(mdp.discount).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("builder, args, expected", GOLDEN_BUILTINS)
+def test_builtin_tables_are_pinned(builder, args, expected):
+    assert _tables_digest(builder(**args)) == expected
 
 
 @pytest.mark.parametrize("mdp", ALL_BUILTINS)
@@ -171,6 +247,13 @@ def test_builtin_registry():
         builtin_mdp("chain", bogus=1)
     with pytest.raises(ConfigError, match="chain length"):
         builtin_mdp("chain", n=0)
+    # mdp_from_dict reads a builtin's description as well as inline tensors
+    loaded = mdp_from_dict({"name": "chain", "n": 5, "goal_reward": 2.0})
+    assert _tables_digest(loaded) == _tables_digest(mdp)
+    with pytest.raises(ConfigError, match=r"^env\.json: environment 'chain': chain length"):
+        mdp_from_dict({"name": "chain", "n": 0}, source="env.json")
+    with pytest.raises(ConfigError, match=r"^env\.json: unknown environment 'nope'"):
+        mdp_from_dict({"name": "nope"}, source="env.json")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
