@@ -88,7 +88,11 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     rather than summing keeps the estimate free of the sampling
     frequency, so without resampling it converges to the exact posterior
     policy for any prior (resampling leaves a bias: total variation about
-    0.024 at K=100000, ``resample_period=1``). Temperature is not
+    0.024 at K=100000, ``resample_period=1``). At small K, resampling
+    pulls the readout toward the proposal: at depth 3,
+    ``resample_period=2`` with the prior as proposal, its expected value
+    is 0.046 (K=2) and 0.054 (K=3) in total variation from the exact root
+    posterior, against 0.0007 and 0.0014 for dirac. Temperature is not
     reapplied here: it is already inside the accumulated weights. Masses
     that are all zero, or ``nan`` or ``+inf`` anywhere, raise
     :class:`DegenerateWeightsError`.

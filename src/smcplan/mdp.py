@@ -196,6 +196,8 @@ def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
     terminal = np.zeros(n_states, dtype=bool)
     terminal[n_states - 1] = True  # the goal's id
     for cell in traps:
+        if np.shape(cell) != (2,):
+            raise ContractError(f"trap {cell!r} must be a [row, col] pair")
         row, col = int(cell[0]), int(cell[1])
         if not (0 <= row < height and 0 <= col < width):
             raise ContractError(f"trap {cell!r} outside the {height}x{width} grid")

@@ -31,20 +31,21 @@ same either way. Each step normalizes its weights once, for the ESS,
 resampling and readout; the particles' grouping by root atom is built
 only at a resample, and the count of distinct root atoms is read off it.
 
-A call with at most ``_SMALL_K`` particles steps over Python lists
-(:func:`_advance_lists`, :func:`_resample_lists`) instead of through
-:func:`advance` and :func:`multinomial_resample`: at a few particles a
-step is bound by numpy's per-call cost, not by array work, and the list
-step is faster up to the measured crossover (between 16 and 32
-particles on an 8x8 gridworld). The two steps agree to the bit by
-construction. They make the same stream reads in the same order and the
-same draws: a draw counts the row's cumulative masses at or below its
-uniform, and a resample's cumulative sum runs in the same sequential
-order. The log weights, retrace traces and backed-up ratios take the
+A call with at most ``_SMALL_K`` particles holds them in Python lists
+(:func:`_init_lists`), which :func:`advance` and
+:func:`multinomial_resample` hand to their list kernels
+(:func:`_advance_lists`, :func:`_resample_lists`), so traced runs charge
+those kernels' time to the two: at a few particles a step is bound by
+numpy's per-call cost, not by array work, up to the measured crossover
+(between 16 and 32 particles on an 8x8 gridworld). Both layouts' results
+go through one tail per operation, and the kernels agree to the bit by
+construction: the same stream reads in the same order, the same draws
+(a draw counts the row's cumulative masses at or below its uniform; a
+resample's cumulative sum runs in the same sequential order) and the
 same IEEE ``+ - *`` in the same order. What depends on numpy's kernels
-or summation order stays the same numpy call in both loops: the
-normalized weights and ESS, the weight checks, the atom accumulators
-and grouping, and the readouts, which both loops share.
+or summation order stays one numpy call: the normalized weights and
+ESS, the weight checks, the atom accumulators and grouping, and the
+readouts.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class ParticleSet(NamedTuple):
     retrace accumulator/decay pair carries its running return estimate.
     A named tuple: immutable, and cheap to build twice per step. In a
     call with at most ``_SMALL_K`` particles the per-particle fields are
-    Python lists (:func:`_init_lists`).
+    Python lists (:func:`_init_lists`), which :func:`advance` and
+    :func:`multinomial_resample` step in their list kernels, so traced
+    runs charge those kernels' time to the two.
     """
 
     states: np.ndarray
@@ -272,7 +275,7 @@ class PlanTables:
             mdp.n_actions, mdp.successor_states.shape[1], self.proposal_cdf[:, :-1].tolist(),
             mdp.successor_cdf[:, :-1].tolist(), mdp.successor_states.ravel().tolist(),
             self.increment.tolist(), self.delta.tolist(), self.ratio_cap.ravel().tolist(),
-            self.log_ratio.ravel().tolist(), mdp.terminal.tolist(),
+            mdp.terminal.tolist(),
         )
 
 
@@ -291,7 +294,6 @@ class _TableLists(NamedTuple):
     increment: list
     delta: list
     ratio_cap: list
-    log_ratio: list
     terminal: list
 
 
@@ -304,6 +306,8 @@ def advance(particles: ParticleSet, tables: PlanTables, rng: np.random.Generator
     retrace traces and, for ``message_passing``, the atom accumulators.
     A drawn non-finite increment raises :class:`NumericalError`.
     """
+    if type(particles.states) is list:
+        return _advance_lists(particles, tables, rng)
     mdp, config = tables.mdp, tables.config
     k = particles.k
     # one draw split in two: the action uniforms, then the state uniforms
@@ -318,20 +322,7 @@ def advance(particles: ParticleSet, tables: PlanTables, rng: np.random.Generator
     increments = tables.increment.take(j)
     if not np.isfinite(increments).all():
         raise NumericalError("weight update produced non-finite log weights")
-    log_weights = particles.log_weights + increments
-
     ref_states = np.where(mdp.terminal.take(next_states), particles.ref_states, next_states)
-    root_actions = actions if particles.step == 0 else particles.root_actions
-    # Atom accumulators estimate per-root-action values, so the root
-    # step enters conditioned on its action: its prior/proposal ratio is
-    # an importance correction for the atom sampling measure, not part
-    # of the action's value, and leaving it in would bias the backed-up
-    # policy against whatever the proposal was tilted toward. Later
-    # steps keep their full ratios (their actions are marginalized).
-    ancestor_logq = particles.ancestor_logq
-    if config.inference_mode == "message_passing":
-        backed_up = increments - tables.log_ratio.take(flat) if particles.step == 0 else increments
-        ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
 
     # Retrace trace: the first step enters undecayed; later steps first
     # shrink the trace by gamma * lambda * min(1, prior/proposal).
@@ -342,12 +333,32 @@ def advance(particles: ParticleSet, tables: PlanTables, rng: np.random.Generator
         ratio_cap = tables.ratio_cap.take(flat)
         retrace_decay = particles.retrace_decay * config.gamma * config.lambda_smc * ratio_cap
         retrace_acc = particles.retrace_acc + retrace_decay * delta
+    return _stepped(particles, tables, actions, flat, increments, next_states,
+                    particles.log_weights + increments, ref_states, retrace_acc, retrace_decay)
 
+
+def _stepped(particles: ParticleSet, tables: PlanTables, actions, flat, increments, states,
+             log_weights, ref_states, retrace_acc, retrace_decay) -> ParticleSet:
+    """The set after a step of either kernel, from its results in the
+    layout of ``particles``; ``flat`` is ``s * A + a`` per drawn action."""
+    first = particles.step == 0
+    # Atom accumulators estimate per-root-action values, so the root
+    # step enters conditioned on its action: its prior/proposal ratio is
+    # an importance correction for the atom sampling measure, not part
+    # of the action's value, and leaving it in would bias the backed-up
+    # policy against whatever the proposal was tilted toward. Later
+    # steps keep their full ratios (their actions are marginalized).
+    ancestor_logq = particles.ancestor_logq
+    if tables.config.inference_mode == "message_passing":
+        backed_up = np.asarray(increments)
+        if first:
+            backed_up = backed_up - tables.log_ratio.take(flat)
+        ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
     return ParticleSet(
-        states=next_states,
+        states=states,
         log_weights=log_weights,
         ancestors=particles.ancestors,
-        root_actions=root_actions,
+        root_actions=actions if first else particles.root_actions,
         ref_states=ref_states,
         ancestor_logq=ancestor_logq,
         retrace_acc=retrace_acc,
@@ -374,6 +385,8 @@ def multinomial_resample(
     """
     if mode not in RESAMPLE_MODES:
         raise ContractError(f"mode must be one of {RESAMPLE_MODES}, got {mode!r}")
+    if type(particles.states) is list:
+        return _resample_lists(particles, weights, rng, mode)
     k = particles.k
     weights = _require_weights(weights, k)
     # a lookup in sorted order walks the CDF once; particle i keeps uniform i
@@ -389,18 +402,26 @@ def multinomial_resample(
     else:
         states = particles.states[idx]
         ref_states = particles.ref_states[idx]
-    ancestors, groups = particles.ancestors[idx], particles.ancestor_groups
+    return _resampled(particles, states, np.zeros(k), particles.ancestors[idx], ref_states,
+                      particles.retrace_acc[idx], particles.retrace_decay[idx])
+
+
+def _resampled(particles: ParticleSet, states, log_weights, ancestors, ref_states, retrace_acc,
+               retrace_decay) -> ParticleSet:
+    """The set after a resample of either kernel, from the drawn fields in
+    the layout of ``particles``; a grouping, if it carries one, is rebuilt."""
+    groups = particles.ancestor_groups
     if groups is not None:
         groups = group_ancestors(ancestors, particles.ancestor_logq.size)
     return ParticleSet(
         states=states,
-        log_weights=np.zeros(k),
+        log_weights=log_weights,
         ancestors=ancestors,
         root_actions=particles.root_actions,
         ref_states=ref_states,
         ancestor_logq=particles.ancestor_logq,
-        retrace_acc=particles.retrace_acc[idx],
-        retrace_decay=particles.retrace_decay[idx],
+        retrace_acc=retrace_acc,
+        retrace_decay=retrace_decay,
         step=particles.step,
         ancestor_groups=groups,
     )
@@ -438,27 +459,8 @@ def _advance_lists(particles: ParticleSet, tables: PlanTables, rng) -> ParticleS
             decay = particles.retrace_decay[i] * gamma * lam * lists.ratio_cap[f]
             retrace_decay.append(decay)
             retrace_acc.append(particles.retrace_acc[i] + decay * lists.delta[j])
-
-    ancestor_logq = particles.ancestor_logq
-    if config.inference_mode == "message_passing":
-        backed_up = increments
-        if first:  # see advance
-            backed_up = [x - lists.log_ratio[f] for x, f in zip(increments, flat)]
-        ancestor_logq = accumulate_ancestor_q(
-            ancestor_logq, particles.ancestor_groups, np.array(backed_up)
-        )
-    return ParticleSet(
-        states=next_states,
-        log_weights=log_weights,
-        ancestors=particles.ancestors,
-        root_actions=actions if first else particles.root_actions,
-        ref_states=ref_states,
-        ancestor_logq=ancestor_logq,
-        retrace_acc=retrace_acc,
-        retrace_decay=retrace_decay,
-        step=particles.step + 1,
-        ancestor_groups=particles.ancestor_groups,
-    )
+    return _stepped(particles, tables, actions, flat, increments, next_states, log_weights,
+                    ref_states, retrace_acc, retrace_decay)
 
 
 def _resample_lists(
@@ -483,21 +485,8 @@ def _resample_lists(
         ancestors.append(particles.ancestors[i])
         retrace_acc.append(particles.retrace_acc[i])
         retrace_decay.append(particles.retrace_decay[i])
-    groups = particles.ancestor_groups
-    if groups is not None:
-        groups = group_ancestors(ancestors, particles.ancestor_logq.size)
-    return ParticleSet(
-        states=states,
-        log_weights=[0.0] * k,
-        ancestors=ancestors,
-        root_actions=particles.root_actions,
-        ref_states=states if mode == "revived" else ref_states,
-        ancestor_logq=particles.ancestor_logq,
-        retrace_acc=retrace_acc,
-        retrace_decay=retrace_decay,
-        step=particles.step,
-        ancestor_groups=groups,
-    )
+    return _resampled(particles, states, [0.0] * k, ancestors,
+                      states if mode == "revived" else ref_states, retrace_acc, retrace_decay)
 
 
 def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: int) -> np.ndarray:
@@ -586,10 +575,8 @@ def run_planner(
         raise ContractError("tables were built for another MDP or planner config")
     elif tables.model is not model:
         raise ContractError("tables were built from another model")
-    if config.k <= _SMALL_K:  # see the module docstring
-        particles, step, resample = _init_lists(s0, config), _advance_lists, _resample_lists
-    else:
-        particles, step, resample = init_particles(s0, config), advance, multinomial_resample
+    # at most _SMALL_K particles are held as lists (see the module docstring)
+    particles = (_init_lists if config.k <= _SMALL_K else init_particles)(s0, config)
     ess = np.empty(config.depth)
     distinct = np.full(config.depth, config.k, dtype=np.intp)
     terminal_counts = np.empty(config.depth, dtype=np.intp)
@@ -598,13 +585,13 @@ def run_planner(
 
     for t in range(1, config.depth + 1):
         gen = rng_mod.stream(seed, t) if t == 1 else rng_mod.rekey(gen, seed, t)
-        particles = step(particles, tables, gen)
+        particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
         weights, log_norm = normalized_weights(particles.log_weights, return_log_norm=True)
         ess[t - 1] = 1.0 / np.add.reduce(np.square(weights))
         if t % config.resample_period == 0 and t < config.depth:
             log_evidence += log_norm - log_k
-            particles = resample(particles, weights, gen, config.resample_mode)
+            particles = multinomial_resample(particles, weights, gen, config.resample_mode)
             resample_steps.append(t)
             # ancestors change only at a resample; a rebuilt grouping has
             # one entry per distinct atom

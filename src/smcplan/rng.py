@@ -19,10 +19,12 @@ counts them in one reduction, so its cost is a few array calls whatever
 the number of columns. ``mdp.step``, the planner's array step and its
 resampling, and training's action draws use these helpers.
 
-The planner's small-K loop (``planner._SMALL_K``) does not, because at
-a few particles numpy's per-call cost would set its time. It counts
-with ``bisect`` on list copies of the same cumulative masses
-(``planner._TableLists``). Its resampling (``planner._resample_lists``)
+The planner's list kernels, which ``planner.advance`` and
+``planner.multinomial_resample`` hand a set of at most
+``planner._SMALL_K`` particles to (so traced runs charge their time to
+those two), do not, because at a few particles numpy's per-call cost
+would set their time. They count with ``bisect`` on list copies of the
+same cumulative masses (``planner._TableLists``). The list resample
 sums the weights itself with ``itertools.accumulate``, in the same
 sequential order as :func:`cdf_rows`, and cuts the sum with
 ``bisect_left`` where :func:`cdf_rows` would write +inf; calling

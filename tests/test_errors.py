@@ -71,6 +71,10 @@ def _mdp(transition=TWO_STATES, reward=((0.0,), (0.0,)), terminal=(False, False)
     return TabularMdp(np.array(transition, dtype=float), np.array(reward), np.array(terminal))
 
 
+def _grid_with_trap(trap):
+    return {"name": "gridworld", "width": 3, "height": 3, "traps": [trap]}
+
+
 def _segment(n):
     return Segment(np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.zeros(n),
                    np.full((n, 2), 0.5), np.zeros(n), np.zeros(n, dtype=bool), 0.0)
@@ -145,6 +149,16 @@ CASES = {
     "gridworld_trap_on_goal": (
         lambda: make_gridworld(2, 2, traps=[(1, 1)]),
         ContractError, "goal cell cannot be a trap"),
+    # a trap that is not a [row, col] pair is a config error naming it
+    "gridworld_trap_one_coordinate": (
+        lambda: mdp_from_dict(_grid_with_trap([1])),
+        ConfigError, r"environment 'gridworld': trap \[1\] must be a \[row, col\] pair"),
+    "gridworld_trap_object": (
+        lambda: mdp_from_dict(_grid_with_trap({"a": 1})),
+        ConfigError, r"trap \{'a': 1\} must be a \[row, col\] pair"),
+    "gridworld_trap_three_coordinates": (
+        lambda: mdp_from_dict(_grid_with_trap([1, 2, 3])),
+        ConfigError, r"trap \[1, 2, 3\] must be a \[row, col\] pair"),
     "policy_table_shape": (
         lambda: soft_value_iteration(make_two_arm(), np.full((2, 3), 1 / 3), 1, 1.0),
         ContractError, "prior must have shape"),

@@ -555,18 +555,15 @@ def test_distinct_ancestors_count_the_ancestors_at_every_step(
 ):
     # under message passing the count is read off the resample's atom
     # grouping; it must equal a count of the ancestor ids themselves. K=8
-    # and K=16 resample in the list loop, K=32 in the vector loop.
-    recorded = {}
+    # and K=16 resample in the list kernel, K=32 in the array kernel.
+    recorded, resample = {}, planner_mod.multinomial_resample
 
-    def recording(resample):
-        def recording_resample(particles, weights, rng, mode="baseline"):
-            out = resample(particles, weights, rng, mode)
-            recorded[out.step] = np.count_nonzero(np.bincount(out.ancestors))
-            return out
-        return recording_resample
+    def recording_resample(particles, weights, rng, mode="baseline"):
+        out = resample(particles, weights, rng, mode)
+        recorded[out.step] = np.count_nonzero(np.bincount(out.ancestors))
+        return out
 
-    for name in ("multinomial_resample", "_resample_lists"):
-        monkeypatch.setattr(planner_mod, name, recording(getattr(planner_mod, name)))
+    monkeypatch.setattr(planner_mod, "multinomial_resample", recording_resample)
     for mdp in (make_random_mdp(6, 3, seed=41, terminal_states=(5,)), make_chain(6)):
         model = random_model(mdp.n_states, mdp.n_actions, seed=42)
         for seed, (k, period) in enumerate([(16, 1), (8, 2), (32, 3)]):

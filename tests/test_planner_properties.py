@@ -353,13 +353,51 @@ def test_list_loop_reproduces_the_vector_loop_bit_for_bit(problem):
     assert _output_bits(lists) == _output_bits(vector)
 
 
+def _set_bits(particles):
+    """Every field of a ``ParticleSet`` as (dtype, bytes), a list read as
+    the array it converts to, ``ancestor_groups`` field by field."""
+    def bits(x):
+        return None if x is None else (np.asarray(x).dtype.str, np.asarray(x).tobytes())
+
+    groups = particles.ancestor_groups
+    return ([bits(x) for x in particles[:-2]], particles.step,
+            None if groups is None else [bits(x) for x in groups])
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=small_k_problems())
+def test_both_layouts_step_and_resample_to_the_same_bits(problem):
+    # advance and multinomial_resample take a list-held set and an array
+    # set of the same problem to the same fields, each in its own layout
+    mdp, model, config, seed = problem
+    tables = plan_tables(mdp, model, config)
+    lists, arrays = _init_lists(0, config), init_particles(0, config)
+    for t in range(1, config.depth + 1):
+        gens = rng_mod.stream(seed, t), rng_mod.stream(seed, t)
+        lists, arrays = advance(lists, tables, gens[0]), advance(arrays, tables, gens[1])
+        assert type(lists.states) is list and type(arrays.states) is np.ndarray
+        assert _set_bits(lists) == _set_bits(arrays)
+        if t % config.resample_period == 0 and t < config.depth:
+            lists, arrays = (
+                multinomial_resample(p, normalized_weights(p.log_weights), gen,
+                                     config.resample_mode)
+                for p, gen in ((lists, gens[0]), (arrays, gens[1]))
+            )
+            assert type(lists.states) is list and type(arrays.states) is np.ndarray
+            assert _set_bits(lists) == _set_bits(arrays)
+
+
 def test_particle_sets_up_to_small_k_step_over_lists():
+    # every step and resample goes through advance and multinomial_resample,
+    # and only K <= _SMALL_K reaches the list kernels
     mdp = make_random_mdp(4, 2, seed=3, terminal_states=(3,))
     model = Model.zeros(4, 2)
-    kernels = {"_advance_lists": _advance_lists, "advance": advance}
-    for k, loop in ((_SMALL_K, "_advance_lists"), (_SMALL_K + 1, "advance")):
+    names = ("advance", "_advance_lists", "multinomial_resample", "_resample_lists")
+    kernels = {name: getattr(planner_mod, name) for name in names}
+    for k, on_lists in ((_SMALL_K, 1), (_SMALL_K + 1, 0)):
         with mock.patch.multiple(planner_mod, **{name: mock.Mock(side_effect=kernel)
                                                  for name, kernel in kernels.items()}):
             run_planner(mdp, 0, model, PlannerConfig(k=k, depth=3), seed=0)
-            steps = {name: getattr(planner_mod, name).call_count for name in kernels}
-        assert steps == {"_advance_lists": 0, "advance": 0, loop: 3}
+            calls = {name: getattr(planner_mod, name).call_count for name in names}
+        assert calls == {"advance": 3, "_advance_lists": 3 * on_lists,
+                         "multinomial_resample": 2, "_resample_lists": 2 * on_lists}
