@@ -133,9 +133,11 @@ def posterior_policy_stages(
 
 
 def _discounted_loglik(trajectory, gamma: float, temperature: float) -> float:
-    return sum(
-        (gamma**t) * r / temperature for t, r in enumerate(trajectory.rewards)
-    )
+    # added left to right: the builtin sum() is compensated from Python 3.12
+    total = 0.0
+    for t, r in enumerate(trajectory.rewards):
+        total += (gamma**t) * r / temperature
+    return total
 
 
 def exact_posterior_trajectories(

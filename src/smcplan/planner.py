@@ -42,10 +42,14 @@ go through one tail per operation, and the kernels agree to the bit by
 construction: the same stream reads in the same order, the same draws
 (a draw counts the row's cumulative masses at or below its uniform; a
 resample's cumulative sum runs in the same sequential order) and the
-same IEEE ``+ - *`` in the same order. What depends on numpy's kernels
-or summation order stays one numpy call: the normalized weights and
-ESS, the weight checks, the atom accumulators and grouping, and the
-readouts.
+same IEEE ``+ - *`` in the same order. The list layout keeps numpy only
+for the elementwise ``exp``, ``log`` and ``log1p``, whose SIMD kernels
+round unlike ``math.*``, and sums in numpy's order through
+``numerics.psum``, not the builtin ``sum()`` (compensated since Python
+3.12). So normalization and ESS, the weight checks, the atom grouping
+and backups and the message-passing readout run over lists inside the
+functions that name them, with the array routes' bits; the dirac
+readout and the retrace value's dot product stay numpy calls.
 """
 
 from __future__ import annotations
@@ -65,14 +69,12 @@ from .backups import message_passing_policy, mix_value_target
 from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, NumericalError
 from .errors import require_integers, require_range
 from .mdp import TabularMdp
-from .numerics import normalized_weights
+from .numerics import _SMALL_K, normalized_weights, psum
 from .trust_region import DISTRIBUTION_TOL, adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
 INFERENCE_MODES = ("dirac", "message_passing")
 RESAMPLE_MODES = ("baseline", "revived")
-# the largest particle count that steps over lists (see the module docstring)
-_SMALL_K = 16
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,8 @@ class ParticleSet(NamedTuple):
     call with at most ``_SMALL_K`` particles the per-particle fields are
     Python lists (:func:`_init_lists`), which :func:`advance` and
     :func:`multinomial_resample` step in their list kernels, so traced
-    runs charge those kernels' time to the two.
+    runs charge those kernels' time to the two; ``ancestor_logq`` is then
+    a list too, and the grouping holds lists.
     """
 
     states: np.ndarray
@@ -163,9 +166,8 @@ def init_particles(s0: int, config: PlannerConfig) -> ParticleSet:
 
 
 def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
-    """:func:`init_particles` with the per-particle fields as Python lists,
-    for the small-K loop; the atom-indexed ``ancestor_logq`` stays an
-    array, which ``accumulate_ancestor_q`` reads."""
+    """:func:`init_particles` with the per-particle and per-atom fields
+    as Python lists, for the small-K loop."""
     k, s0 = config.k, int(s0)
     return ParticleSet(
         states=[s0] * k,
@@ -173,7 +175,7 @@ def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
         ancestors=list(range(k)),
         root_actions=[-1] * k,
         ref_states=[s0] * k,
-        ancestor_logq=np.zeros(k),
+        ancestor_logq=[0.0] * k,
         retrace_acc=[0.0] * k,
         retrace_decay=[1.0] * k,
         step=0,
@@ -193,16 +195,20 @@ def weight_update(log_ratio, reward, v_next, v_cur, temperature: float, gamma: f
     return log_ratio + reward / temperature + gamma * v_next - v_cur
 
 
-def _require_weights(weights, k: int) -> np.ndarray:
-    """``weights`` as K normalized particle weights. The check is O(K):
-    a wrong shape is a :class:`ContractError`; negative, non-finite,
-    all-zero or unnormalized weights raise :class:`DegenerateWeightsError`
-    (a ``nan`` minimum is not ``>= 0`` and an infinite entry breaks the
-    sum)."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (k,):
+def _require_weights(weights, k: int):
+    """``weights`` as K normalized particle weights, a list kept as one.
+    The check is O(K): a wrong shape is a :class:`ContractError`;
+    negative, non-finite, all-zero or unnormalized weights raise
+    :class:`DegenerateWeightsError` (a ``nan`` or infinite entry breaks
+    the sum)."""
+    on_lists = type(weights) is list
+    if not on_lists:
+        weights = np.asarray(weights, dtype=float)
+    if ((len(weights),) if on_lists else weights.shape) != (k,):
         raise ContractError(f"weights must have shape ({k},)")
-    if not (np.minimum.reduce(weights) >= 0 and abs(np.add.reduce(weights) - 1.0) <= 1e-9):
+    low, total = ((min(weights), psum(weights)) if on_lists
+                  else (np.minimum.reduce(weights), np.add.reduce(weights)))
+    if not (low >= 0 and abs(total - 1.0) <= 1e-9):
         raise DegenerateWeightsError("weights must be non-negative, finite and sum to 1")
     return weights
 
@@ -274,8 +280,8 @@ class PlanTables:
         return _TableLists(
             mdp.n_actions, mdp.successor_states.shape[1], self.proposal_cdf[:, :-1].tolist(),
             mdp.successor_cdf[:, :-1].tolist(), mdp.successor_states.ravel().tolist(),
-            self.increment.tolist(), self.delta.tolist(), self.ratio_cap.ravel().tolist(),
-            mdp.terminal.tolist(),
+            self.increment.tolist(), self.delta.tolist(), self.log_ratio.ravel().tolist(),
+            self.ratio_cap.ravel().tolist(), mdp.terminal.tolist(),
         )
 
 
@@ -293,6 +299,7 @@ class _TableLists(NamedTuple):
     successor_states: list
     increment: list
     delta: list
+    log_ratio: list
     ratio_cap: list
     terminal: list
 
@@ -350,9 +357,10 @@ def _stepped(particles: ParticleSet, tables: PlanTables, actions, flat, incremen
     # steps keep their full ratios (their actions are marginalized).
     ancestor_logq = particles.ancestor_logq
     if tables.config.inference_mode == "message_passing":
-        backed_up = np.asarray(increments)
+        backed_up = increments
         if first:
-            backed_up = backed_up - tables.log_ratio.take(flat)
+            backed_up = ([x - tables._lists.log_ratio[f] for x, f in zip(increments, flat)]
+                         if type(flat) is list else increments - tables.log_ratio.take(flat))
         ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
     return ParticleSet(
         states=states,
@@ -412,7 +420,7 @@ def _resampled(particles: ParticleSet, states, log_weights, ancestors, ref_state
     the layout of ``particles``; a grouping, if it carries one, is rebuilt."""
     groups = particles.ancestor_groups
     if groups is not None:
-        groups = group_ancestors(ancestors, particles.ancestor_logq.size)
+        groups = group_ancestors(ancestors, len(particles.ancestor_logq))
     return ParticleSet(
         states=states,
         log_weights=log_weights,
@@ -471,22 +479,20 @@ def _resample_lists(
     are never written in place, so the revived references may share the
     states' list."""
     k = len(particles.states)
-    cdf = list(accumulate(_require_weights(weights, k).tolist()))
+    cdf = list(accumulate(_require_weights(weights, k)))
     # ``rng.cdf_rows`` makes every entry from the first that reaches the
     # total on +inf, so a draw counts only the entries before it, and
     # that count never passes the clamp at k - 1
     end = bisect_left(cdf, cdf[-1])
-    source = particles.ref_states if mode == "revived" else particles.states
-    states, ref_states, ancestors, retrace_acc, retrace_decay = [], [], [], [], []
-    for u in rng.random(k).tolist():
-        i = bisect_right(cdf, u, 0, end)
-        states.append(source[i])
-        ref_states.append(particles.ref_states[i])
-        ancestors.append(particles.ancestors[i])
-        retrace_acc.append(particles.retrace_acc[i])
-        retrace_decay.append(particles.retrace_decay[i])
-    return _resampled(particles, states, [0.0] * k, ancestors,
-                      states if mode == "revived" else ref_states, retrace_acc, retrace_decay)
+    drawn = [bisect_right(cdf, u, 0, end) for u in rng.random(k).tolist()]
+    if mode == "revived":
+        states = ref_states = [particles.ref_states[i] for i in drawn]
+    else:
+        states = [particles.states[i] for i in drawn]
+        ref_states = [particles.ref_states[i] for i in drawn]
+    return _resampled(particles, states, [0.0] * k, [particles.ancestors[i] for i in drawn],
+                      ref_states, [particles.retrace_acc[i] for i in drawn],
+                      [particles.retrace_decay[i] for i in drawn])
 
 
 def dirac_policy(particles: ParticleSet, weights: np.ndarray, n_root_actions: int) -> np.ndarray:
@@ -576,7 +582,9 @@ def run_planner(
     elif tables.model is not model:
         raise ContractError("tables were built from another model")
     # at most _SMALL_K particles are held as lists (see the module docstring)
-    particles = (_init_lists if config.k <= _SMALL_K else init_particles)(s0, config)
+    on_lists = config.k <= _SMALL_K
+    particles = (_init_lists if on_lists else init_particles)(s0, config)
+    terminal = tables._lists.terminal if on_lists else mdp.terminal
     ess = np.empty(config.depth)
     distinct = np.full(config.depth, config.k, dtype=np.intp)
     terminal_counts = np.empty(config.depth, dtype=np.intp)
@@ -588,7 +596,8 @@ def run_planner(
         particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
         weights, log_norm = normalized_weights(particles.log_weights, return_log_norm=True)
-        ess[t - 1] = 1.0 / np.add.reduce(np.square(weights))
+        ess[t - 1] = 1.0 / (psum([w * w for w in weights]) if on_lists
+                            else np.add.reduce(np.square(weights)))
         if t % config.resample_period == 0 and t < config.depth:
             log_evidence += log_norm - log_k
             particles = multinomial_resample(particles, weights, gen, config.resample_mode)
@@ -597,10 +606,14 @@ def run_planner(
             # one entry per distinct atom
             groups = particles.ancestor_groups
             distinct[t - 1:] = (
-                np.count_nonzero(np.bincount(particles.ancestors)) if groups is None
-                else groups.atoms.size
+                len(groups.atoms) if groups is not None
+                else len(set(particles.ancestors)) if on_lists
+                else np.count_nonzero(np.bincount(particles.ancestors))
             )
-        terminal_counts[t - 1] = np.count_nonzero(mdp.terminal.take(particles.states))
+        terminal_counts[t - 1] = (
+            [terminal[s] for s in particles.states].count(True) if on_lists
+            else np.count_nonzero(terminal.take(particles.states))
+        )
 
     if config.inference_mode == "dirac":
         root_policy = dirac_policy(particles, weights, mdp.n_actions)
@@ -609,7 +622,7 @@ def run_planner(
             np.exp(tables.log_prior[s0]), particles.root_actions, particles.ancestor_logq
         )
     value_model = float(tables.v_table[s0])
-    value_smc = value_model + float(weights @ particles.retrace_acc)
+    value_smc = value_model + float(np.dot(weights, particles.retrace_acc))
     root_value = mix_value_target(value_model, value_smc, config.sigma)
     diagnostics = PlannerDiagnostics(
         ess=ess,

@@ -286,8 +286,8 @@ def sgd_step(model: Model, grads: Model, cfg: LossConfig) -> Model:
     clipped gradient whose norm is not finite raises NumericalError."""
     g = np.clip(grads.params, -cfg.clip_abs, cfg.clip_abs)
     squares = Model.of_params(np.square(g), *model.policy_logits.shape)
-    tables = squares.policy_logits, squares.v_table, squares.q_table
-    norm = float(np.sqrt(sum(float(t.sum()) for t in tables)))
+    p, v, q = (float(t.sum()) for t in (squares.policy_logits, squares.v_table, squares.q_table))
+    norm = float(np.sqrt(p + v + q))  # left to right, as sum() added before Python 3.12
     if not math.isfinite(norm):
         raise NumericalError(f"gradient norm is {norm}")
     if norm > cfg.clip_norm and norm > 0:

@@ -9,6 +9,7 @@ import pytest
 from smcplan import (
     ConfigError,
     ContractError,
+    DegenerateWeightsError,
     ExperimentConfig,
     LossConfig,
     Model,
@@ -39,7 +40,8 @@ from smcplan import (
 from smcplan import rng as rng_mod
 from smcplan.cli import main
 from smcplan.harness import EXIT_CONFIG, EXIT_RUNTIME, config_from_dict, set_by_path
-from smcplan.planner import _SMALL_K
+from smcplan.numerics import normalized_weights
+from smcplan.planner import _SMALL_K, _init_lists
 
 PLANNER = PlannerConfig(k=2, depth=1)
 NO_ITEMS = np.zeros(0, dtype=np.intp)
@@ -100,6 +102,22 @@ CASES = {
     "run_planner_nonfinite_increment_vector": (
         lambda: _plan_off_the_prior(_SMALL_K + 1),
         NumericalError, "non-finite log weights"),
+    # a list-held set takes list weights: each check has a list route
+    "resample_list_weights_shape": (
+        lambda: multinomial_resample(_init_lists(0, PLANNER), [1.0], rng_mod.stream(0)),
+        ContractError, r"weights must have shape \(2,\)"),
+    "resample_list_weights_negative": (
+        lambda: multinomial_resample(_init_lists(0, PLANNER), [1.5, -0.5], rng_mod.stream(0)),
+        DegenerateWeightsError, "non-negative, finite and sum to 1"),
+    "resample_list_weights_nan": (
+        lambda: multinomial_resample(_init_lists(0, PLANNER), [0.5, np.nan], rng_mod.stream(0)),
+        DegenerateWeightsError, "non-negative, finite and sum to 1"),
+    "normalized_weights_list_nan": (
+        lambda: normalized_weights([0.0, np.nan]),
+        DegenerateWeightsError, "all zero or not finite"),
+    "normalized_weights_list_all_zero": (
+        lambda: normalized_weights([-np.inf, -np.inf]),
+        DegenerateWeightsError, "all zero or not finite"),
     "resample_mode": (
         lambda: multinomial_resample(init_particles(0, PLANNER), np.full(2, 0.5),
                                      rng_mod.stream(0), "stratified"),
@@ -159,6 +177,15 @@ CASES = {
     "gridworld_trap_three_coordinates": (
         lambda: mdp_from_dict(_grid_with_trap([1, 2, 3])),
         ConfigError, r"trap \[1, 2, 3\] must be a \[row, col\] pair"),
+    "gridworld_trap_ragged": (
+        lambda: mdp_from_dict(_grid_with_trap([1, [2]])),
+        ConfigError, r"trap \[1, \[2\]\] must be a \[row, col\] pair of integers"),
+    "gridworld_trap_not_numbers": (
+        lambda: mdp_from_dict(_grid_with_trap([1.5, "x"])),
+        ConfigError, r"trap \[1.5, 'x'\] must be a \[row, col\] pair of integers"),
+    "gridworld_trap_fractional_row": (
+        lambda: mdp_from_dict(_grid_with_trap([1.5, 0])),
+        ConfigError, r"trap \[1.5, 0\] must be a \[row, col\] pair of integers"),
     "policy_table_shape": (
         lambda: soft_value_iteration(make_two_arm(), np.full((2, 3), 1 / 3), 1, 1.0),
         ContractError, "prior must have shape"),

@@ -1,4 +1,5 @@
-"""The in-package log-sum-exp against scipy's, bit for bit."""
+"""The in-package log-sum-exp against scipy's, and the list routes
+against the array routes, bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
-from smcplan.numerics import logsumexp
+from smcplan.errors import DegenerateWeightsError
+from smcplan.numerics import _LOG_COUNTS, _SMALL_K, logsumexp, normalized_weights, psum
 
 finite = st.floats(-1e3, 1e3)
 special = st.sampled_from([-np.inf, np.inf, np.nan])
@@ -94,3 +96,74 @@ def test_vector_path_matches_the_general_path_bit_for_bit(size, scale, ties, neg
     ours, general = ours_quietly(a), logsumexp(a, axis=0)
     assert type(ours) is type(general) is np.float64
     assert ours.tobytes() == general.tobytes()
+
+
+def float_bits(values):
+    return [float(x).hex() for x in values]
+
+
+# magnitudes from 1e-30 to 1e30 of both signs, zeros of both signs among them
+def summands(size, seed):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=size) * np.exp(gen.uniform(-69.0, 69.0, size=size))
+    x[gen.random(size) < 0.1] = 0.0
+    x[gen.random(size) < 0.1] = -0.0
+    return x
+
+
+def test_psum_adds_in_numpys_order():
+    # every length up to 128: sequential below 8, eight strided
+    # accumulators from 8 on; the sign of a zero total included
+    for size in range(1, 129):
+        for x in [summands(size, seed) for seed in range(20)] + [np.full(size, -0.0)]:
+            assert float(psum(x.tolist())).hex() == float(np.add.reduce(x)).hex(), size
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 300), data=st.data())
+def test_psum_from_a_first_entry_adds_like_reduceat(size, data):
+    # a segment of np.add.reduceat is its first entry plus the rest in
+    # np.add.reduce's order; random segmentations, singletons included
+    x = summands(size, data.draw(st.integers(0, 2**32 - 1)))
+    cuts = data.draw(st.lists(st.integers(1, size - 1), max_size=8)) if size > 1 else []
+    starts = sorted({0, *cuts})
+    ends = starts[1:] + [size]
+    values = x.tolist()
+    ours = [psum(values[a + 1:b], values[a]) for a, b in zip(starts, ends)]
+    assert float_bits(ours) == float_bits(np.add.reduceat(x, starts))
+
+
+def test_log_count_table_has_the_bits_of_np_log():
+    assert float_bits(_LOG_COUNTS) == float_bits(np.log(np.arange(1, _SMALL_K + 1)))
+    assert float_bits(_LOG_COUNTS) == [float(np.log(float(m))).hex() for m in range(1, _SMALL_K + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, _SMALL_K),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+    ties=st.integers(0, 4),
+    neg_inf=st.sampled_from([0.0, 0.2, 1.0]),
+    extra=st.sampled_from([None, np.inf, np.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalized_weights_of_a_list_have_the_array_bits(size, scale, ties, neg_inf, extra, seed):
+    # up to _SMALL_K weights, ties at the maximum and -inf entries; all
+    # -inf, +inf and nan raise the same error in both routes
+    gen = np.random.default_rng(seed)
+    a = gen.normal(scale=scale, size=size)
+    a[gen.choice(size, min(ties, size), replace=False)] = a.max()
+    a[gen.random(size) < neg_inf] = -np.inf
+    if extra is not None:
+        a[gen.integers(size)] = extra
+    try:
+        expected = normalized_weights(a, return_log_norm=True)
+    except DegenerateWeightsError:
+        with pytest.raises(DegenerateWeightsError):
+            normalized_weights(a.tolist(), return_log_norm=True)
+        return
+    weights, log_norm = normalized_weights(a.tolist(), return_log_norm=True)
+    assert type(weights) is list and type(log_norm) is float
+    assert (np.asarray(weights).dtype.str, np.asarray(weights).tobytes()) == (
+        expected[0].dtype.str, expected[0].tobytes())
+    assert log_norm.hex() == float(expected[1]).hex()
