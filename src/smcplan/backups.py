@@ -11,30 +11,31 @@ readout normalizes its per-action masses with the planner's own
 ``mix_value_target`` blends the model value with the search value, the
 retrace trace that ``planner.advance`` keeps per particle.
 
-The planner's small-K loop hands these helpers Python lists; each takes
-a list route with its array route's bits, under the rule of
-``numerics``: only ``exp``, ``log`` and ``log1p`` stay numpy calls
-(``math.*`` rounds differently), and every sum goes through
-``numerics.psum`` (the builtin ``sum()`` is compensated from 3.12).
+The planner's small-K loop hands the readout its root actions as a
+list, and the readout then takes a list route with the array route's
+bits, under the rule of ``numerics``: only ``exp``, ``log`` and
+``log1p`` stay numpy calls (``math.*`` rounds differently), and every
+sum goes through ``numerics.psum`` (the builtin ``sum()`` is compensated
+from Python 3.12). The grouping and the accumulators stay on arrays at
+every K: a list route for them gained under a microsecond a call at
+K=4 and lost from K=8 on.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, require_range
-from .numerics import log_count, logsumexp, logsumexp_lists, normalized_weights, psum
+from .numerics import log_count, logsumexp, logsumexp_lists, normalized_weights
 
 
 class AncestorGroups(NamedTuple):
     """Particles by root atom: atom ``atoms[j]`` holds ``counts[j]``
     particles, from ``starts[j]`` on in ``order`` (a stable sort by atom
-    id). ``IDENTITY`` (``order`` None) is particle i alone in atom i.
-    Grouping a list gives lists."""
+    id). ``IDENTITY`` (``order`` None) is particle i alone in atom i."""
 
     order: np.ndarray | None
     starts: np.ndarray | None
@@ -50,15 +51,7 @@ def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
     """Group particles by their root atom ids (each in ``[0, n_atoms)``);
     the readout groups atoms by their root actions the same way. The ids
     are sorted stably in the narrowest type that holds them (a radix
-    sort), so sums over a group run in particle order. A list of ids in
-    range is grouped over lists; any other input takes the array route,
-    which rejects bad ids."""
-    if type(ancestors) is list and ancestors and 0 <= min(ancestors) <= max(ancestors) < n_atoms:
-        atoms = sorted(set(ancestors))
-        counts = [ancestors.count(j) for j in atoms]
-        order = sorted(range(len(ancestors)), key=ancestors.__getitem__)  # stable
-        return AncestorGroups(order, list(accumulate(counts[:-1], initial=0)), counts, atoms,
-                              [log_count(c) for c in counts])
+    sort), so sums over a group run in particle order."""
     anc = np.asarray(ancestors, dtype=np.intp)
     if anc.ndim != 1:
         raise ContractError("ancestors must be a vector")
@@ -82,23 +75,10 @@ def accumulate_ancestor_q(ancestor_logq, groups: AncestorGroups, log_ratio) -> n
     factor. For every root atom j with at least one surviving particle
     in ``groups``, the accumulator grows by ``log(mean(exp(log_ratio)))``
     over those particles (under ``IDENTITY``, the one finite ratio);
-    atoms with no survivors are left unchanged. A list ``log_ratio``
-    gives a list.
+    atoms with no survivors are left unchanged.
     """
-    on_lists = type(log_ratio) is list
     if groups.order is None:
-        if on_lists:
-            return [q + r for q, r in zip(ancestor_logq, log_ratio)]
         return ancestor_logq + log_ratio
-    if on_lists:
-        out = list(ancestor_logq)
-        for j, s, c, log_n in zip(groups.atoms, groups.starts, groups.counts, groups.log_counts):
-            run = [log_ratio[i] for i in groups.order[s:s + c]]
-            top = max(run)
-            shifted = [float(np.exp(x - top)) for x in run]
-            # np.add.reduceat: the group's first entry plus the rest
-            out[j] += top + float(np.log(psum(shifted[1:], shifted[0]))) - log_n
-        return out
     ratio_sorted = log_ratio[groups.order]
     seg_max = np.maximum.reduceat(ratio_sorted, groups.starts)
     sums = np.add.reduceat(np.exp(ratio_sorted - seg_max.repeat(groups.counts)), groups.starts)
@@ -128,35 +108,49 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     :class:`DegenerateWeightsError`.
     """
     prior = np.asarray(prior_row, dtype=float)
-    lse = None
-    if (type(root_actions) is list and type(ancestor_logq) is list
-            and 0 < len(root_actions) == len(ancestor_logq)
-            and 0 <= min(root_actions) <= max(root_actions) < prior.size):
-        # grouped by action, each action's atoms form one run, in atom order
-        groups = group_ancestors(root_actions, prior.size)
-        runs = [[ancestor_logq[i] for i in groups.order[s:s + c]]
-                for s, c in zip(groups.starts, groups.counts)]
-        tops = [max(run) for run in runs]
-        if all(map(math.isfinite, tops)):
-            lse = logsumexp_lists(runs, tops)
-    if lse is None:  # arrays, bad lists (rejected here) and non-finite runs
-        actions = np.asarray(root_actions, dtype=np.intp)
+    if type(root_actions) is list:
         logq = np.asarray(ancestor_logq, dtype=float)
-        if actions.shape != logq.shape or actions.ndim != 1:
-            raise ContractError("root_actions and ancestor_logq must be equal-length vectors")
-        if actions.size == 0:
-            raise ContractError("need at least one root atom")
-        if actions.min() < 0 or actions.max() >= prior.size:
-            raise ContractError("root actions out of range")
-        groups = group_ancestors(actions, prior.size)
-        logq = logq[groups.order]
-        lse = [float(logsumexp(logq[s:s + c]))
-               for s, c in zip(groups.starts.tolist(), groups.counts.tolist())]
+        if (logq.shape == (len(root_actions),) and root_actions
+                and 0 <= min(root_actions) <= max(root_actions) < prior.size):
+            policy = _message_passing_lists(prior, root_actions, logq.tolist())
+            if policy is not None:
+                return policy
+    actions = np.asarray(root_actions, dtype=np.intp)
+    logq = np.asarray(ancestor_logq, dtype=float)
+    if actions.shape != logq.shape or actions.ndim != 1:
+        raise ContractError("root_actions and ancestor_logq must be equal-length vectors")
+    if actions.size == 0:
+        raise ContractError("need at least one root atom")
+    if actions.min() < 0 or actions.max() >= prior.size:
+        raise ContractError("root actions out of range")
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+    # grouped by action, each action's atoms form one run, in atom order
+    groups = group_ancestors(actions, prior.size)
+    logq = logq[groups.order]
+    log_mass = np.full(prior.size, -np.inf)
+    for a, start, count, log_count in zip(groups.atoms.tolist(), groups.starts.tolist(),
+                                          groups.counts.tolist(), groups.log_counts.tolist()):
+        log_mass[a] = log_prior[a] + logsumexp(logq[start:start + count]) - log_count
+    return normalized_weights(log_mass)
+
+
+def _message_passing_lists(prior, root_actions: list, logq: list):
+    """:func:`message_passing_policy` of the small-K loop's root actions,
+    valid ids, with the array route's bits; ``None`` when an action's
+    atoms have no finite maximum, which the array route handles."""
+    runs = {}
+    for a, q in zip(root_actions, logq):  # each action's atoms, in atom order
+        runs.setdefault(a, []).append(q)
+    actions = sorted(runs)
+    tops = [max(runs[a]) for a in actions]
+    if not all(map(math.isfinite, tops)):
+        return None
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior).tolist()
     log_mass = [-math.inf] * prior.size
-    for a, value, log_n in zip(groups.atoms, lse, groups.log_counts):
-        log_mass[a] = log_prior[a] + value - log_n
+    for a, value in zip(actions, logsumexp_lists([runs[a] for a in actions], tops)):
+        log_mass[a] = log_prior[a] + value - log_count(len(runs[a]))
     return np.array(normalized_weights(log_mass))
 
 

@@ -34,11 +34,16 @@ class ConfigError(ValueError):
     """An experiment or environment description failed validation."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; ``2.0`` and ``True`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integers(**fields):
     """Raise :class:`ContractError` naming the first field whose value is
-    not an integer; ``2.0`` and ``True`` are not integers here."""
+    not an integer (see :func:`is_integer`)."""
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ContractError(f"{name} must be an integer, got {value!r}")
 
 

@@ -13,13 +13,13 @@ and the test-suite use as ground truth for sampled estimators.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError, require_integers, require_range
+from .errors import BudgetError, ConfigError, ContractError, is_integer, require_integers
+from .errors import require_range
 from .rng import categorical, cdf_rows
 
 _ROW_SUM_TOL = 1e-12
@@ -197,10 +197,8 @@ def make_gridworld(width: int, height: int, traps: Sequence = ()) -> TabularMdp:
     terminal = np.zeros(n_states, dtype=bool)
     terminal[n_states - 1] = True  # the goal's id
     for cell in traps:
-        # like require_integers, True is not an integer here
         pair = isinstance(cell, (list, tuple)) or (isinstance(cell, np.ndarray) and cell.ndim == 1)
-        if not (pair and len(cell) == 2 and all(
-                isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in cell)):
+        if not (pair and len(cell) == 2 and all(map(is_integer, cell))):
             raise ContractError(f"trap {cell!r} must be a [row, col] pair of integers")
         row, col = int(cell[0]), int(cell[1])
         if not (0 <= row < height and 0 <= col < width):

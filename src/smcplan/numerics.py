@@ -23,7 +23,9 @@ route keeps numpy only for the elementwise ``exp``, ``log`` and
 ``log1p`` (numpy's SIMD kernels round unlike ``math.*``, on about 5% of
 ``exp`` values) and sums in ``np.add.reduce``'s order through
 :func:`psum`, never the builtin ``sum()``, which Python 3.12 made
-compensated; so it has the array route's bits.
+compensated; so it has the array route's bits. Weights take the list
+route only below ``_SEQUENTIAL_SUM`` entries: from there on numpy's
+unrolled sum and fixed per-call cost beat the list route's passes.
 """
 
 from __future__ import annotations
@@ -36,17 +38,19 @@ from .errors import DegenerateWeightsError
 
 # the largest particle count that steps over lists (see ``planner``)
 _SMALL_K = 16
+# np.add.reduce adds fewer entries than this one by one
+_SEQUENTIAL_SUM = 8
 # np.log of the counts 1 .. _SMALL_K, the bits of np.log on any count
 _LOG_COUNTS = np.log(np.arange(1.0, _SMALL_K + 1)).tolist()
 
 
 def psum(values, first=0.0) -> float:
     """``first`` plus a list's sum in ``np.add.reduce``'s order: sequential
-    below 8 entries, eight strided accumulators up to 128, halves above.
-    ``psum(x)`` has the bits of ``np.add.reduce(x)``, and ``psum(x[1:],
-    x[0])`` those of a segment of ``np.add.reduceat``."""
+    below ``_SEQUENTIAL_SUM``, eight strided accumulators up to 128
+    entries, halves above. ``psum(x)`` has the bits of ``np.add.reduce(x)``,
+    and ``psum(x[1:], x[0])`` those of a segment of ``np.add.reduceat``."""
     n = len(values)
-    if n < 8:
+    if n < _SEQUENTIAL_SUM:
         total = -0.0
         for v in values:
             total += v
@@ -121,9 +125,11 @@ def normalized_weights(log_weights, return_log_norm: bool = False):
     """Exponentiate and normalize log weights; rejects degenerate sets
     (every weight zero, or one ``nan`` or ``+inf``). With
     ``return_log_norm``, returns ``(weights, logsumexp(log_weights))``.
-    A list gives a list and a float with the bits of the array route; one
-    whose maximum is not finite takes the array route, which raises."""
-    if type(log_weights) is list and math.isfinite(top := max(log_weights, default=math.nan)):
+    A list shorter than ``_SEQUENTIAL_SUM`` with a finite maximum gives a
+    list and a float with the array route's bits; any other input takes
+    the array route, which gives an array or raises."""
+    if (type(log_weights) is list and len(log_weights) < _SEQUENTIAL_SUM
+            and math.isfinite(top := max(log_weights, default=math.nan))):
         [norm] = logsumexp_lists([log_weights], [top])
     else:
         log_weights = np.asarray(log_weights, dtype=float)

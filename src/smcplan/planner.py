@@ -46,10 +46,11 @@ same IEEE ``+ - *`` in the same order. The list layout keeps numpy only
 for the elementwise ``exp``, ``log`` and ``log1p``, whose SIMD kernels
 round unlike ``math.*``, and sums in numpy's order through
 ``numerics.psum``, not the builtin ``sum()`` (compensated since Python
-3.12). So normalization and ESS, the weight checks, the atom grouping
-and backups and the message-passing readout run over lists inside the
-functions that name them, with the array routes' bits; the dirac
-readout and the retrace value's dot product stay numpy calls.
+3.12). So the message-passing readout and, below 8 particles,
+normalization, ESS and the weight checks run over lists inside the
+functions that name them, with the array routes' bits (from 8 on,
+numpy's unrolled sum is cheaper). The atom grouping and accumulators,
+the dirac readout and the retrace value's dot product stay numpy calls.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ class ParticleSet(NamedTuple):
     call with at most ``_SMALL_K`` particles the per-particle fields are
     Python lists (:func:`_init_lists`), which :func:`advance` and
     :func:`multinomial_resample` step in their list kernels, so traced
-    runs charge those kernels' time to the two; ``ancestor_logq`` is then
-    a list too, and the grouping holds lists.
+    runs charge those kernels' time to the two.
     """
 
     states: np.ndarray
@@ -166,8 +166,9 @@ def init_particles(s0: int, config: PlannerConfig) -> ParticleSet:
 
 
 def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
-    """:func:`init_particles` with the per-particle and per-atom fields
-    as Python lists, for the small-K loop."""
+    """:func:`init_particles` with the per-particle fields as Python lists,
+    for the small-K loop; the atom-indexed ``ancestor_logq`` stays an
+    array, which ``accumulate_ancestor_q`` reads."""
     k, s0 = config.k, int(s0)
     return ParticleSet(
         states=[s0] * k,
@@ -175,7 +176,7 @@ def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
         ancestors=list(range(k)),
         root_actions=[-1] * k,
         ref_states=[s0] * k,
-        ancestor_logq=[0.0] * k,
+        ancestor_logq=np.zeros(k),
         retrace_acc=[0.0] * k,
         retrace_decay=[1.0] * k,
         step=0,
@@ -280,8 +281,8 @@ class PlanTables:
         return _TableLists(
             mdp.n_actions, mdp.successor_states.shape[1], self.proposal_cdf[:, :-1].tolist(),
             mdp.successor_cdf[:, :-1].tolist(), mdp.successor_states.ravel().tolist(),
-            self.increment.tolist(), self.delta.tolist(), self.log_ratio.ravel().tolist(),
-            self.ratio_cap.ravel().tolist(), mdp.terminal.tolist(),
+            self.increment.tolist(), self.delta.tolist(), self.ratio_cap.ravel().tolist(),
+            mdp.terminal.tolist(),
         )
 
 
@@ -299,7 +300,6 @@ class _TableLists(NamedTuple):
     successor_states: list
     increment: list
     delta: list
-    log_ratio: list
     ratio_cap: list
     terminal: list
 
@@ -357,10 +357,9 @@ def _stepped(particles: ParticleSet, tables: PlanTables, actions, flat, incremen
     # steps keep their full ratios (their actions are marginalized).
     ancestor_logq = particles.ancestor_logq
     if tables.config.inference_mode == "message_passing":
-        backed_up = increments
+        backed_up = np.asarray(increments)
         if first:
-            backed_up = ([x - tables._lists.log_ratio[f] for x, f in zip(increments, flat)]
-                         if type(flat) is list else increments - tables.log_ratio.take(flat))
+            backed_up = backed_up - tables.log_ratio.take(flat)
         ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
     return ParticleSet(
         states=states,
@@ -420,7 +419,7 @@ def _resampled(particles: ParticleSet, states, log_weights, ancestors, ref_state
     the layout of ``particles``; a grouping, if it carries one, is rebuilt."""
     groups = particles.ancestor_groups
     if groups is not None:
-        groups = group_ancestors(ancestors, len(particles.ancestor_logq))
+        groups = group_ancestors(ancestors, particles.ancestor_logq.size)
     return ParticleSet(
         states=states,
         log_weights=log_weights,
@@ -479,7 +478,8 @@ def _resample_lists(
     are never written in place, so the revived references may share the
     states' list."""
     k = len(particles.states)
-    cdf = list(accumulate(_require_weights(weights, k)))
+    weights = _require_weights(weights, k)
+    cdf = list(accumulate(weights if type(weights) is list else weights.tolist()))
     # ``rng.cdf_rows`` makes every entry from the first that reaches the
     # total on +inf, so a draw counts only the entries before it, and
     # that count never passes the clamp at k - 1
@@ -596,7 +596,7 @@ def run_planner(
         particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
         weights, log_norm = normalized_weights(particles.log_weights, return_log_norm=True)
-        ess[t - 1] = 1.0 / (psum([w * w for w in weights]) if on_lists
+        ess[t - 1] = 1.0 / (psum([w * w for w in weights]) if type(weights) is list
                             else np.add.reduce(np.square(weights)))
         if t % config.resample_period == 0 and t < config.depth:
             log_evidence += log_norm - log_k
@@ -606,7 +606,7 @@ def run_planner(
             # one entry per distinct atom
             groups = particles.ancestor_groups
             distinct[t - 1:] = (
-                len(groups.atoms) if groups is not None
+                groups.atoms.size if groups is not None
                 else len(set(particles.ancestors)) if on_lists
                 else np.count_nonzero(np.bincount(particles.ancestors))
             )

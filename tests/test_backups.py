@@ -277,32 +277,6 @@ def _bits(values):
     return values.dtype.str, values.tobytes()
 
 
-def small_k_ids(n_atoms, k, data, gen):
-    """``random_ids`` below ``_SMALL_K`` atoms: one live atom puts all
-    ``k`` particles in one group, many live atoms give singletons."""
-    return random_ids(n_atoms, k, data, gen).tolist()
-
-
-@settings(max_examples=300, deadline=None)
-@given(n_atoms=st.integers(1, _SMALL_K), k=st.integers(1, _SMALL_K), data=st.data())
-def test_list_grouping_and_accumulation_have_the_array_bits(n_atoms, k, data):
-    # the small-K loop's list-held grouping and accumulators against the
-    # array routes, field by field, groups of 1 to _SMALL_K particles
-    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ids = small_k_ids(n_atoms, k, data, gen)
-    listed, arrays = group_ancestors(ids, n_atoms), group_ancestors(np.array(ids), n_atoms)
-    assert all(type(field) is list for field in listed)
-    assert [_bits(field) for field in listed] == [_bits(field) for field in arrays]
-    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    ratios, logq = gen.normal(scale=scale, size=k), gen.normal(size=n_atoms)
-    ratios[gen.random(k) < 0.3] = ratios[0]  # ties within a group
-    cases = [(listed, arrays)] + ([(IDENTITY, IDENTITY)] if k == n_atoms else [])
-    for list_groups, array_groups in cases:
-        out = accumulate_ancestor_q(logq.tolist(), list_groups, ratios.tolist())
-        assert type(out) is list
-        assert _bits(out) == _bits(accumulate_ancestor_q(logq, array_groups, ratios))
-
-
 @settings(max_examples=300, deadline=None)
 @given(n_actions=st.integers(1, _SMALL_K), k=st.integers(1, _SMALL_K), data=st.data())
 def test_list_readout_has_the_array_bits(n_actions, k, data):
@@ -310,7 +284,8 @@ def test_list_readout_has_the_array_bits(n_actions, k, data):
     prior = gen.dirichlet(np.ones(n_actions)) * (gen.random(n_actions) < 0.8)
     prior[gen.integers(n_actions)] += 0.5
     prior /= prior.sum()
-    actions = small_k_ids(n_actions, k, data, gen)
+    # one live action puts all k atoms in one run, many give singletons
+    actions = random_ids(n_actions, k, data, gen).tolist()
     logq = gen.normal(scale=data.draw(st.sampled_from([1e-3, 1.0, 30.0])), size=k)
     logq[gen.random(k) < 0.3] = logq.max()  # ties at an action's maximum
     if data.draw(st.booleans()):
@@ -325,6 +300,8 @@ def test_list_readout_has_the_array_bits(n_actions, k, data):
     # the array route and the per-action mask loop, which normalizes an array
     expected = readout(message_passing_policy, np.array(actions), logq)
     assert readout(message_passing_reference, np.array(actions), logq) == expected
+    # list root actions, as the small-K loop holds them, with either layout of logq
+    assert readout(message_passing_policy, actions, logq) == expected
     assert readout(message_passing_policy, actions, logq.tolist()) == expected
 
 

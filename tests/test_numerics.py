@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from smcplan.errors import DegenerateWeightsError
-from smcplan.numerics import _LOG_COUNTS, _SMALL_K, logsumexp, normalized_weights, psum
+from smcplan.numerics import _LOG_COUNTS, _SEQUENTIAL_SUM, _SMALL_K, logsumexp, logsumexp_lists
+from smcplan.numerics import normalized_weights, psum
 
 finite = st.floats(-1e3, 1e3)
 special = st.sampled_from([-np.inf, np.inf, np.nan])
@@ -139,6 +140,21 @@ def test_log_count_table_has_the_bits_of_np_log():
 
 
 @settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, _SMALL_K), min_size=1, max_size=4),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+def test_logsumexp_of_list_runs_has_the_array_bits(sizes, scale, seed):
+    # the readout's per-action runs, up to _SMALL_K entries each: past 8
+    # entries the rest is summed with numpy's strided accumulators
+    gen = np.random.default_rng(seed)
+    runs = [gen.normal(scale=scale, size=size) for size in sizes]
+    for run in runs:
+        run[gen.random(run.size) < 0.3] = run.max()  # ties at the maximum
+        run[(gen.random(run.size) < 0.2) & (run < run.max())] = -np.inf  # maxima stay finite
+    ours = logsumexp_lists([run.tolist() for run in runs], [float(run.max()) for run in runs])
+    assert float_bits(ours) == float_bits([logsumexp(run) for run in runs])
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     size=st.integers(1, _SMALL_K),
     scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
@@ -149,7 +165,8 @@ def test_log_count_table_has_the_bits_of_np_log():
 )
 def test_normalized_weights_of_a_list_have_the_array_bits(size, scale, ties, neg_inf, extra, seed):
     # up to _SMALL_K weights, ties at the maximum and -inf entries; all
-    # -inf, +inf and nan raise the same error in both routes
+    # -inf, +inf and nan raise the same error in both routes; a list of
+    # _SEQUENTIAL_SUM or more takes the array route
     gen = np.random.default_rng(seed)
     a = gen.normal(scale=scale, size=size)
     a[gen.choice(size, min(ties, size), replace=False)] = a.max()
@@ -163,7 +180,8 @@ def test_normalized_weights_of_a_list_have_the_array_bits(size, scale, ties, neg
             normalized_weights(a.tolist(), return_log_norm=True)
         return
     weights, log_norm = normalized_weights(a.tolist(), return_log_norm=True)
-    assert type(weights) is list and type(log_norm) is float
+    assert type(weights) is (list if size < _SEQUENTIAL_SUM else np.ndarray)
+    assert isinstance(log_norm, float)
     assert (np.asarray(weights).dtype.str, np.asarray(weights).tobytes()) == (
         expected[0].dtype.str, expected[0].tobytes())
     assert log_norm.hex() == float(expected[1]).hex()
