@@ -12,13 +12,9 @@ readout normalizes its per-action masses with the planner's own
 retrace trace that ``planner.advance`` keeps per particle.
 
 The planner's small-K loop hands the readout its root actions as a
-list, and the readout then takes a list route with the array route's
-bits, under the rule of ``numerics``: only ``exp``, ``log`` and
-``log1p`` stay numpy calls (``math.*`` rounds differently), and every
-sum goes through ``numerics.psum`` (the builtin ``sum()`` is compensated
-from Python 3.12). The grouping and the accumulators stay on arrays at
-every K: a list route for them gained under a microsecond a call at
-K=4 and lost from K=8 on.
+list; up to ``_SMALL_K`` atoms the readout then takes a list route with
+the array route's bits, under the list rule of the ``planner`` module
+docstring. The grouping and the accumulators stay on arrays at every K.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, require_range
-from .numerics import log_count, logsumexp, logsumexp_lists, normalized_weights
+from .numerics import _LOG_COUNTS, _SMALL_K, logsumexp, logsumexp_lists, normalized_weights
 
 
 class AncestorGroups(NamedTuple):
@@ -108,15 +104,14 @@ def message_passing_policy(prior_row, root_actions, ancestor_logq) -> np.ndarray
     :class:`DegenerateWeightsError`.
     """
     prior = np.asarray(prior_row, dtype=float)
-    if type(root_actions) is list:
-        logq = np.asarray(ancestor_logq, dtype=float)
+    logq = np.asarray(ancestor_logq, dtype=float)
+    if type(root_actions) is list and len(root_actions) <= _SMALL_K:
         if (logq.shape == (len(root_actions),) and root_actions
                 and 0 <= min(root_actions) <= max(root_actions) < prior.size):
             policy = _message_passing_lists(prior, root_actions, logq.tolist())
             if policy is not None:
                 return policy
     actions = np.asarray(root_actions, dtype=np.intp)
-    logq = np.asarray(ancestor_logq, dtype=float)
     if actions.shape != logq.shape or actions.ndim != 1:
         raise ContractError("root_actions and ancestor_logq must be equal-length vectors")
     if actions.size == 0:
@@ -142,15 +137,14 @@ def _message_passing_lists(prior, root_actions: list, logq: list):
     runs = {}
     for a, q in zip(root_actions, logq):  # each action's atoms, in atom order
         runs.setdefault(a, []).append(q)
-    actions = sorted(runs)
-    tops = [max(runs[a]) for a in actions]
+    tops = [max(run) for run in runs.values()]
     if not all(map(math.isfinite, tops)):
         return None
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior).tolist()
     log_mass = [-math.inf] * prior.size
-    for a, value in zip(actions, logsumexp_lists([runs[a] for a in actions], tops)):
-        log_mass[a] = log_prior[a] + value - log_count(len(runs[a]))
+    for (a, run), value in zip(runs.items(), logsumexp_lists(list(runs.values()), tops)):
+        log_mass[a] = log_prior[a] + value - _LOG_COUNTS[len(run) - 1]
     return np.array(normalized_weights(log_mass))
 
 

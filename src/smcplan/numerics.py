@@ -18,14 +18,9 @@ without their Python wrappers.
 probabilities: the planner's particle weights every step, and the
 message-passing root policy's per-action masses.
 
-The small-K planner loop hands these functions Python lists. A list
-route keeps numpy only for the elementwise ``exp``, ``log`` and
-``log1p`` (numpy's SIMD kernels round unlike ``math.*``, on about 5% of
-``exp`` values) and sums in ``np.add.reduce``'s order through
-:func:`psum`, never the builtin ``sum()``, which Python 3.12 made
-compensated; so it has the array route's bits. Weights take the list
-route only below ``_SEQUENTIAL_SUM`` entries: from there on numpy's
-unrolled sum and fixed per-call cost beat the list route's passes.
+The small-K planner loop hands these functions Python lists; they
+follow the list rule stated once in the ``planner`` module docstring,
+so a list route has the array route's bits.
 """
 
 from __future__ import annotations
@@ -44,33 +39,15 @@ _SEQUENTIAL_SUM = 8
 _LOG_COUNTS = np.log(np.arange(1.0, _SMALL_K + 1)).tolist()
 
 
-def psum(values, first=0.0) -> float:
-    """``first`` plus a list's sum in ``np.add.reduce``'s order: sequential
-    below ``_SEQUENTIAL_SUM``, eight strided accumulators up to 128
-    entries, halves above. ``psum(x)`` has the bits of ``np.add.reduce(x)``,
-    and ``psum(x[1:], x[0])`` those of a segment of ``np.add.reduceat``."""
-    n = len(values)
-    if n < _SEQUENTIAL_SUM:
-        total = -0.0
-        for v in values:
-            total += v
-    elif n <= 128:
-        r = values[:8]
-        for i in range(8, n - n % 8, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[n - n % 8:]:
-            total += v
-    else:
-        half = n // 2 - n // 2 % 8
-        total = psum(values[:half], -0.0) + psum(values[half:], -0.0)
-    return first + total
-
-
-def log_count(m: int) -> float:
-    """``np.log(m)`` of a positive count, from a table up to ``_SMALL_K``."""
-    return _LOG_COUNTS[m - 1] if m <= _SMALL_K else float(np.log(m))
+def psum(values) -> float:
+    """A list's sum with the bits of ``np.add.reduce``: one by one from
+    ``0.0`` below ``_SEQUENTIAL_SUM`` entries, numpy's own from there on."""
+    if len(values) >= _SEQUENTIAL_SUM:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _shifted(a, a_max, axis):
@@ -108,16 +85,17 @@ def logsumexp(a, axis=None):
 
 
 def logsumexp_lists(runs, tops) -> list:
-    """:func:`logsumexp` of each of ``runs``, lists of floats whose maxima
-    ``tops`` are finite, with the one-pass route's bits: one ``np.exp``
-    over every entry of every run, then one scalar ``np.log1p`` a run."""
+    """:func:`logsumexp` of each of ``runs``, lists of at most ``_SMALL_K``
+    floats whose maxima ``tops`` are finite, with the one-pass route's
+    bits: one ``np.exp`` over every entry of every run, then one scalar
+    ``np.log1p`` a run."""
     shifted = iter(np.exp([x - top for run, top in zip(runs, tops) for x in run]).tolist())
     out = []
     for run, top in zip(runs, tops):
         m = run.count(top)
         # the maxima are counted in m instead; zip takes len(run) entries
         rest = psum([0.0 if x == top else r for x, r in zip(run, shifted)])
-        out.append(float(np.log1p(rest / m)) + log_count(m) + top)
+        out.append(float(np.log1p(rest / m)) + _LOG_COUNTS[m - 1] + top)
     return out
 
 

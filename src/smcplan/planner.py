@@ -40,17 +40,28 @@ numpy's per-call cost, not by array work, up to the measured crossover
 (between 16 and 32 particles on an 8x8 gridworld). Both layouts' results
 go through one tail per operation, and the kernels agree to the bit by
 construction: the same stream reads in the same order, the same draws
-(a draw counts the row's cumulative masses at or below its uniform; a
-resample's cumulative sum runs in the same sequential order) and the
-same IEEE ``+ - *`` in the same order. The list layout keeps numpy only
-for the elementwise ``exp``, ``log`` and ``log1p``, whose SIMD kernels
-round unlike ``math.*``, and sums in numpy's order through
-``numerics.psum``, not the builtin ``sum()`` (compensated since Python
-3.12). So the message-passing readout and, below 8 particles,
-normalization, ESS and the weight checks run over lists inside the
-functions that name them, with the array routes' bits (from 8 on,
-numpy's unrolled sum is cheaper). The atom grouping and accumulators,
-the dirac readout and the retrace value's dot product stay numpy calls.
+and the same IEEE ``+ - *`` in the same order. The list kernels draw
+without ``rng``'s array helpers: they count with ``bisect`` on list
+copies of the same cumulative masses (``_TableLists``), and the list
+resample sums the weights with ``itertools.accumulate``, in
+``rng.cdf_rows``'s sequential order, and cuts the sum with
+``bisect_left`` where ``cdf_rows`` would write +inf (calling
+``cdf_rows`` there costs 2.5-4 µs more per four-particle resample on a
+2-vCPU Xeon).
+
+Every list route, here and in ``numerics`` and ``backups``, keeps the
+array route's bits by one rule. Only the elementwise ``exp``, ``log``
+and ``log1p`` stay numpy calls, whose SIMD kernels round unlike
+``math.*``. A list of fewer than 8 entries is added one by one from
+``0.0``, which is numpy's own order (``numerics.psum``), and numpy sums
+everything else; the builtin ``sum()``, compensated since Python 3.12,
+is never used on floats. So the message-passing readout of up to
+``_SMALL_K`` atoms and, below 8 particles, normalization, ESS and the
+weight checks run over lists inside the functions that name them; from
+8 particles on, numpy's own sum and per-call cost beat the list passes.
+The atom grouping and accumulators (a list route for them gained under
+a microsecond a call at K=4 and lost from K=8 on), the dirac readout
+and the retrace value's dot product stay numpy calls.
 """
 
 from __future__ import annotations
@@ -126,9 +137,7 @@ class ParticleSet(NamedTuple):
     retrace accumulator/decay pair carries its running return estimate.
     A named tuple: immutable, and cheap to build twice per step. In a
     call with at most ``_SMALL_K`` particles the per-particle fields are
-    Python lists (:func:`_init_lists`), which :func:`advance` and
-    :func:`multinomial_resample` step in their list kernels, so traced
-    runs charge those kernels' time to the two.
+    Python lists, stepped under the module docstring's list rule.
     """
 
     states: np.ndarray

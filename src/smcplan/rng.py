@@ -19,17 +19,8 @@ counts them in one reduction, so its cost is a few array calls whatever
 the number of columns. ``mdp.step``, the planner's array step and its
 resampling, and training's action draws use these helpers.
 
-The planner's list kernels, which ``planner.advance`` and
-``planner.multinomial_resample`` hand a set of at most
-``planner._SMALL_K`` particles to (so traced runs charge their time to
-those two), do not, because at a few particles numpy's per-call cost
-would set their time. They count with ``bisect`` on list copies of the
-same cumulative masses (``planner._TableLists``). The list resample
-sums the weights itself with ``itertools.accumulate``, in the same
-sequential order as :func:`cdf_rows`, and cuts the sum with
-``bisect_left`` where :func:`cdf_rows` would write +inf; calling
-:func:`cdf_rows` there costs 2.5-4 µs more per four-particle resample
-on a 2-vCPU Xeon. Both forms make the same draws, bit for bit.
+The planner's list kernels make the same draws without these helpers;
+the ``planner`` module docstring says how.
 """
 
 from __future__ import annotations

@@ -278,8 +278,9 @@ def _bits(values):
 
 
 @settings(max_examples=300, deadline=None)
-@given(n_actions=st.integers(1, _SMALL_K), k=st.integers(1, _SMALL_K), data=st.data())
+@given(n_actions=st.integers(1, _SMALL_K), k=st.integers(1, _SMALL_K + 8), data=st.data())
 def test_list_readout_has_the_array_bits(n_actions, k, data):
+    # past _SMALL_K atoms a list of root actions takes the array route
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     prior = gen.dirichlet(np.ones(n_actions)) * (gen.random(n_actions) < 0.8)
     prior[gen.integers(n_actions)] += 0.5
