@@ -132,10 +132,9 @@ def _message_passing_lists(prior, root_actions: list, logq: list):
     runs = {}
     for a, q in zip(root_actions, logq):  # each action's atoms, in atom order
         runs.setdefault(a, []).append(q)
-    tops = [max(run) for run in runs.values()]
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior).tolist()
     log_mass = [-math.inf] * prior.size
-    for (a, run), value in zip(runs.items(), logsumexp_lists(list(runs.values()), tops)):
+    for (a, run), value in zip(runs.items(), logsumexp_lists(list(runs.values()))):
         log_mass[a] = log_prior[a] + value - _LOG_COUNTS[len(run) - 1]
     return np.array(normalized_weights(log_mass))

@@ -293,8 +293,6 @@ def _drive(config: ExperimentConfig, point: dict, seeds):
 
 def _sweep_points(config: ExperimentConfig):
     keys = sorted(config.sweep)
-    if not keys:
-        return [{}]
     return [dict(zip(keys, combo)) for combo in product(*(config.sweep[k] for k in keys))]
 
 
@@ -315,33 +313,29 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
 
     sweep_keys = sorted(config.sweep)
     rows = []  # (sweep values..., seed, step, metric, value)
-    finals = {}  # (point key, metric) -> per-seed final values
+    finals = {}  # (point label, metric) -> {seed: the cell's last value}
     points = _sweep_points(config)
     cells, done = len(points) * len(config.seeds), 0
     for point in points:
         point_label = ",".join(f"{k}={point[k]}" for k in sweep_keys) or "all"
-        point_values = tuple(point.get(k) for k in sweep_keys)
+        point_values = tuple(point[k] for k in sweep_keys)
         for seed, cell_rows in _drive(config, point, config.seeds):
-            last = {}
             for step_idx, metric, value in cell_rows:
                 rows.append(point_values + (seed, step_idx, metric, value))
-                last[metric] = value
-            for metric, value in last.items():
-                finals.setdefault((point_label, metric), []).append(value)
+                finals.setdefault((point_label, metric), {})[seed] = value
             done += 1
             log.info("cell %d/%d %s seed %d", done, cells, point_label, seed)
 
     with open(metrics_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"sweep_{k}" for k in sweep_keys] + ["seed", "step", "metric", "value"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)  # floats as repr(), every other value as str()
 
     summary = {}
-    for (label, metric), values in sorted(finals.items()):
-        arr = np.asarray(values, dtype=float)
+    for (label, metric), by_seed in sorted(finals.items()):
+        arr = np.array(list(by_seed.values()), dtype=float)
         if arr.size >= 2:
-            lo, hi = bootstrap_ci(arr, 0.99, 2000, rng_mod.stream(0, len(values)))
+            lo, hi = bootstrap_ci(arr, 0.99, 2000, rng_mod.stream(0, arr.size))
         else:
             lo = hi = float(arr[0])
         summary.setdefault(label, {})[metric] = {
@@ -352,9 +346,3 @@ def run(config: ExperimentConfig, force: bool = False) -> int:
     with open(summary_path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
     return EXIT_OK
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

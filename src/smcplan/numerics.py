@@ -74,11 +74,11 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def logsumexp_lists(runs, tops) -> list:
-    """:func:`logsumexp` of each of ``runs``, lists of at most ``_SMALL_K``
-    floats with maxima ``tops``, with the array route's bits: one
-    ``np.exp`` over every entry of every run, then one scalar
-    ``np.log1p`` a run."""
+def logsumexp_lists(runs) -> list:
+    """:func:`logsumexp` of each of ``runs``, non-empty lists of at most
+    ``_SMALL_K`` floats, with the array route's bits: one ``np.exp`` over
+    every entry of every run, then one scalar ``np.log1p`` a run."""
+    tops = list(map(max, runs))
     shifted = iter(np.exp([x - top for run, top in zip(runs, tops) for x in run]).tolist())
     out = []
     for run, top in zip(runs, tops):
@@ -97,7 +97,7 @@ def normalized_weights(log_weights, return_log_norm: bool = False):
     float with the array route's bits, or raises as that route does; any
     other input takes the array route, which gives an array or raises."""
     if type(log_weights) is list and 0 < len(log_weights) < _SEQUENTIAL_SUM:
-        [norm] = logsumexp_lists([log_weights], [max(log_weights)])
+        [norm] = logsumexp_lists([log_weights])
     else:
         log_weights = np.asarray(log_weights, dtype=float)
         norm = logsumexp(log_weights)

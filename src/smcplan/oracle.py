@@ -46,12 +46,10 @@ class SoftSolution:
 
 
 def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float):
-    """Yield ``(v, q, log_prior)`` per backward sweep, boundary values zero.
-
-    A sweep is a deterministic function of the value vector it reads, so
-    once one returns its input byte for byte (``-0.0`` and ``0.0``
-    differ) it yields that result for every remaining stage without
-    recomputing it: the output is the same bits the full recursion gives.
+    """Yield ``(v, q, log_prior)`` per backward sweep, boundary values zero,
+    up to the first sweep that returns its input byte for byte (``-0.0``
+    and ``0.0`` differ): a sweep is a function of that input alone, so
+    :func:`posterior_policy_stages` repeats it for the remaining stages.
     """
     require_integers(horizon=horizon)
     require_range(1, math.inf, horizon=horizon)
@@ -76,18 +74,15 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
             return logsumexp(log_p + v[None, None, :], axis=2)
 
     v = np.zeros(mdp.n_states)
-    for stage in range(horizon):
+    for _ in range(horizon):
         prev = v
         q = scaled_reward + mdp.discount * log_expectation(v)
         v = logsumexp(log_prior + q, axis=1)
         if not np.isfinite(v).all():
             raise NumericalError("soft values overflowed; check reward/temperature scale")
-        if v.tobytes() == prev.tobytes():
-            # a sweep is a function of v alone, so every later one repeats these bits
-            for _ in range(stage, horizon):
-                yield v, q, log_prior
-            return
         yield v, q, log_prior
+        if v.tobytes() == prev.tobytes():
+            return
 
 
 def _posterior(v, q, log_prior) -> np.ndarray:
@@ -126,9 +121,11 @@ def posterior_policy_stages(
 
     Stage t's table is the posterior with ``horizon - t`` steps to go, so
     stacking them gives the exact (non-stationary) posterior policy for a
-    depth-``horizon`` problem.
+    depth-``horizon`` problem. The stages past the sweeps' fixed point
+    repeat its posterior, bit for bit what further sweeps would give.
     """
     sweeps = [_posterior(*sweep) for sweep in _soft_backup_sweeps(mdp, prior, horizon, temperature)]
+    sweeps += sweeps[-1:] * (horizon - len(sweeps))
     return np.stack(sweeps[::-1], axis=0)
 
 

@@ -289,8 +289,9 @@ def sgd_step(model: Model, grads: Model, cfg: LossConfig) -> Model:
     """Clip element-wise, rescale to the global norm cap, then descend; a
     clipped gradient whose norm is not finite raises NumericalError."""
     g = np.clip(grads.params, -cfg.clip_abs, cfg.clip_abs)
-    squares = Model.of_params(np.square(g), *model.policy_logits.shape)
-    p, v, q = (float(t.sum()) for t in (squares.policy_logits, squares.v_table, squares.q_table))
+    # params = [logits | v | q], and q is (S, A) like the logits
+    squares, cells = np.square(g), model.q_table.size
+    p, v, q = (float(t.sum()) for t in (squares[:cells], squares[cells:-cells], squares[-cells:]))
     norm = float(np.sqrt(p + v + q))  # left to right, as sum() added before Python 3.12
     if not math.isfinite(norm):
         raise NumericalError(f"gradient norm is {norm}")

@@ -1,5 +1,6 @@
 """Config loading, experiment drivers, output files, and the CLI."""
 
+import csv
 import json
 import logging
 import math
@@ -288,6 +289,54 @@ def test_run_is_byte_reproducible(tmp_path):
         run(config)
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+
+def test_metrics_csv_writes_floats_as_their_repr(tmp_out, monkeypatch):
+    # a signed zero, the smallest subnormal, a sum with a tail digit and
+    # the first power of ten that repr() writes with an exponent
+    values = [-0.0, 5e-324, 0.1 + 0.2, 1e16]
+
+    def drive(config, point, seeds):
+        for seed in seeds:
+            yield seed, [(step, "value", v) for step, v in enumerate(values)]
+
+    monkeypatch.setattr(harness, "_drive", drive)
+    sweep = {"planner.alpha": [False, True], "planner.inference_mode": ["dirac"],
+             "planner.sigma": [0.1 + 0.2]}
+    assert run(config_from_dict(base_config(tmp_out, sweep=sweep))) == 0
+    with open(tmp_out / "metrics.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["sweep_planner.alpha", "sweep_planner.inference_mode", "sweep_planner.sigma",
+                      "seed", "step", "metric", "value"]
+    expected = [[str(alpha), "dirac", repr(0.1 + 0.2), str(seed), str(step), "value", repr(v)]
+                for alpha in (False, True) for seed in (0, 1) for step, v in enumerate(values)]
+    assert rows == expected
+    assert [rows[i][-1] for i in range(4)] == ["-0.0", "5e-324", "0.30000000000000004", "1e+16"]
+    # each cell's last row is its final value
+    summary = json.loads((tmp_out / "summary.json").read_text())
+    assert sorted(summary) == [f"planner.alpha={a},planner.inference_mode=dirac,"
+                               f"planner.sigma={0.1 + 0.2}" for a in (False, True)]
+    for point in summary.values():
+        assert point == {"value": {"mean": 1e16, "lo": 1e16, "hi": 1e16}}
+
+
+def test_run_without_a_sweep_writes_one_point_labelled_all(tmp_out, monkeypatch):
+    points = []
+    drive = harness._drive
+
+    def recorded(config, point, seeds):
+        points.append(point)
+        return drive(config, point, seeds)
+
+    monkeypatch.setattr(harness, "_drive", recorded)
+    assert run(config_from_dict(base_config(tmp_out, seeds=3))) == 0
+    assert points == [{}]
+    lines = (tmp_out / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "seed,step,metric,value"
+    rows = [line.split(",")[:3] for line in lines[1:]]
+    assert rows == [[str(seed), "0", "tv_root"] for seed in range(3)]
+    summary = json.loads((tmp_out / "summary.json").read_text())
+    assert list(summary) == ["all"] and list(summary["all"]) == ["tv_root"]
 
 
 def test_run_solves_one_reference_and_plans_once_per_cell(tmp_out, monkeypatch):
