@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and range
-checks the config classes raise them from."""
+"""Exception types shared across the package, and the integer, count and
+range checks the config classes raise them from."""
 
 import math
 import numbers
@@ -47,9 +47,19 @@ def require_integers(**fields):
             raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
+def require_counts(**fields):
+    """Raise :class:`ContractError` naming the first field whose value is
+    not an integer, then the first that is less than 1."""
+    require_integers(**fields)
+    require_range(1, math.inf, **fields)
+
+
 def require_range(lo, hi, **fields):
     """Raise :class:`ContractError` naming the first field whose value is
-    not in ``[lo, hi]``; ``nan`` lies in no range."""
+    not a real number (a bool, string or ``None`` is not) or not in
+    ``[lo, hi]``; ``nan`` lies in no range."""
     for name, value in fields.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ContractError(f"{name} must be a number, got {value!r}")
         if not lo <= value <= hi:
             raise ContractError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")

@@ -26,7 +26,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -35,7 +34,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError, require_integers, require_range
+from .errors import ConfigError, ContractError, require_counts
 from .mdp import TabularMdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import plan_tables, run_planner
@@ -81,8 +80,7 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
         raise ContractError("bootstrap_ci needs at least 2 samples")
     if not 0.0 <= level < 1.0:
         raise ContractError(f"level must lie in [0, 1), got {level}")
-    require_integers(resamples=resamples)
-    require_range(1, math.inf, resamples=resamples)
+    require_counts(resamples=resamples)
     n = samples.size
     rows = max(1, _BOOTSTRAP_DRAWS // n)
     means = np.empty(resamples)
@@ -125,8 +123,7 @@ class ExperimentConfig:
             raise ConfigError("env: must be an object")
         object.__setattr__(self, "env", copy.deepcopy(self.env))
         object.__setattr__(self, "mdp", mdp_from_dict(self.env, source="env"))
-        require_integers(iterations=self.iterations)
-        require_range(1, math.inf, iterations=self.iterations)
+        require_counts(iterations=self.iterations)
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
         if not self.output_dir:
@@ -150,8 +147,7 @@ class ExperimentConfig:
         for point in _sweep_points(self):
             try:
                 cell, iterations = _apply_sweep_point(self, point)
-                require_integers(iterations=iterations)
-                require_range(1, math.inf, iterations=iterations)
+                require_counts(iterations=iterations)
                 if not 0 <= cell.s0 < self.mdp.n_states:
                     raise ConfigError(f"s0: state {cell.s0} out of range [0, {self.mdp.n_states})")
                 if self.mdp.terminal[cell.s0]:

@@ -12,14 +12,13 @@ and the test-suite use as ground truth for sampled estimators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ContractError, is_integer, require_integers
-from .errors import require_range
+from .errors import BudgetError, ConfigError, ContractError, is_integer, require_counts
+from .errors import FINITE, require_integers, require_range
 from .rng import categorical, cdf_rows
 
 _ROW_SUM_TOL = 1e-12
@@ -60,8 +59,7 @@ class TabularMdp:
             raise ContractError(
                 f"terminal must have shape ({n_states},), got {terminal.shape}"
             )
-        discount = float(self.discount)
-        require_range(0, 1, discount=discount)
+        require_range(0, 1, discount=self.discount)
         for name, arr in (("transition", transition), ("reward", reward)):
             if not np.isfinite(arr).all():
                 raise ContractError(f"{name} has non-finite entries")
@@ -90,7 +88,7 @@ class TabularMdp:
         object.__setattr__(self, "successor_cdf", successor_cdf)
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "discount", discount)
+        object.__setattr__(self, "discount", float(self.discount))
 
     @property
     def n_states(self) -> int:
@@ -162,6 +160,7 @@ def make_chain(n: int, goal_reward: float = 1.0) -> TabularMdp:
     require_integers(n=n)
     if n < 1:
         raise ContractError("chain length must be at least 1")
+    require_range(-FINITE, FINITE, goal_reward=goal_reward)
     reward = np.zeros((n + 1, 2))
     reward[n - 1, 1] = float(goal_reward)
     next_state = [[max(s - 1, 0), min(s + 1, n)] for s in range(n + 1)]
@@ -230,8 +229,7 @@ def builtin_mdp(name: str, **params) -> TabularMdp:
         )
     try:
         return _BUILTINS[name](**params)
-    # a nan or infinite trap coordinate raises ValueError or OverflowError in int()
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"environment {name!r}: {exc}") from exc
 
 
@@ -286,8 +284,7 @@ def enumerate_trajectories(
     Raises :class:`BudgetError` when ``branching ** depth`` exceeds
     ``budget``, with branching the largest per-state out-degree.
     """
-    require_integers(depth=depth)
-    require_range(1, math.inf, depth=depth)
+    require_counts(depth=depth)
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
     tables = stage_policy_tables(policy, depth, mdp)
@@ -354,9 +351,6 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
         require_integers(n_states=n_states, n_actions=n_actions)
     except ContractError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    discount = data.get("discount", 1.0)
-    if isinstance(discount, bool) or not isinstance(discount, (int, float)):
-        raise ConfigError(f"{source}: discount: must be a number, got {discount!r}")
     try:
         transition = np.asarray(data["transition"], dtype=float)
         reward = np.asarray(data["reward"], dtype=float)
@@ -369,7 +363,6 @@ def mdp_from_dict(data: dict, source: str = "<env>") -> TabularMdp:
             f"({n_states}, {n_actions}, {n_states}), got {transition.shape}"
         )
     try:
-        return TabularMdp(transition, reward, terminal, discount)
-    # an integer discount too large for a float overflows in float()
-    except (ContractError, OverflowError) as exc:
+        return TabularMdp(transition, reward, terminal, data.get("discount", 1.0))
+    except ContractError as exc:
         raise ConfigError(f"{source}: {exc}") from exc

@@ -7,11 +7,11 @@ the shifted sum, ``log1p(rest / m) + log(m) + max``, which is more
 accurate than ``max + log(sum(exp(a - max)))`` when one entry dominates.
 The same formula gives ``inf``, ``nan`` and ``-inf`` for a slice whose
 maximum is ``+inf``, ``nan`` or ``-inf``.
-A full reduction of a vector with a finite maximum, which the planner
-makes every step, takes a one-pass route: same formula, same bits. It
-and :func:`normalized_weights` call the ``np.add``/``np.maximum``
-reductions directly, the same C loops as ``ndarray.sum``/``max``
-without their Python wrappers.
+A full reduction of a vector with a finite maximum below ``2**970``,
+which the planner makes every step, takes a one-pass route: same
+formula, same bits. It and :func:`normalized_weights` call the
+``np.add``/``np.maximum`` reductions directly, the same C loops as
+``ndarray.sum``/``max`` without their Python wrappers.
 
 :func:`normalized_weights` is the one place log weights become
 probabilities: the planner's particle weights every step, and the
@@ -53,7 +53,10 @@ def logsumexp(a, axis=None):
     """``log(sum(exp(a)))`` over ``axis`` (all entries when ``None``) of a
     non-empty float64 array; a full reduction returns a numpy scalar."""
     a = np.asarray(a, dtype=float)
-    if axis is None and a.ndim == 1 and math.isfinite(a_max := np.maximum.reduce(a)):
+    # below a maximum of 2**970 (half an ulp of the largest float), a - a_max
+    # cannot overflow; from there on it can reach -inf, whose exp is the 0 it
+    # stands for, and the general route lets that pass silently
+    if axis is None and a.ndim == 1 and -math.inf < (a_max := np.maximum.reduce(a)) < 2.0**970:
         at_max = a == a_max
         m = float(np.count_nonzero(at_max))
         rest = np.exp(a - a_max)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import POSITIVE, ContractError, NumericalError, SupportError
-from .errors import require_integers, require_range
+from .errors import require_counts, require_integers, require_range
 from .mdp import TabularMdp, check_policy_table, enumerate_trajectories, stage_policy_tables
 from .numerics import logsumexp
 
@@ -51,8 +51,7 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
     and ``0.0`` differ): a sweep is a function of that input alone, so
     :func:`posterior_policy_stages` repeats it for the remaining stages.
     """
-    require_integers(horizon=horizon)
-    require_range(1, math.inf, horizon=horizon)
+    require_counts(horizon=horizon)
     require_range(POSITIVE, math.inf, temperature=temperature)
     table = check_policy_table(prior, mdp.n_states, mdp.n_actions, "prior")
     with np.errstate(divide="ignore", over="ignore"):  # an overflow raises NumericalError below
@@ -172,10 +171,10 @@ def elbo_and_gap(
 
     The lower bound is the proposal's expected discounted reward (over
     temperature) minus its accumulated log-ratio to the prior; the gap is
-    the divergence of the proposal path measure from the exact posterior.
-    The two are computed from separate enumerations so the identity
-    ``elbo + gap == log_evidence`` is a meaningful check, not an algebraic
-    tautology.
+    the divergence of the proposal path measure from the exact posterior,
+    ``log_evidence - elbo``. The evidence comes from a separate
+    enumeration of the prior's paths, so ``gap >= 0`` is a meaningful
+    check; ``elbo + gap == log_evidence`` holds by construction.
     """
     require_integers(depth=depth)
     require_range(POSITIVE, math.inf, temperature=temperature)
@@ -184,7 +183,6 @@ def elbo_and_gap(
     pairs = enumerate_trajectories(mdp, s0, proposal_tables[:depth], depth)
 
     elbo = 0.0
-    gap_vs_joint = 0.0  # sum of p_q * (log p_q - log p_prior - loglik)
     for traj, p_q in pairs:
         log_ratio = 0.0  # accumulated log q_t(a|s) - log prior(a|s)
         for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
@@ -198,7 +196,6 @@ def elbo_and_gap(
             log_ratio += np.log(q_prob) - np.log(pi_prob)
         loglik = _discounted_loglik(traj, mdp.discount, temperature)
         elbo += p_q * (loglik - log_ratio)
-        gap_vs_joint += p_q * (log_ratio - loglik)
 
     prior_pairs = enumerate_trajectories(mdp, s0, prior_table, depth)
     log_evidence = float(
@@ -209,8 +206,7 @@ def elbo_and_gap(
             ]
         )
     )
-    gap = gap_vs_joint + log_evidence
-    return float(elbo), float(gap), log_evidence
+    return float(elbo), float(log_evidence - elbo), log_evidence
 
 
 def optimal_policy(mdp: TabularMdp, horizon: int):
@@ -218,8 +214,7 @@ def optimal_policy(mdp: TabularMdp, horizon: int):
 
     Returns ``(policy, v_star)`` at the root stage.
     """
-    require_integers(horizon=horizon)
-    require_range(1, math.inf, horizon=horizon)
+    require_counts(horizon=horizon)
     v = np.zeros(mdp.n_states)
     for _ in range(horizon):
         q = mdp.reward + mdp.discount * mdp.transition @ v
@@ -236,8 +231,7 @@ def policy_value(mdp: TabularMdp, policy, horizon: int) -> np.ndarray:
     first). Exact dynamic programming, equivalent to enumerating every
     trajectory.
     """
-    require_integers(horizon=horizon)
-    require_range(1, math.inf, horizon=horizon)
+    require_counts(horizon=horizon)
     tables = stage_policy_tables(policy, horizon, mdp)
     v = np.zeros(mdp.n_states)
     for steps_to_go in range(1, horizon + 1):

@@ -79,7 +79,7 @@ from . import rng as rng_mod
 from .backups import IDENTITY, AncestorGroups, accumulate_ancestor_q, group_ancestors
 from .backups import message_passing_policy
 from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, NumericalError
-from .errors import require_integers, require_range
+from .errors import require_counts, require_range
 from .mdp import TabularMdp
 from .numerics import _SMALL_K, normalized_weights, psum
 from .trust_region import DISTRIBUTION_TOL, adaptive_epsilon, trust_region_rows
@@ -107,9 +107,7 @@ class PlannerConfig:
     resample_mode: str = "baseline"
 
     def __post_init__(self):
-        counts = dict(k=self.k, depth=self.depth, resample_period=self.resample_period)
-        require_integers(**counts)
-        require_range(1, math.inf, **counts)
+        require_counts(k=self.k, depth=self.depth, resample_period=self.resample_period)
         require_range(
             0, 1, alpha=self.alpha, lambda_smc=self.lambda_smc, gamma=self.gamma, sigma=self.sigma
         )

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import FINITE, ContractError, NumericalError, require_integers, require_range
+from .errors import FINITE, ContractError, NumericalError, require_counts, require_integers
+from .errors import require_range
 from .mdp import TabularMdp, step
 from .oracle import policy_value
 from .planner import PlannerConfig, plan_tables, run_planner
@@ -110,8 +111,7 @@ class ReplayBuffer:
     policy) columns; the n-th pair added lives in slot ``n % capacity``."""
 
     def __init__(self, capacity: int, n_actions: int):
-        require_integers(capacity=capacity)
-        require_range(1, math.inf, capacity=capacity)
+        require_counts(capacity=capacity)
         self.states = np.zeros(capacity, dtype=np.intp)
         self.actions = np.zeros(capacity, dtype=np.intp)
         self.targets = np.zeros(capacity)
@@ -165,8 +165,7 @@ def collect_segment(
     call). The model is fixed within a segment, so its planning tables
     are built once.
     """
-    require_integers(horizon=horizon)
-    require_range(1, math.inf, horizon=horizon)
+    require_counts(horizon=horizon)
     tables = plan_tables(mdp, model, planner_config)
     states = np.empty(horizon, dtype=np.intp)
     actions = np.empty(horizon, dtype=np.intp)
@@ -314,14 +313,13 @@ class TrainConfig:
     eval_horizon: int = 0  # 0 means "use horizon"
 
     def __post_init__(self):
-        counts = dict(
+        require_counts(
             horizon=self.horizon,
             buffer_capacity=self.buffer_capacity,
             batch_size=self.batch_size,
             updates_per_iteration=self.updates_per_iteration,
         )
-        require_integers(**counts, s0=self.s0, eval_horizon=self.eval_horizon)
-        require_range(1, math.inf, **counts)
+        require_integers(s0=self.s0, eval_horizon=self.eval_horizon)
         require_range(0, math.inf, eval_horizon=self.eval_horizon)
 
 
@@ -336,8 +334,7 @@ class TrainResult:
 def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> TrainResult:
     """Alternate segment collection and SGD; returns per-iteration
     exact evaluation returns of the greedy and stochastic policies."""
-    require_integers(iterations=iterations)
-    require_range(1, math.inf, iterations=iterations)
+    require_counts(iterations=iterations)
     eval_horizon = config.eval_horizon or config.horizon
     model = Model.zeros(mdp.n_states, mdp.n_actions)
     buffer = ReplayBuffer(config.buffer_capacity, mdp.n_actions)

@@ -40,6 +40,7 @@ from smcplan import (
 )
 from smcplan import rng as rng_mod
 from smcplan.cli import main
+from smcplan.errors import require_counts, require_range
 from smcplan.harness import EXIT_CONFIG, EXIT_RUNTIME, config_from_dict, set_by_path
 from smcplan.numerics import normalized_weights
 from smcplan.planner import _SMALL_K, _init_lists
@@ -96,6 +97,12 @@ CASES = {
     "planner_config_sigma_range": (
         lambda: PlannerConfig(k=1, depth=1, sigma=1.5),
         ContractError, "sigma must lie"),
+    "planner_config_alpha_string": (
+        lambda: PlannerConfig(k=4, depth=2, alpha="0.5"),
+        ContractError, "alpha must be a number, got '0.5'"),
+    "tabular_mdp_discount_bool": (
+        lambda: TabularMdp(np.array(TWO_STATES), np.zeros((2, 1)), np.zeros(2, dtype=bool), True),
+        ContractError, "discount must be a number, got True"),
     "run_planner_s0_range": (
         lambda: run_planner(make_two_arm(), 5, Model.zeros(2, 2), PLANNER, 0),
         ContractError, "out of range"),
@@ -310,6 +317,23 @@ def test_each_check_raises_its_typed_error(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_require_range_takes_numpy_numbers_but_not_numpy_bools():
+    require_range(0, 1, a=np.float64(0.5), b=np.float32(0.5), c=np.int64(1), d=np.uint8(0))
+    with pytest.raises(ContractError, match="flag must be a number"):
+        require_range(0, 1, flag=np.bool_(True))
+
+
+@pytest.mark.parametrize("value,message", [
+    (1.0, "n must be an integer, got 1.0"),
+    (True, "n must be an integer, got True"),
+    (0, r"n must lie in \[1, inf\], got 0"),
+])
+def test_require_counts_checks_for_an_integer_then_for_at_least_1(value, message):
+    require_counts(n=np.int64(3))
+    with pytest.raises(ContractError, match=message):
+        require_counts(n=value)
 
 
 def test_cli_exits_3_on_a_runtime_error_without_a_warning(tmp_path, capsys):

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import math
+import re
 import tracemalloc
 from typing import get_type_hints
 
@@ -301,21 +302,21 @@ def test_metrics_csv_writes_floats_as_their_repr(tmp_out, monkeypatch):
             yield seed, [(step, "value", v) for step, v in enumerate(values)]
 
     monkeypatch.setattr(harness, "_drive", drive)
-    sweep = {"planner.alpha": [False, True], "planner.inference_mode": ["dirac"],
+    sweep = {"planner.inference_mode": ["dirac"], "planner.k": [4, 8],
              "planner.sigma": [0.1 + 0.2]}
     assert run(config_from_dict(base_config(tmp_out, sweep=sweep))) == 0
     with open(tmp_out / "metrics.csv", newline="") as handle:
         header, *rows = list(csv.reader(handle))
-    assert header == ["sweep_planner.alpha", "sweep_planner.inference_mode", "sweep_planner.sigma",
+    assert header == ["sweep_planner.inference_mode", "sweep_planner.k", "sweep_planner.sigma",
                       "seed", "step", "metric", "value"]
-    expected = [[str(alpha), "dirac", repr(0.1 + 0.2), str(seed), str(step), "value", repr(v)]
-                for alpha in (False, True) for seed in (0, 1) for step, v in enumerate(values)]
+    expected = [["dirac", str(k), repr(0.1 + 0.2), str(seed), str(step), "value", repr(v)]
+                for k in (4, 8) for seed in (0, 1) for step, v in enumerate(values)]
     assert rows == expected
     assert [rows[i][-1] for i in range(4)] == ["-0.0", "5e-324", "0.30000000000000004", "1e+16"]
     # each cell's last row is its final value
     summary = json.loads((tmp_out / "summary.json").read_text())
-    assert sorted(summary) == [f"planner.alpha={a},planner.inference_mode=dirac,"
-                               f"planner.sigma={0.1 + 0.2}" for a in (False, True)]
+    assert sorted(summary) == [f"planner.inference_mode=dirac,planner.k={k},"
+                               f"planner.sigma={0.1 + 0.2}" for k in (4, 8)]
     for point in summary.values():
         assert point == {"value": {"mean": 1e16, "lo": 1e16, "hi": 1e16}}
 
@@ -545,13 +546,24 @@ TRAIN_CONFIG = {
         dict(TRAIN_CONFIG, env={"name": "gridworld", "width": 3, "height": 3,
                                 "traps": [[math.inf, 0]]}),
     ]]
-    + [(dict(TRAIN_CONFIG, env=dict(INLINE_ENV, discount=bad)), "env: discount: must be a number")
-       for bad in ("abc", None, [0.9], "0.9", True)]
+    + [(dict(TRAIN_CONFIG, env=dict(INLINE_ENV, discount=bad)), "env: discount must be a number")
+       for bad in ("abc", None, [0.9], "0.9", True, False)]
     + [(dict(TRAIN_CONFIG, env=dict(INLINE_ENV, discount=10**400)), "env: ")]
     + [
         (dict(TRAIN_CONFIG, env={"name": "gridworld", "width": True, "height": 2}),
          "width must be an integer"),
         (dict(TRAIN_CONFIG, env={"name": "chain", "n": True}), "n must be an integer"),
+        (dict(TRAIN_CONFIG, env={"name": "chain", "n": 2, "goal_reward": True}),
+         "goal_reward must be a number"),
+        (dict(TRAIN_CONFIG, env={"name": "chain", "n": 2, "goal_reward": "1.5"}),
+         "goal_reward must be a number"),
+        (dict(TRAIN_CONFIG, env={"name": "chain", "n": 2, "goal_reward": 10**400}),
+         "goal_reward must lie in"),
+        (dict(TRAIN_CONFIG, planner={"k": 4, "depth": 2, "alpha": True}),
+         "planner: alpha must be a number"),
+        (dict(TRAIN_CONFIG, planner={"k": 4, "depth": 2, "alpha": "0.5"}),
+         "planner: alpha must be a number"),
+        (dict(TRAIN_CONFIG, sweep={"planner.alpha": [False, True]}), "alpha must be a number"),
         # a config.resolved.json written while planners had a value mode
         (dict(TRAIN_CONFIG, planner={"k": 4, "depth": 2, "value_mode": "exact"}),
          "planner.value_mode: unknown field"),
@@ -564,8 +576,11 @@ TRAIN_CONFIG = {
          "sweep_s0_out_of_range", "seeds_duplicate", "loss_lr_nan",
          "planner_temperature_infinity", "sweep_loss_c_ent_nan", "env_trap_nan",
          "env_trap_infinity", "env_discount_string", "env_discount_null", "env_discount_list",
-         "env_discount_numeric_string", "env_discount_bool", "env_discount_huge_integer",
-         "env_gridworld_width_bool", "env_chain_n_bool", "planner_value_mode"],
+         "env_discount_numeric_string", "env_discount_bool", "env_discount_false",
+         "env_discount_huge_integer", "env_gridworld_width_bool", "env_chain_n_bool",
+         "env_chain_goal_reward_bool", "env_chain_goal_reward_string",
+         "env_chain_goal_reward_huge_integer", "planner_alpha_bool", "planner_alpha_string",
+         "sweep_planner_alpha_bool", "planner_value_mode"],
 )
 def test_cli_rejects_bad_values_at_load(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
@@ -616,6 +631,28 @@ def test_cli_rejects_a_non_finite_config_field_before_writing(tmp_path, section,
     config_path.write_text(json.dumps(data))
     assert main([str(config_path)]) == 2
     assert not out.exists()
+
+
+# a JSON bool, a numeric string and null are not numbers
+NOT_NUMBERS = [True, False, "0.5", None]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize(
+    "section,name",
+    [("planner", name) for name in _float_fields(PlannerConfig)]
+    + [("loss", name) for name in _float_fields(LossConfig)],
+)
+@pytest.mark.parametrize("swept", [False, True], ids=["section", "sweep"])
+def test_config_rejects_a_float_field_that_is_not_a_number(tmp_out, swept, section, name, value):
+    data = base_config(tmp_out)
+    if swept:
+        data["sweep"] = {f"{section}.{name}": [0.25, value]}
+    else:
+        data.setdefault(section, {})[name] = value
+    message = rf"\b{name} must be a number, got {re.escape(repr(value))}"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
 
 
 def test_config_accepts_unbounded_clipping(tmp_out):

@@ -106,6 +106,21 @@ def test_vector_path_matches_the_general_path_bit_for_bit(size, scale, ties, neg
     assert ours.tobytes() == general.tobytes()
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[-1e308, 1e308], [1e308, 5.0, -1e308], [-1e308, 0.0], [-1.7e308, 1e300]]
+    # from a maximum of 2**970 on, -max_float - max overflows; below it,
+    # it rounds to -max_float
+    + [[-np.finfo(float).max, top] for top in (2.0**970, np.nextafter(2.0**970, 0), 1e293)],
+)
+def test_entries_spanning_more_than_the_float_range_reduce_silently_to_the_same_bits(a):
+    a = np.array(a)
+    ours, general = ours_quietly(a), logsumexp(a, axis=0)
+    assert type(ours) is np.float64 and ours.tobytes() == general.tobytes()
+    with np.errstate(over="ignore"):
+        assert_same(ours, scipy_logsumexp(a))
+
+
 def float_bits(values):
     return [float(x).hex() for x in values]
 
