@@ -34,7 +34,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import ConfigError, ContractError, require_counts
+from .errors import ConfigError, ContractError, is_integer, require_counts, require_range
 from .mdp import TabularMdp, mdp_from_dict
 from .oracle import soft_value_iteration
 from .planner import plan_tables, run_planner
@@ -57,8 +57,9 @@ def kl_to_reference(reference, policy) -> float:
     reference = np.asarray(reference, dtype=float)
     smoothed = np.maximum(np.asarray(policy, dtype=float), POLICY_FLOOR)
     support = reference > 0
-    log_ratio = np.log(reference[support]) - np.log((smoothed / smoothed.sum())[support])
-    return float(np.sum(reference[support] * log_ratio))
+    p = reference[support]
+    log_ratio = np.log(p) - np.log(smoothed[support] / np.add.reduce(smoothed, axis=None))
+    return float(np.add.reduce(p * log_ratio))
 
 
 def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator):
@@ -78,8 +79,9 @@ def bootstrap_ci(samples, level: float, resamples: int, rng: np.random.Generator
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ContractError("bootstrap_ci needs at least 2 samples")
-    if not 0.0 <= level < 1.0:
-        raise ContractError(f"level must lie in [0, 1), got {level}")
+    require_range(0, 1, level=level)
+    if level == 1:  # full coverage has no percentile interval
+        raise ContractError(f"level must lie in [0, 1), got {level!r}")
     require_counts(resamples=resamples)
     n = samples.size
     rows = max(1, _BOOTSTRAP_DRAWS // n)
@@ -102,8 +104,9 @@ class ExperimentConfig:
     state). Its JSON form is flat: every ``TrainConfig`` field is a
     top-level key next to the keys declared here. ``mdp`` is not an
     argument but ``mdp_from_dict`` of a copy of ``env``, built once here; no
-    sweep key reaches it. Seeds are kept as a tuple and sweep values as
-    lists, the forms ``config_to_dict`` output loads back to."""
+    sweep key reaches it. Seeds are kept as a tuple of Python ints and
+    sweep values as lists, the forms ``config_to_dict`` output loads back
+    to."""
 
     experiment: str
     env: dict
@@ -128,13 +131,14 @@ class ExperimentConfig:
             raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
         if not self.output_dir:
             raise ConfigError("output_dir: must not be empty")
-        if not isinstance(self.seeds, (list, tuple)) or not all(type(s) is int for s in self.seeds):
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(is_integer, self.seeds)):
             raise ConfigError("seeds: must be an integer count or list of integers")
+        # numpy integers are stored as Python ints, which JSON writes
+        object.__setattr__(self, "seeds", tuple(map(int, self.seeds)))
         if not self.seeds:
             raise ConfigError("seeds: must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds: must not repeat a seed, got {list(self.seeds)}")
-        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not isinstance(self.sweep, dict) or not all(isinstance(k, str) for k in self.sweep):
             raise ConfigError("sweep: must be an object with string keys")
         for key, values in self.sweep.items():
@@ -195,7 +199,7 @@ def config_from_dict(data: dict, source: str = "<config>") -> ExperimentConfig:
             if name in data:
                 train_args[name] = _dataclass_from_dict(kind, data[name], name)
         own = {name: data[name] for name in _OWN_KEYS if name in data}
-        if type(own.get("seeds")) is int:
+        if is_integer(own.get("seeds")):
             own["seeds"] = list(range(own["seeds"]))
         return ExperimentConfig(**own, train=TrainConfig(**train_args))
     except (TypeError, ValueError) as exc:  # ConfigError and ContractError are ValueErrors

@@ -240,9 +240,11 @@ def check_policy_table(policy, n_states: int, n_actions: int, name: str = "polic
         raise ContractError(
             f"{name} must have shape ({n_states}, {n_actions}), got {table.shape}"
         )
-    if not (table >= 0).all():  # nan >= 0 is false; an infinite entry fails the sum
+    # a nan entry makes the minimum nan, and nan >= 0 is false; an
+    # infinite entry fails the sum
+    if not np.minimum.reduce(table, axis=None) >= 0:
         raise ContractError(f"{name} has negative or nan probabilities")
-    if np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
+    if np.maximum.reduce(np.abs(np.add.reduce(table, axis=1) - 1.0)) > 1e-9:
         raise ContractError(f"{name} rows must sum to 1")
     return table
 

@@ -9,7 +9,7 @@ The same formula gives ``inf``, ``nan`` and ``-inf`` for a slice whose
 maximum is ``+inf``, ``nan`` or ``-inf``.
 A full reduction of a vector with a finite maximum below ``2**970``,
 which the planner makes every step, takes a one-pass route: same
-formula, same bits. It and :func:`normalized_weights` call the
+formula, same bits. Both routes and :func:`normalized_weights` call the
 ``np.add``/``np.maximum`` reductions directly, the same C loops as
 ``ndarray.sum``/``max`` without their Python wrappers.
 
@@ -64,15 +64,15 @@ def logsumexp(a, axis=None):
         return np.log1p(np.add.reduce(rest) / m) + np.log(m) + a_max
     a = np.atleast_1d(a)
     axis = tuple(range(a.ndim)) if axis is None else axis
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     at_max = a == a_max
-    m = at_max.sum(axis=axis, keepdims=True, dtype=float)
+    m = np.add.reduce(at_max, axis=axis, keepdims=True, dtype=float)
     # a non-finite maximum makes inf - inf (and a nan one m = 0), which
     # numpy warns about, yet the formula still gives inf, nan or -inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rest = np.exp(a - a_max)
         rest[at_max] = 0.0  # the maxima are counted in m instead
-        out = np.log1p(rest.sum(axis=axis, keepdims=True) / m) + np.log(m) + a_max
+        out = np.log1p(np.add.reduce(rest, axis=axis, keepdims=True) / m) + np.log(m) + a_max
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
 

@@ -87,7 +87,7 @@ def _soft_backup_sweeps(mdp: TabularMdp, prior, horizon: int, temperature: float
 def _posterior(v, q, log_prior) -> np.ndarray:
     """The prior reweighted by ``exp(q)``, each row normalized."""
     posterior = np.exp(log_prior + q - v[:, None])
-    posterior /= posterior.sum(axis=1, keepdims=True)
+    posterior /= np.add.reduce(posterior, axis=1, keepdims=True)
     return posterior
 
 

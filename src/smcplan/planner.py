@@ -231,8 +231,10 @@ class PlanTables:
     every proposal row is a distribution, which covers every row a step
     can gather. ``model`` is the model :func:`plan_tables` built the
     table from; a hand-built table records none. The list views the
-    small-K step reads are built at its first call and kept with the
-    table.
+    small-K step reads and the one Philox generator every step draws
+    from are built at the first call and kept with the table; a call
+    re-keys the generator at every step, so a table serves one planning
+    call at a time.
     """
 
     mdp: TabularMdp = field(repr=False)
@@ -282,6 +284,11 @@ class PlanTables:
             self.increment.tolist(), self.delta.tolist(), self.ratio_cap.ravel().tolist(),
             mdp.terminal.tolist(),
         )
+
+    @cached_property
+    def _generator(self) -> np.random.Generator:
+        # its key is replaced before any draw (see run_planner)
+        return rng_mod.stream(0)
 
 
 class _TableLists(NamedTuple):
@@ -566,7 +573,8 @@ def run_planner(
     not given; callers planning repeatedly against one model pass it in
     to build it once, and one built for another MDP, config or model (a
     hand-built table records none) raises :class:`ContractError` before
-    any step.
+    any step. Each step re-keys the table's generator to the stream
+    ``(seed, step)``, so a call draws what fresh generators would.
     """
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
@@ -590,7 +598,7 @@ def run_planner(
     log_k, log_evidence = math.log(config.k), 0.0
 
     for t in range(1, config.depth + 1):
-        gen = rng_mod.stream(seed, t) if t == 1 else rng_mod.rekey(gen, seed, t)
+        gen = rng_mod.rekey(tables._generator, seed, t)
         particles = advance(particles, tables, gen)
         # the final step never resamples, so its weights are the final ones
         weights, log_norm = normalized_weights(particles.log_weights, return_log_norm=True)

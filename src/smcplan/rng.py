@@ -4,9 +4,14 @@ Streams are addressed by an integer seed plus a path of sub-stream ids
 (e.g. planner step, purpose). Every (seed, path) pair maps to its own
 Philox key, so what a computation draws never depends on how many draws
 other computations made before it. This keeps planner and training
-output bit-reproducible under any execution order. A loop over
-sub-streams re-keys one generator (:func:`rekey`) instead of building one
-per sub-stream.
+output bit-reproducible under any execution order. Philox is
+counter-based, so a sub-stream is only a key: a loop over sub-streams
+re-keys one generator (:func:`rekey`) instead of building one per
+sub-stream, and draws exactly what fresh ones would. A planning table
+holds one such generator, which each planning call re-keys at every
+step, so a table serves one planning call at a time. :func:`fold`
+memoises the mix of a seed and of each path id, which a planning loop
+repeats at every step.
 
 Every categorical draw is an inverse-CDF draw: the index of a uniform is
 the number of cumulative masses at or below it, and no draw lands past
@@ -25,6 +30,8 @@ the ``planner`` module docstring says how.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -40,11 +47,15 @@ def _splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+# a seed's or a path id's mix, keyed by its masked value
+_mixed = lru_cache(maxsize=1024)(_splitmix64)
+
+
 def fold(seed: int, *path: int) -> int:
     """Derive a child seed from ``seed`` and a path of sub-stream ids."""
-    state = _splitmix64(seed & _MASK64)
+    state = _mixed(seed & _MASK64)
     for part in path:
-        state = _splitmix64(state ^ _splitmix64(part & _MASK64))
+        state = _splitmix64(state ^ _mixed(part & _MASK64))
     return state
 
 

@@ -294,6 +294,27 @@ CASES = {
     "bootstrap_level": (
         lambda: bootstrap_ci([0.0, 1.0], 1.0, 10, rng_mod.stream(0)),
         ContractError, "level must lie"),
+    # a bool is not a level: False would collapse the interval to the median
+    "bootstrap_level_bool": (
+        lambda: bootstrap_ci([0.0, 1.0], False, 10, rng_mod.stream(0)),
+        ContractError, "level must be a number, got False"),
+    "bootstrap_level_string": (
+        lambda: bootstrap_ci([0.0, 1.0], "0.5", 10, rng_mod.stream(0)),
+        ContractError, "level must be a number, got '0.5'"),
+    # a nan entry is below no bound, so only a test that the least entry
+    # is at least 0 catches it; an infinite one fails the row sums
+    "soft_value_prior_nan": (
+        lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), [[np.nan], [1.0]], 1, 1.0),
+        ContractError, "prior has negative or nan probabilities"),
+    "soft_value_prior_negative": (
+        lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), [[1.0], [-1.0]], 1, 1.0),
+        ContractError, "prior has negative or nan probabilities"),
+    "soft_value_prior_inf": (
+        lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), [[np.inf], [1.0]], 1, 1.0),
+        ContractError, "prior rows must sum to 1"),
+    "soft_value_prior_rows": (
+        lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), [[1.0], [0.5]], 1, 1.0),
+        ContractError, "prior rows must sum to 1"),
     "soft_value_overflow": (
         lambda: soft_value_iteration(mdp_from_dict(OVERFLOW_ENV), np.ones((2, 1)), 1,
                                      TINY_TEMPERATURE),

@@ -172,6 +172,24 @@ def test_config_seed_count_shorthand(tmp_out):
     assert config.seeds == (0, 1, 2)
 
 
+def test_numpy_integer_seeds_write_what_int_seeds_write(tmp_out):
+    # numpy integers are integers: a seed list of them, or a numpy seed
+    # count, runs as the same Python ints and writes the same bytes
+    outputs = {}
+    for name, seeds in (("int", [0, 3]), ("numpy", [np.int64(0), np.uint8(3)]),
+                        ("count", 3), ("numpy_count", np.int32(3))):
+        config = config_from_dict(
+            base_config(tmp_out, experiment="path_degeneracy",
+                        env={"name": "absorbing_zero", "n_actions": 4},
+                        planner={"k": 4, "depth": 2}, seeds=seeds)
+        )
+        assert all(type(seed) is int for seed in config.seeds)
+        assert run(config, force=True) == 0
+        outputs[name] = [(tmp_out / f).read_bytes() for f in ("metrics.csv", "config.resolved.json")]
+    assert outputs["numpy"] == outputs["int"]
+    assert outputs["numpy_count"] == outputs["count"]
+
+
 def test_config_env_inline_validation(tmp_out):
     data = base_config(tmp_out)
     data["env"] = {"n_states": 1, "n_actions": 1, "transition": [[[0.5]]],
@@ -370,6 +388,37 @@ def test_run_solves_one_reference_and_plans_once_per_cell(tmp_out, monkeypatch):
     for point in (calls[:7], calls[7:]):
         tables = point[0][1]
         assert all(arg is tables for _, arg in point[2::2])
+
+
+def test_a_sweep_builds_one_planning_generator_per_point(tmp_out, monkeypatch):
+    # a point's cells share one table, which holds the one generator its
+    # planner calls re-key; the summary's bootstrap draws from its own
+    planning, builds = [False], []
+    stream, run_planner = rng_mod.stream, harness.run_planner
+
+    def counted_stream(*args):
+        builds.append(planning[0])
+        return stream(*args)
+
+    def marked_run_planner(*args, **kwargs):
+        planning[0] = True
+        try:
+            return run_planner(*args, **kwargs)
+        finally:
+            planning[0] = False
+
+    monkeypatch.setattr(rng_mod, "stream", counted_stream)
+    monkeypatch.setattr(harness, "run_planner", marked_run_planner)
+    config = config_from_dict(
+        base_config(tmp_out, experiment="path_degeneracy",
+                    env={"name": "absorbing_zero", "n_actions": 4},
+                    planner={"k": 4, "depth": 3},
+                    sweep={"planner.inference_mode": ["dirac", "message_passing"]},
+                    seeds=5)
+    )
+    assert run(config) == 0
+    assert builds.count(True) <= 2
+    assert builds.count(False) == 2  # one bootstrap interval per point
 
 
 def test_run_refuses_overwrite_without_force(tmp_out):

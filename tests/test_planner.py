@@ -433,6 +433,45 @@ def test_run_planner_precomputed_table_is_bit_identical(proposal_mode, inference
         assert output_to_dict(run_planner(mdp, 0, model, cfg, seed, tables)) == fresh
 
 
+def _output_bits(out) -> dict:
+    """Every field of a ``PlannerOutput``, diagnostics included: each array
+    as its dtype, shape and bytes, each float as its hex form."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return float(value).hex() if isinstance(value, float) else value
+
+    diagnostics = out.diagnostics
+    return {"root_policy": bits(out.root_policy), "root_value": bits(out.root_value),
+            **{f.name: bits(getattr(diagnostics, f.name)) for f in fields(diagnostics)}}
+
+
+@pytest.mark.parametrize("k", [4, 32])
+@pytest.mark.parametrize("inference_mode", ["dirac", "message_passing"])
+def test_a_reused_table_plans_what_a_fresh_table_plans(k, inference_mode):
+    # a table's one generator is re-keyed at every step of every call, so
+    # neither the table's earlier calls nor calls on another table between
+    # them move a bit; the other table steps the other layout (lists at
+    # K=4, arrays at K=32)
+    mdp = make_random_mdp(6, 3, seed=31, terminal_states=(4,), discount=0.9)
+    model = random_model(6, 3, seed=32)
+    cfg = PlannerConfig(
+        k=k, depth=5, resample_period=2, alpha=0.4, gamma=0.9, sigma=0.5,
+        proposal_mode="trust_region", inference_mode=inference_mode,
+    )
+    other = replace(cfg, k=36 - k, depth=3, resample_period=1, proposal_mode="prior",
+                    resample_mode="revived")
+    tables, other_tables = plan_tables(mdp, model, cfg), plan_tables(mdp, model, other)
+    for seed in (0, 1, 0, 2):
+        reused = run_planner(mdp, 0, model, cfg, seed, tables)
+        assert _output_bits(reused) == _output_bits(run_planner(mdp, 0, model, cfg, seed))
+        reused = run_planner(mdp, 1, model, other, seed + 7, other_tables)
+        assert _output_bits(reused) == _output_bits(run_planner(mdp, 1, model, other, seed + 7))
+    generator = tables._generator
+    run_planner(mdp, 0, model, cfg, 3, tables)
+    assert tables._generator is generator is not other_tables._generator
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("temperature", 0.5), ("gamma", 0.9), ("proposal_mode", "prior"), ("alpha", 0.3),
@@ -718,8 +757,8 @@ def test_log_evidence_is_unbiased_for_the_soft_value(proposal_mode, temperature,
     gen = np.random.default_rng(8)
     model = Model(gen.normal(size=(4, 2)), np.zeros(4), gen.normal(size=(4, 2)))
     draws = []
-    monkeypatch.setattr(rng_mod, "stream", lambda seed, *path: draws[-1])
-    monkeypatch.setattr(rng_mod, "rekey", lambda gen, seed, *path: gen)
+    # every step re-keys the table's generator, and gets the call's uniforms
+    monkeypatch.setattr(rng_mod, "rekey", lambda gen, seed, *path: draws[-1])
     for depth in (1, 2):
         soft = soft_value_iteration(mdp, model.policy(), depth, temperature)
         for k in (1, 2, 3):

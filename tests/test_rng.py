@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcplan.rng import _GOLDEN, categorical, categorical_rows, cdf_rows, fold, rekey, stream
+from smcplan.rng import _GOLDEN, _mixed, categorical, categorical_rows, cdf_rows, fold, rekey
+from smcplan.rng import stream
 
 # masses with exact zeros mixed in, normalised to a distribution
 weights = st.lists(
@@ -126,3 +127,35 @@ def test_rekey_draws_what_a_fresh_generator_draws(seed, path, used):
     assert rekey(gen, seed, *path) is gen
     assert draws(gen) == expected
     assert draws(stream(seed, *path)) == expected
+
+
+def unmemoised_fold(seed, *path):
+    """:func:`fold` written out: splitmix64 of the masked seed, then of the
+    state xor each masked path id's own splitmix64."""
+    mask = (1 << 64) - 1
+
+    def mix(value):
+        value = (value + 0x9E3779B97F4A7C15) & mask
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
+        return value ^ (value >> 31)
+
+    state = mix(seed & mask)
+    for part in path:
+        state = mix(state ^ mix(part & mask))
+    return state
+
+
+ids = st.one_of(st.integers(0, 64), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300)
+@given(seed=ids, path=st.lists(ids, max_size=4))
+def test_memoised_fold_equals_the_unmemoised_mix(seed, path):
+    # ids repeat across examples (the small ones), so some mixes come from
+    # the memo, and ids past 64 bits or negative fold as their low 64 bits
+    expected = unmemoised_fold(seed, *path)
+    assert fold(seed, *path) == expected
+    assert fold(seed, *path) == expected
+    assert fold(seed + (1 << 64), *path) == expected
+    assert _mixed.cache_info().maxsize is not None  # the memo is bounded
