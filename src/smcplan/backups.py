@@ -12,7 +12,10 @@ readout normalizes its per-action masses with the planner's own
 The planner's small-K loop hands the readout its root actions as a
 list; up to ``_SMALL_K`` atoms the readout then takes a list route with
 the array route's bits, under the list rule of the ``planner`` module
-docstring. The grouping and the accumulators stay on arrays at every K.
+docstring. Below ``_SEQUENTIAL_SUM`` (8) particles the loop also holds
+the accumulators as a list, and the grouping of its list of ids and the
+accumulation take list routes by the same rule; from 8 particles on
+they stay on arrays.
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .numerics import _LOG_COUNTS, _SMALL_K, logsumexp, logsumexp_lists, normalized_weights
+from .numerics import _LOG_COUNTS, _SEQUENTIAL_SUM, _SMALL_K, logsumexp, logsumexp_lists
+from .numerics import normalized_weights, psum
 
 
 class AncestorGroups(NamedTuple):
     """Particles by root atom: atom ``atoms[j]`` holds ``counts[j]``
     particles, from ``starts[j]`` on in ``order`` (a stable sort by atom
-    id). ``IDENTITY`` (``order`` None) is particle i alone in atom i."""
+    id). ``IDENTITY`` (``order`` None) is particle i alone in atom i.
+    A grouping of a list lists ``atoms`` in first-seen order and holds in
+    ``order`` one list per atom of its particles, in particle order; its
+    other fields are None."""
 
     order: np.ndarray | None
     starts: np.ndarray | None
@@ -45,7 +52,16 @@ def group_ancestors(ancestors, n_atoms: int) -> AncestorGroups:
     """Group particles by their root atom ids (each in ``[0, n_atoms)``);
     the readout groups atoms by their root actions the same way. The ids
     are sorted stably in the narrowest type that holds them (a radix
-    sort), so sums over a group run in particle order."""
+    sort), so sums over a group run in particle order. A list of fewer
+    than ``_SEQUENTIAL_SUM`` ints is grouped in a dict instead."""
+    if (type(ancestors) is list and 0 < len(ancestors) < _SEQUENTIAL_SUM
+            and set(map(type, ancestors)) == {int}):
+        runs = {}
+        for i, a in enumerate(ancestors):
+            runs.setdefault(a, []).append(i)
+        if not 0 <= min(runs) <= max(runs) < n_atoms:
+            raise ContractError("ancestor ids out of range")
+        return AncestorGroups(list(runs.values()), None, None, list(runs), None)
     anc = np.asarray(ancestors, dtype=np.intp)
     if anc.ndim != 1:
         raise ContractError("ancestors must be a vector")
@@ -69,8 +85,24 @@ def accumulate_ancestor_q(ancestor_logq, groups: AncestorGroups, log_ratio) -> n
     factor. For every root atom j with at least one surviving particle
     in ``groups``, the accumulator grows by ``log(mean(exp(log_ratio)))``
     over those particles (under ``IDENTITY``, the one finite ratio);
-    atoms with no survivors are left unchanged.
+    atoms with no survivors are left unchanged. A list ``ancestor_logq``
+    with a grouping of a list (or ``IDENTITY``) gives a list, by one
+    ``np.exp`` and one ``np.log`` over all atoms.
     """
+    if type(ancestor_logq) is list:
+        if groups.order is None:
+            return [q + r for q, r in zip(ancestor_logq, log_ratio)]
+        runs = [[log_ratio[i] for i in run] for run in groups.order]
+        tops = list(map(max, runs))
+        shifted = np.exp([x - top for run, top in zip(runs, tops) for x in run]).tolist()
+        sums, start = [], 0
+        for run in runs:  # a segment of np.add.reduceat: its head plus the rest
+            sums.append(shifted[start] + psum(shifted[start + 1:start + len(run)]))
+            start += len(run)
+        out = ancestor_logq.copy()
+        for j, run, top, log_sum in zip(groups.atoms, runs, tops, np.log(sums).tolist()):
+            out[j] += top + log_sum - _LOG_COUNTS[len(run) - 1]
+        return out
     if groups.order is None:
         return ancestor_logq + log_ratio
     ratio_sorted = log_ratio[groups.order]

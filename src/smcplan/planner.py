@@ -55,13 +55,18 @@ and ``log1p`` stay numpy calls, whose SIMD kernels round unlike
 ``math.*``. A list of fewer than 8 entries is added one by one from
 ``0.0``, which is numpy's own order (``numerics.psum``), and numpy sums
 everything else; the builtin ``sum()``, compensated since Python 3.12,
-is never used on floats. So the message-passing readout of up to
-``_SMALL_K`` atoms and, below 8 particles, normalization, ESS and the
-weight checks run over lists inside the functions that name them; from
-8 particles on, numpy's own sum and per-call cost beat the list passes.
-The atom grouping and accumulators (a list route for them gained under
-a microsecond a call at K=4 and lost from K=8 on), the dirac readout
-and the retrace value's dot product stay numpy calls.
+is never used on floats. The one other order is a segment of
+``np.add.reduceat``, which the atom backups sum: its head plus the
+one-by-one sum of its tail, ``x0 + (x1 + x2)``, so ``x0 +
+psum(tail)``, not ``psum`` of the segment (numpy starts the tail from
+``-0.0``, which only a ``-0.0`` head would show, and no ``exp`` is
+``-0.0``). So the message-passing readout of up to ``_SMALL_K`` atoms
+and, below 8 particles, normalization, ESS, the weight checks and the
+atom grouping and accumulators (``ancestor_logq`` is then a list) run
+over lists inside the functions that name them; from 8 particles on,
+numpy's own sum and per-call cost beat the list passes (a list
+accumulation lost from K=8 on). The dirac readout and the retrace
+value's dot product stay numpy calls.
 """
 
 from __future__ import annotations
@@ -79,9 +84,9 @@ from . import rng as rng_mod
 from .backups import IDENTITY, AncestorGroups, accumulate_ancestor_q, group_ancestors
 from .backups import message_passing_policy
 from .errors import FINITE, POSITIVE, ContractError, DegenerateWeightsError, NumericalError
-from .errors import require_counts, require_range
+from .errors import require_counts, require_integers, require_range
 from .mdp import TabularMdp
-from .numerics import _SMALL_K, normalized_weights, psum
+from .numerics import _SEQUENTIAL_SUM, _SMALL_K, normalized_weights, psum
 from .trust_region import DISTRIBUTION_TOL, adaptive_epsilon, trust_region_rows
 
 PROPOSAL_MODES = ("prior", "trust_region")
@@ -174,8 +179,9 @@ def init_particles(s0: int, config: PlannerConfig) -> ParticleSet:
 
 def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
     """:func:`init_particles` with the per-particle fields as Python lists,
-    for the small-K loop; the atom-indexed ``ancestor_logq`` stays an
-    array, which ``accumulate_ancestor_q`` reads."""
+    for the small-K loop; the atom-indexed ``ancestor_logq`` is a list
+    below ``_SEQUENTIAL_SUM`` particles and an array from there on, the
+    route ``accumulate_ancestor_q`` then takes."""
     k, s0 = config.k, int(s0)
     return ParticleSet(
         states=[s0] * k,
@@ -183,7 +189,7 @@ def _init_lists(s0: int, config: PlannerConfig) -> ParticleSet:
         ancestors=list(range(k)),
         root_actions=[-1] * k,
         ref_states=[s0] * k,
-        ancestor_logq=np.zeros(k),
+        ancestor_logq=[0.0] * k if k < _SEQUENTIAL_SUM else np.zeros(k),
         retrace_acc=[0.0] * k,
         retrace_decay=[1.0] * k,
         step=0,
@@ -362,9 +368,11 @@ def _stepped(particles: ParticleSet, tables: PlanTables, actions, flat, incremen
     # steps keep their full ratios (their actions are marginalized).
     ancestor_logq = particles.ancestor_logq
     if tables.config.inference_mode == "message_passing":
-        backed_up = np.asarray(increments)
+        on_lists = type(ancestor_logq) is list  # below _SEQUENTIAL_SUM particles
+        backed_up = increments if on_lists else np.asarray(increments)
         if first:
-            backed_up = backed_up - tables.log_ratio.take(flat)
+            backed_up = np.subtract(backed_up, tables.log_ratio.take(flat))
+            backed_up = backed_up.tolist() if on_lists else backed_up
         ancestor_logq = accumulate_ancestor_q(ancestor_logq, particles.ancestor_groups, backed_up)
     return ParticleSet(
         states=states,
@@ -424,7 +432,7 @@ def _resampled(particles: ParticleSet, states, log_weights, ancestors, ref_state
     the layout of ``particles``; a grouping, if it carries one, is rebuilt."""
     groups = particles.ancestor_groups
     if groups is not None:
-        groups = group_ancestors(ancestors, particles.ancestor_logq.size)
+        groups = group_ancestors(ancestors, len(particles.ancestor_logq))
     return ParticleSet(
         states=states,
         log_weights=log_weights,
@@ -574,8 +582,11 @@ def run_planner(
     to build it once, and one built for another MDP, config or model (a
     hand-built table records none) raises :class:`ContractError` before
     any step. Each step re-keys the table's generator to the stream
-    ``(seed, step)``, so a call draws what fresh generators would.
+    ``(seed, step)``, so a call draws what fresh generators would. A
+    numpy integer ``seed`` draws what its Python int would.
     """
+    require_integers(seed=seed, s0=s0)
+    seed = int(seed)
     if not 0 <= s0 < mdp.n_states:
         raise ContractError(f"state {s0} out of range [0, {mdp.n_states})")
     if mdp.terminal[s0]:
@@ -612,7 +623,7 @@ def run_planner(
             # one entry per distinct atom
             groups = particles.ancestor_groups
             distinct[t - 1:] = (
-                groups.atoms.size if groups is not None
+                len(groups.atoms) if groups is not None
                 else len(set(particles.ancestors)) if on_lists
                 else np.count_nonzero(np.bincount(particles.ancestors))
             )

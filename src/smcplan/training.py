@@ -166,6 +166,8 @@ def collect_segment(
     are built once.
     """
     require_counts(horizon=horizon)
+    require_integers(seed=seed, s0=s0)
+    seed = int(seed)
     tables = plan_tables(mdp, model, planner_config)
     states = np.empty(horizon, dtype=np.intp)
     actions = np.empty(horizon, dtype=np.intp)
@@ -335,6 +337,8 @@ def train(mdp: TabularMdp, config: TrainConfig, iterations: int, seed: int) -> T
     """Alternate segment collection and SGD; returns per-iteration
     exact evaluation returns of the greedy and stochastic policies."""
     require_counts(iterations=iterations)
+    require_integers(seed=seed)
+    seed = int(seed)
     eval_horizon = config.eval_horizon or config.horizon
     model = Model.zeros(mdp.n_states, mdp.n_actions)
     buffer = ReplayBuffer(config.buffer_capacity, mdp.n_actions)

@@ -61,6 +61,18 @@ class FixedUniforms:
         return np.array(out)
 
 
+def grouping_runs(groups):
+    """An ancestor grouping as ``{atom: its particles, in particle order}``,
+    the same for a grouping of an array and of a list; ``IDENTITY`` and
+    None are returned as they are."""
+    if groups is None or groups.order is None:
+        return groups
+    if type(groups.order) is list:
+        return dict(zip(groups.atoms, groups.order))
+    runs = zip(groups.atoms.tolist(), groups.starts.tolist(), groups.counts.tolist())
+    return {atom: groups.order[start:start + count].tolist() for atom, start, count in runs}
+
+
 # diagnostics added after the golden digests were recorded: left out of
 # the hashed form, so the digests still pin the fields they always did,
 # and pinned by their own tests instead

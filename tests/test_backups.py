@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_mdp
+from conftest import grouping_runs, make_random_mdp
 from smcplan import (
     ContractError,
     DegenerateWeightsError,
@@ -26,6 +26,7 @@ from smcplan import (
 from smcplan import rng as rng_mod
 from smcplan.backups import IDENTITY
 from smcplan.numerics import logsumexp
+from smcplan.numerics import _SEQUENTIAL_SUM
 from smcplan.planner import _SMALL_K, normalized_weights
 
 
@@ -141,14 +142,16 @@ def test_accumulate_matches_bruteforce_on_random_inputs():
 
 
 def test_group_ancestors_rejects_bad_ids():
-    with pytest.raises(ContractError):
-        group_ancestors(np.array([0, 5]), 2)
-    with pytest.raises(ContractError):
-        group_ancestors(np.array([0, 2]), 2)
-    with pytest.raises(ContractError):
-        group_ancestors(np.array([-1, 0]), 2)
-    with pytest.raises(ContractError):
-        group_ancestors(np.zeros((2, 2), dtype=int), 2)
+    # a list takes the list route, and a list of lists the array route
+    for layout in (np.array, list):
+        with pytest.raises(ContractError, match="out of range"):
+            group_ancestors(layout([0, 5]), 2)
+        with pytest.raises(ContractError, match="out of range"):
+            group_ancestors(layout([0, 2]), 2)
+        with pytest.raises(ContractError, match="out of range"):
+            group_ancestors(layout([-1, 0]), 2)
+        with pytest.raises(ContractError, match="must be a vector"):
+            group_ancestors(layout([[0, 0], [0, 0]]), 2)
 
 
 # atom counts on both sides of the uint8 and uint16 limits, so the ids
@@ -211,6 +214,33 @@ def test_grouped_backups_match_reference_across_resamples(n_atoms, k, identity, 
         assert out.tobytes() == accumulate_reference(logq, particles.ancestors, ratios).tobytes()
         weights = normalized_weights(gen.normal(scale=scale, size=particles.k))
         particles = multinomial_resample(particles._replace(ancestor_logq=out), weights, gen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, _SEQUENTIAL_SUM - 1), identity=st.booleans(),
+       ratios=st.sampled_from(["spread", "tied", "equal"]), data=st.data())
+def test_list_backups_have_the_array_bits(k, identity, ratios, data):
+    # below _SEQUENTIAL_SUM particles the small-K loop groups a list of
+    # ids and accumulates lists; atoms of several particles, ratios tied
+    # at an atom's maximum or all equal, and IDENTITY before a resample
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ids = random_ids(k, k, data, gen)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    log_ratio = gen.normal(scale=scale, size=k)
+    if ratios == "tied":
+        log_ratio[gen.random(k) < 0.5] = log_ratio.max()
+    elif ratios == "equal":
+        log_ratio[:] = log_ratio[0]
+    logq = gen.normal(scale=scale, size=k)
+    if identity:
+        groups = list_groups = IDENTITY
+    else:
+        groups, list_groups = group_ancestors(ids, k), group_ancestors(ids.tolist(), k)
+        assert type(list_groups.order) is list
+        assert grouping_runs(list_groups) == grouping_runs(groups)
+    out = accumulate_ancestor_q(logq.tolist(), list_groups, log_ratio.tolist())
+    assert type(out) is list
+    assert _bits(out) == _bits(accumulate_ancestor_q(logq, groups, log_ratio))
 
 
 def test_message_passing_equal_values_recovers_prior_on_atoms():

@@ -23,6 +23,7 @@ from smcplan import (
     TrainConfig,
     Trajectory,
     bootstrap_ci,
+    collect_segment,
     enumerate_trajectories,
     grad,
     init_particles,
@@ -37,6 +38,7 @@ from smcplan import (
     run_planner,
     soft_value_iteration,
     solve_trust_region,
+    train,
 )
 from smcplan import rng as rng_mod
 from smcplan.cli import main
@@ -107,6 +109,27 @@ CASES = {
         lambda: run_planner(make_two_arm(), 5, Model.zeros(2, 2), PLANNER, 0),
         ContractError, "out of range"),
     # K <= _SMALL_K steps over lists, larger K through advance
+    "run_planner_seed_float": (
+        lambda: run_planner(make_two_arm(), 0, Model.zeros(2, 2), PLANNER, 3.0),
+        ContractError, "seed must be an integer, got 3.0"),
+    "run_planner_seed_bool": (
+        lambda: run_planner(make_two_arm(), 0, Model.zeros(2, 2), PLANNER, True),
+        ContractError, "seed must be an integer, got True"),
+    "run_planner_s0_float": (
+        lambda: run_planner(make_two_arm(), 0.0, Model.zeros(2, 2), PLANNER, 0),
+        ContractError, "s0 must be an integer, got 0.0"),
+    "collect_segment_seed_float": (
+        lambda: collect_segment(make_two_arm(), Model.zeros(2, 2), PLANNER, 1, 3.0),
+        ContractError, "seed must be an integer, got 3.0"),
+    "collect_segment_s0_float": (
+        lambda: collect_segment(make_two_arm(), Model.zeros(2, 2), PLANNER, 1, 0, s0=0.0),
+        ContractError, "s0 must be an integer, got 0.0"),
+    "train_seed_float": (
+        lambda: train(make_two_arm(), TrainConfig(planner=PLANNER), 1, 3.0),
+        ContractError, "seed must be an integer, got 3.0"),
+    "train_seed_bool": (
+        lambda: train(make_two_arm(), TrainConfig(planner=PLANNER), 1, True),
+        ContractError, "seed must be an integer, got True"),
     "run_planner_nonfinite_increment_lists": (
         lambda: _plan_off_the_prior(_SMALL_K),
         NumericalError, "non-finite log weights"),

@@ -3,6 +3,7 @@ against the array routes, bit for bit."""
 
 import ast
 import contextlib
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -140,6 +141,28 @@ def test_psum_adds_in_numpys_order():
     for size in range(1, 301):
         for x in [summands(size, seed) for seed in range(20)] + [np.full(size, -0.0)]:
             assert float(psum(x.tolist())).hex() == float(np.add.reduce(x)).hex(), size
+
+
+def test_a_reduceat_segment_is_its_head_plus_the_psum_of_its_tail():
+    # the list backups add each atom's shifted ratios as np.add.reduceat
+    # does: the head plus its tail added one by one; tails with zeros of
+    # both signs, heads of either sign but -0.0, which no exp returns
+    for size in range(1, _SEQUENTIAL_SUM):
+        signed_zeros = [np.array(z) for z in product((0.0, -0.0), repeat=size)]
+        for x in [summands(size, seed) for seed in range(100)] + signed_zeros:
+            if x[0] == 0.0:
+                x[0] = 0.0
+            head_plus_tail = float(x[0] + psum(x[1:].tolist()))
+            assert float(np.add.reduceat(x, [0])[0]).hex() == head_plus_tail.hex(), x
+        # numpy sums a tail from -0.0, so a -0.0 head on a tail of -0.0
+        # keeps its sign there, and psum's 0.0 takes it away
+        x = np.full(size, -0.0)
+        assert float(np.add.reduceat(x, [0])[0]).hex() == "-0x0.0p+0"
+        assert float(x[0] + psum(x[1:].tolist())).hex() == "0x0.0p+0"
+    # not np.add.reduce's order, which adds 1e16 + 1 first and rounds it away
+    x = np.array([1e16, 1.0, 1.0])
+    assert np.add.reduceat(x, [0])[0] == x[0] + psum([1.0, 1.0]) == 1e16 + 2
+    assert np.add.reduce(x) == psum(x.tolist()) == 1e16
 
 
 def test_src_never_calls_the_builtin_sum():

@@ -217,6 +217,25 @@ def test_resample_point_mass_copies_winner():
     assert (out.log_weights == 0.0).all()
 
 
+# root policy and value of a K=4 message-passing call at seed 3, recorded
+# before run_planner checked its seed
+SEED_3_BITS = (["0x1.004783b52ff2ap-1", "0x1.ff70f895a01abp-2"], "0x1.ddee56d965700p-1")
+
+
+@pytest.mark.parametrize("seed,python_seed", [
+    (3, 3), (np.int64(3), 3), (np.uint64(3), 3), (np.int32(3), 3), (np.uint8(3), 3),
+    (np.int64(-5), -5), (np.uint64(2**63 + 5), 2**63 + 5),
+])
+def test_numpy_integer_seeds_plan_the_bits_of_their_python_int(seed, python_seed):
+    mdp = make_random_mdp(4, 2, seed=3, terminal_states=(3,))
+    config = PlannerConfig(k=4, depth=3, inference_mode="message_passing")
+    out = run_planner(mdp, np.int64(0), Model.zeros(4, 2), config, seed)
+    expected = run_planner(mdp, 0, Model.zeros(4, 2), config, python_seed)
+    assert output_to_dict(out) == output_to_dict(expected)
+    if python_seed == 3:
+        assert ([float(x).hex() for x in out.root_policy], out.root_value.hex()) == SEED_3_BITS
+
+
 def test_resample_is_seed_deterministic():
     p, _, _ = _advanced_particle_set()
     a = multinomial_resample(p, normalized_weights(p.log_weights), rng_mod.stream(9), "baseline")

@@ -9,14 +9,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedUniforms, make_random_mdp
+from conftest import FixedUniforms, grouping_runs, make_random_mdp
 from smcplan import (
     Model,
     PlannerConfig,
     PlanTables,
     TabularMdp,
+    accumulate_ancestor_q,
     advance,
     dirac_policy,
+    group_ancestors,
     init_particles,
     message_passing_policy,
     multinomial_resample,
@@ -30,6 +32,7 @@ from smcplan.planner import (
     INFERENCE_MODES,
     PROPOSAL_MODES,
     RESAMPLE_MODES,
+    _SEQUENTIAL_SUM,
     _SMALL_K,
     _advance_lists,
     _init_lists,
@@ -355,13 +358,13 @@ def test_list_loop_reproduces_the_vector_loop_bit_for_bit(problem):
 
 def _set_bits(particles):
     """Every field of a ``ParticleSet`` as (dtype, bytes), a list read as
-    the array it converts to, ``ancestor_groups`` field by field."""
+    the array it converts to, ``ancestor_groups`` by its atoms and their
+    particle runs."""
     def bits(x):
         return None if x is None else (np.asarray(x).dtype.str, np.asarray(x).tobytes())
 
-    groups = particles.ancestor_groups
     return ([bits(x) for x in particles[:-2]], particles.step,
-            None if groups is None else [bits(x) for x in groups])
+            grouping_runs(particles.ancestor_groups))
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,3 +404,33 @@ def test_particle_sets_up_to_small_k_step_over_lists():
             calls = {name: getattr(planner_mod, name).call_count for name in names}
         assert calls == {"advance": 3, "_advance_lists": 3 * on_lists,
                          "multinomial_resample": 2, "_resample_lists": 2 * on_lists}
+
+
+
+def test_particle_sets_below_8_back_up_over_lists():
+    # every grouping and accumulation goes through group_ancestors and
+    # accumulate_ancestor_q, and only K < _SEQUENTIAL_SUM takes their list
+    # routes: a grouping of lists, a list of accumulators
+    mdp = make_random_mdp(4, 2, seed=3, terminal_states=(3,))
+    model = Model.zeros(4, 2)
+    for k, on_lists in ((_SEQUENTIAL_SUM - 1, 1), (_SEQUENTIAL_SUM, 0), (_SMALL_K, 0)):
+        routes = []
+
+        def grouped(ancestors, n_atoms):
+            groups = group_ancestors(ancestors, n_atoms)
+            routes.append(type(groups.order))
+            return groups
+
+        def accumulated(ancestor_logq, groups, log_ratio):
+            out = accumulate_ancestor_q(ancestor_logq, groups, log_ratio)
+            routes.append(type(out))
+            return out
+
+        with mock.patch.multiple(planner_mod, group_ancestors=mock.Mock(side_effect=grouped),
+                                 accumulate_ancestor_q=mock.Mock(side_effect=accumulated)):
+            config = PlannerConfig(k=k, depth=3, inference_mode="message_passing")
+            run_planner(mdp, 0, model, config, seed=0)
+            calls = [getattr(planner_mod, name).call_count
+                     for name in ("group_ancestors", "accumulate_ancestor_q")]
+        assert calls == [2, 3]
+        assert routes.count(list) == 5 * on_lists

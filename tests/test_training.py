@@ -565,6 +565,26 @@ def test_train_is_seed_deterministic():
     assert (a.model.policy_logits == b.model.policy_logits).all()
 
 
+def test_numpy_integer_seeds_train_the_bits_of_their_python_int():
+    mdp = make_chain(3)
+    cfg = TrainConfig(
+        planner=PlannerConfig(k=4, depth=2, sigma=0.5),
+        loss=LossConfig(lr=0.1),
+        horizon=4,
+        buffer_capacity=64,
+        batch_size=8,
+        updates_per_iteration=2,
+    )
+    expected = train(mdp, cfg, iterations=2, seed=7)
+    segment = collect_segment(mdp, expected.model, cfg.planner, 4, seed=7)
+    for seed in (np.int64(7), np.uint64(7)):
+        out = train(mdp, cfg, iterations=2, seed=seed)
+        assert out.losses.tobytes() == expected.losses.tobytes()
+        assert out.model.policy_logits.tobytes() == expected.model.policy_logits.tobytes()
+        again = collect_segment(mdp, expected.model, cfg.planner, 4, seed=seed, s0=np.int64(0))
+        assert again.search_policies.tobytes() == segment.search_policies.tobytes()
+
+
 def reference_train(mdp, config, iterations, seed):
     """``train``'s loop drawing one batch at a time, each ``grad``
     building its own index: the final model and per-iteration losses."""
